@@ -49,7 +49,8 @@ def main():
     parser.add_argument("--max-qubits", type=int, default=4)
     parser.add_argument("--max-cnots", type=int, default=5)
     parser.add_argument("--max-terms", type=int, default=3)
-    parser.add_argument("--timeout", type=float, default=120.0)
+    parser.add_argument("--timeout", type=float, default=120.0,
+                        help="seconds for each whole synthesis (one per mode)")
     args = parser.parse_args()
 
     rng = random.Random(args.seed)

@@ -34,7 +34,6 @@ class BlockwiseConfig:
     mode: Mode = Mode.CNOT
     doubly: bool = False
     wall_budget_s: float = 24 * 3600.0
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if min(self.iters_full, self.iters_sample) < 0 or self.jobs < 1:
@@ -126,7 +125,7 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
         raise ValueError("input circuit violates the coupling map")
     rng = random.Random(cfg.seed)
     worker = partial(resynth_block, cm=cm, mode=cfg.mode, doubly=cfg.doubly,
-                     timeout_s=cfg.per_block_timeout, backend=cfg.backend)
+                     timeout_s=cfg.per_block_timeout)
     start = time.monotonic()
     current = circuit
     trace: list[IterationRecord] = []

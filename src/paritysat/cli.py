@@ -25,7 +25,6 @@ from .phasepoly import (
     rep_to_json,
 )
 from .qasm import QasmError, parse_qasm, write_qasm
-from .sat.solver import backend_from_env
 from .synthesizer import (
     NoSolutionWithinKmax,
     SynthesisRequest,
@@ -144,7 +143,6 @@ def _cmd_synth(args) -> int:
     cm = _load_coupling(args.coupling_map)
     request = SynthesisRequest(rep, cm, mode=_mode(args.mode), doubly=args.doubly,
                                k_max=args.kmax, timeout_s=args.timeout,
-                               backend=backend_from_env(),
                                dimacs_path=args.dimacs_out)
     t0 = time.monotonic()
     result = hopps(request)
@@ -180,8 +178,7 @@ def _cmd_peephole(args) -> int:
     if not validate_topology(circuit, cm):
         raise QasmError("input circuit violates the coupling map")
     out, pairs = peephole_with_report(circuit, cm, mode=_mode(args.mode),
-                                      doubly=args.doubly, timeout_s=args.timeout,
-                                      backend=backend_from_env())
+                                      doubly=args.doubly, timeout_s=args.timeout)
     Path(args.output).write_text(write_qasm(out))
     report = _metrics_report(circuit, out)
     report["blocks"] = len(pairs)
@@ -213,8 +210,7 @@ def _cmd_blockwise(args) -> int:
         max_block_qubits=args.block_qubits, max_block_depth=args.block_depth,
         iters_full=args.iters_full, iters_sample=args.iters_sample,
         sample_fraction=args.sample_fraction, seed=args.seed, jobs=args.jobs,
-        per_block_timeout=args.timeout, mode=_mode(args.mode), doubly=args.doubly,
-        backend=backend_from_env())
+        per_block_timeout=args.timeout, mode=_mode(args.mode), doubly=args.doubly)
     out, trace = iterate_optimize(circuit, cm, cfg)
     Path(args.output).write_text(write_qasm(out))
     if args.trace_out:

@@ -27,7 +27,6 @@ from .ir import (
     induced_coupling,
 )
 from .phasepoly import extract_rep
-from .sat.solver import SolverTimeout
 from .synthesizer import (
     NoSolutionWithinKmax,
     SynthesisRequest,
@@ -221,8 +220,7 @@ def _accepts(mode: Mode, old: tuple[int, int], new: tuple[int, int]) -> bool:
 
 
 def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
-                  doubly: bool = True, timeout_s: float = 600.0,
-                  backend: str | None = None) -> Block:
+                  doubly: bool = True, timeout_s: float = 600.0) -> Block:
     """Optimal resynthesis of one block on its induced topology.
 
     Falls back to the original block (flagged in ``status``) when the
@@ -233,8 +231,8 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
         return replace(block, status="skipped_disconnected")
     try:
         result = hopps(SynthesisRequest(block.rep, local_map, mode=mode, doubly=doubly,
-                                        timeout_s=timeout_s, backend=backend))
-    except (SynthesisTimeout, SolverTimeout, NoSolutionWithinKmax):
+                                        timeout_s=timeout_s))
+    except (SynthesisTimeout, NoSolutionWithinKmax):
         return replace(block, status="failed_budget")
     old = _metrics(block.gates, len(block.qubits))
     new = (result.cnot_count, result.cnot_depth)
@@ -246,24 +244,21 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
 
 def peephole_pass(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CNOT,
                   doubly: bool = True, timeout_s: float = 600.0,
-                  backend: str | None = None,
                   worker: Callable[[Block], Block] | None = None) -> Circuit:
     """Resynthesize every block independently and splice the results back."""
-    new_circuit, _ = peephole_with_report(circuit, cm, mode, doubly, timeout_s,
-                                          backend, worker)
+    new_circuit, _ = peephole_with_report(circuit, cm, mode, doubly, timeout_s, worker)
     return new_circuit
 
 
 def peephole_with_report(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CNOT,
                          doubly: bool = True, timeout_s: float = 600.0,
-                         backend: str | None = None,
                          worker: Callable[[Block], Block] | None = None,
                          ) -> tuple[Circuit, list[tuple[Block, Block]]]:
     if circuit.num_qubits != cm.num_qubits:
         raise ValueError("circuit and coupling map qubit counts differ")
     blocks = find_blocks(circuit)
     if worker is None:
-        worker = lambda b: resynth_block(b, cm, mode, doubly, timeout_s, backend)
+        worker = lambda b: resynth_block(b, cm, mode, doubly, timeout_s)
     replaced = [worker(b) for b in blocks]
     return splice_blocks(circuit, replaced), list(zip(blocks, replaced))
 

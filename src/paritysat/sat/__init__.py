@@ -1,7 +1,6 @@
 from .core import (
     CardinalityError,
     SatInstance,
-    add_clause,
     at_least_k,
     at_most_k,
     export_dimacs,
@@ -11,7 +10,7 @@ from .solver import SatModel, SolverTimeout, solve, solve_instance, backend_from
 from .external import ExternalSolver, ExternalSolverError
 
 __all__ = [
-    "SatInstance", "CardinalityError", "add_clause", "at_most_k", "at_least_k",
+    "SatInstance", "CardinalityError", "at_most_k", "at_least_k",
     "export_dimacs", "parse_dimacs",
     "SatModel", "SolverTimeout", "solve", "solve_instance", "backend_from_env",
     "ExternalSolver", "ExternalSolverError",

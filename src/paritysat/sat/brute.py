@@ -48,14 +48,6 @@ def brute_model_count(num_vars: int, clauses: Iterable[Sequence[int]]) -> int:
     return bin(truth_table_mask(num_vars, clauses)).count("1")
 
 
-def brute_first_model(num_vars: int, clauses: Iterable[Sequence[int]]) -> list[bool] | None:
-    mask = truth_table_mask(num_vars, clauses)
-    if mask == 0:
-        return None
-    a = (mask & -mask).bit_length() - 1
-    return [bool((a >> (v - 1)) & 1) for v in range(1, num_vars + 1)]
-
-
 def brute_projections(num_vars: int, clauses: Iterable[Sequence[int]],
                       onto_vars: Sequence[int]) -> set[tuple[bool, ...]]:
     """Distinct restrictions of the model set to ``onto_vars``."""
@@ -69,5 +61,5 @@ def brute_projections(num_vars: int, clauses: Iterable[Sequence[int]],
 
 __all__ = [
     "MAX_BRUTE_VARS", "truth_table_mask", "brute_is_sat",
-    "brute_model_count", "brute_first_model", "brute_projections",
+    "brute_model_count", "brute_projections",
 ]

@@ -16,14 +16,6 @@ class CardinalityError(ValueError):
     """Unsatisfiable-by-construction cardinality request (k > |lits|)."""
 
 
-def lit_var(lit: Lit) -> int:
-    return abs(lit)
-
-
-def lit_negated(lit: Lit) -> bool:
-    return lit < 0
-
-
 @dataclass
 class SatInstance:
     """A growing CNF problem with optionally named variable families."""
@@ -63,10 +55,6 @@ class SatInstance:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-
-def add_clause(inst: SatInstance, lits: Iterable[Lit]) -> None:
-    inst.add_clause(lits)
 
 
 def _pairwise_at_most_one(inst: SatInstance, lits: Sequence[Lit]) -> None:
@@ -176,7 +164,6 @@ def parse_dimacs(text: str) -> SatInstance:
 
 
 __all__ = [
-    "Lit", "CardinalityError", "SatInstance", "add_clause",
-    "lit_var", "lit_negated", "at_most_k", "at_least_k",
+    "Lit", "CardinalityError", "SatInstance", "at_most_k", "at_least_k",
     "export_dimacs", "parse_dimacs",
 ]

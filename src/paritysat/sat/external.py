@@ -2,7 +2,8 @@
 
 The executable receives one argument (a CNF file path) and must print
 ``s SATISFIABLE`` or ``s UNSATISFIABLE`` plus ``v`` value lines, the
-convention used by SAT-competition solvers.
+convention used by SAT-competition solvers.  A claimed model is checked
+against every clause before it is returned.
 """
 from __future__ import annotations
 
@@ -60,7 +61,12 @@ class ExternalSolver:
                 continue
             if abs(lit) <= inst.num_vars:
                 values[abs(lit)] = lit > 0
-        return SatModel(tuple(values))
+        model = SatModel(tuple(values))
+        for clause in inst.clauses:
+            if not any(model.truth(lit) for lit in clause):
+                raise ExternalSolverError(
+                    f"model from {self.path!r} falsifies clause {clause}")
+        return model
 
 
 __all__ = ["ExternalSolver", "ExternalSolverError"]

@@ -1,14 +1,10 @@
-"""Complete internal SAT search with unit propagation and watched literals.
+"""Complete internal SAT search: CDCL with unit propagation and watched literals.
 
-Two engines behind one contract:
+Conflict-driven clause learning with first-UIP analysis and backjumping;
+the learned clauses are what make the unsatisfiable side of optimality
+proofs tractable.
 
-* ``cdcl`` (default) — conflict-driven clause learning with first-UIP
-  analysis and backjumping; the learned clauses are what make the
-  unsatisfiable side of optimality proofs tractable.
-* ``dpll`` — plain chronological backtracking; kept as an independent
-  in-process cross-check for the differential tests.
-
-Both engines are deterministic: decisions pick the lowest-numbered
+The search is deterministic: decisions pick the lowest-numbered
 unassigned variable and try False first, and there are no restarts or
 randomized heuristics.  Determinism is part of the synthesis contract
 (identical inputs reproduce identical circuits).
@@ -68,8 +64,13 @@ def _finish_stats(stats_out, start, decisions, conflicts, props, learned=0):
                          seconds=time.monotonic() - start)
 
 
-def _solve_cdcl(inst: SatInstance, timeout_s: float,
-                stats_out: dict | None) -> SatModel | None:
+def solve(inst: SatInstance, timeout_s: float = 600.0,
+          stats_out: dict | None = None) -> SatModel | None:
+    """Solve the instance; returns a model or None (UNSAT).
+
+    Re-solving after further add_clause calls is supported by simply calling
+    again: construction cost is linear in the clause database.
+    """
     start = time.monotonic()
     deadline = start + timeout_s
     nv = inst.num_vars
@@ -243,138 +244,6 @@ def _solve_cdcl(inst: SatInstance, timeout_s: float,
     return SatModel(tuple([False] + [assign[v] == 1 for v in range(1, nv + 1)]))
 
 
-def _solve_dpll(inst: SatInstance, timeout_s: float,
-                stats_out: dict | None) -> SatModel | None:
-    start = time.monotonic()
-    deadline = start + timeout_s
-    nv = inst.num_vars
-    units, db = _preprocess(inst)
-
-    assign = [0] * (nv + 1)
-    watches: dict[int, list[int]] = {l: [] for v in range(1, nv + 1) for l in (v, -v)}
-    for ci, clause in enumerate(db):
-        watches[clause[0]].append(ci)
-        watches[clause[1]].append(ci)
-
-    trail: list[int] = []
-    trail_lim: list[int] = []
-    flipped: list[bool] = []
-    qhead = 0
-    n_decisions = n_conflicts = n_props = 0
-
-    def enqueue(lit: int) -> bool:
-        var = abs(lit)
-        val = 1 if lit > 0 else -1
-        cur = assign[var]
-        if cur != 0:
-            return cur == val
-        assign[var] = val
-        trail.append(lit)
-        return True
-
-    def propagate() -> bool:
-        nonlocal qhead, n_props
-        while qhead < len(trail):
-            lit = trail[qhead]
-            qhead += 1
-            falsified = -lit
-            ws = watches[falsified]
-            new_ws: list[int] = []
-            i = 0
-            n_ws = len(ws)
-            while i < n_ws:
-                ci = ws[i]
-                i += 1
-                c = db[ci]
-                if c[0] == falsified:
-                    c[0], c[1] = c[1], c[0]
-                first = c[0]
-                v0 = assign[first] if first > 0 else -assign[-first]
-                if v0 == 1:
-                    new_ws.append(ci)
-                    continue
-                moved = False
-                for j in range(2, len(c)):
-                    lj = c[j]
-                    vj = assign[lj] if lj > 0 else -assign[-lj]
-                    if vj != -1:
-                        c[1], c[j] = c[j], c[1]
-                        watches[c[1]].append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                new_ws.append(ci)
-                if v0 == -1:
-                    new_ws.extend(ws[i:])
-                    watches[falsified] = new_ws
-                    return False
-                n_props += 1
-                assign[first if first > 0 else -first] = 1 if first > 0 else -1
-                trail.append(first)
-            watches[falsified] = new_ws
-        return True
-
-    def unassign_from(limit: int) -> None:
-        nonlocal qhead
-        for lit in trail[limit:]:
-            assign[abs(lit)] = 0
-        del trail[limit:]
-        qhead = limit
-
-    for u in units:
-        if not enqueue(u):
-            return None
-
-    cursor = 1
-    while True:
-        if (n_decisions + n_conflicts) % 512 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout(f"solve exceeded {timeout_s} s")
-        if propagate():
-            while cursor <= nv and assign[cursor] != 0:
-                cursor += 1
-            if cursor > nv:
-                break  # SAT
-            n_decisions += 1
-            trail_lim.append(len(trail))
-            flipped.append(False)
-            enqueue(-cursor)
-            continue
-        n_conflicts += 1
-        while True:
-            if not trail_lim:
-                _finish_stats(stats_out, start, n_decisions, n_conflicts, n_props)
-                return None
-            limit = trail_lim[-1]
-            decision = trail[limit]
-            unassign_from(limit)
-            if flipped[-1]:
-                trail_lim.pop()
-                flipped.pop()
-                continue
-            flipped[-1] = True
-            enqueue(-decision)
-            cursor = abs(decision)
-            break
-
-    _finish_stats(stats_out, start, n_decisions, n_conflicts, n_props)
-    return SatModel(tuple([False] + [assign[v] == 1 for v in range(1, nv + 1)]))
-
-
-def solve(inst: SatInstance, timeout_s: float = 600.0,
-          stats_out: dict | None = None, engine: str = "cdcl") -> SatModel | None:
-    """Solve the instance; returns a model or None (UNSAT).
-
-    Re-solving after further add_clause calls is supported by simply calling
-    again: construction cost is linear in the clause database.
-    """
-    if engine == "cdcl":
-        return _solve_cdcl(inst, timeout_s, stats_out)
-    if engine == "dpll":
-        return _solve_dpll(inst, timeout_s, stats_out)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def backend_from_env() -> str | None:
     """Solver backend selected by HOPPS_SOLVER (path to a DIMACS solver)."""
     value = os.environ.get("HOPPS_SOLVER", "").strip()
@@ -386,7 +255,12 @@ def backend_from_env() -> str | None:
 def solve_instance(inst: SatInstance, timeout_s: float = 600.0,
                    backend: str | None = None,
                    stats_out: dict | None = None) -> SatModel | None:
-    """Dispatch to the internal solver or an external DIMACS executable."""
+    """Dispatch to the internal solver or an external DIMACS executable.
+
+    Without an explicit ``backend`` the one named by HOPPS_SOLVER is used.
+    """
+    if backend is None:
+        backend = backend_from_env()
     if backend is None:
         return solve(inst, timeout_s, stats_out)
     from .external import ExternalSolver

@@ -10,6 +10,7 @@ mode.  The last satisfiable model wins.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from .encoder import (
@@ -58,8 +59,7 @@ class SynthesisRequest:
     mode: Mode = Mode.CNOT
     doubly: bool = False
     k_max: int | None = None
-    timeout_s: float = 600.0
-    backend: str | None = None
+    timeout_s: float = 600.0  # one deadline for the whole synthesis
     dimacs_path: str | None = None
 
 
@@ -71,10 +71,6 @@ class SynthesisResult:
     optimal: bool
     layers: list[list[tuple[int, int]]] | None = None
     stats: list[dict] = field(default_factory=list)
-
-    @property
-    def solve_time_s(self) -> float:
-        return sum(entry.get("seconds", 0.0) for entry in self.stats)
 
 
 def lower_bound(rep: PhasePolyRep, mode: Mode) -> int:
@@ -210,10 +206,12 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
     k_max = req.k_max if req.k_max is not None else default_k_max(n, len(unique_terms))
     k_top = k_max if edges else 0
     stats: list[dict] = []
+    deadline = time.monotonic() + req.timeout_s
 
     def timed_solve(inst: SatInstance, phase: str, k: int) -> SatModel | None:
         entry: dict = {"phase": phase, "k": k}
-        model = solve_instance(inst, req.timeout_s, req.backend, stats_out=entry)
+        remaining = max(deadline - time.monotonic(), 0.0)
+        model = solve_instance(inst, remaining, stats_out=entry)
         entry["status"] = "sat" if model is not None else "unsat"
         stats.append(entry)
         return model
@@ -247,6 +245,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                 layers = []
             return finish(model, layout, inst, layers, optimal=True)
 
+        # phase 2: descend on the secondary metric, keeping the last model
         if req.mode is Mode.CNOT:
             add_layer_assignment(inst, layout)
             try:
@@ -254,34 +253,26 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
             except SolverTimeout:
                 return finish(model, layout, inst, None, optimal=False)
             assert best is not None  # any gate sequence admits one-gate-per-layer
-            depth = _realized_depth(best, layout)
-            while depth > 1:
-                add_depth_limit(inst, layout, depth - 1)
-                try:
-                    nxt = timed_solve(inst, "descent", depth - 1)
-                except SolverTimeout:
-                    return finish(best, layout, inst, _layered_steps(best, layout),
-                                  optimal=False)
-                if nxt is None:
-                    break
-                best = nxt
-                depth = _realized_depth(best, layout)
-            return finish(best, layout, inst, _layered_steps(best, layout), optimal=True)
-
-        best = model
-        count = _count_gates(best, layout)
-        while count > 0:
-            add_cnot_budget(inst, layout, count - 1)
+            measure, tighten, steps_of, floor = (
+                _realized_depth, add_depth_limit, _layered_steps, 1)
+        else:
+            best = model
+            measure, tighten, steps_of, floor = (
+                _count_gates, add_cnot_budget, _selected_steps, 0)
+        value = measure(best, layout)
+        optimal = True
+        while value > floor:
+            tighten(inst, layout, value - 1)
             try:
-                nxt = timed_solve(inst, "descent", count - 1)
+                nxt = timed_solve(inst, "descent", value - 1)
             except SolverTimeout:
-                return finish(best, layout, inst, _selected_steps(best, layout),
-                              optimal=False)
+                optimal = False
+                break
             if nxt is None:
                 break
             best = nxt
-            count = _count_gates(best, layout)
-        return finish(best, layout, inst, _selected_steps(best, layout), optimal=True)
+            value = measure(best, layout)
+        return finish(best, layout, inst, steps_of(best, layout), optimal)
 
     raise NoSolutionWithinKmax(f"no solution with step budget up to {k_top}")
 

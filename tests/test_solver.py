@@ -1,11 +1,12 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from paritysat.sat.brute import brute_is_sat
 from paritysat.sat.core import SatInstance, at_most_k
-from paritysat.sat.external import ExternalSolver
+from paritysat.sat.external import ExternalSolver, ExternalSolverError
 from paritysat.sat.solver import SolverTimeout, solve, solve_instance
 
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
@@ -60,19 +61,15 @@ def test_agrees_with_truth_table_enumeration():
                 assert any(model.truth(lit) for lit in clause)
 
 
-def test_engines_agree():
+def test_agrees_with_truth_tables_on_wider_instances():
     rng = random.Random(310)
     for _ in range(150):
         inst = random_instance(rng, max_vars=14, max_clauses=60)
-        learned = solve(inst, engine="cdcl")
-        plain = solve(inst, engine="dpll")
-        assert (learned is None) == (plain is None)
-        if learned is not None:
+        model = solve(inst)
+        assert (model is not None) == brute_is_sat(inst.num_vars, inst.clauses)
+        if model is not None:
             for clause in inst.clauses:
-                assert any(learned.truth(lit) for lit in clause)
-                assert any(plain.truth(lit) for lit in clause)
-    with pytest.raises(ValueError):
-        solve(SatInstance(), engine="bogus")
+                assert any(model.truth(lit) for lit in clause)
 
 
 def test_cdcl_handles_pigeonhole_quickly():
@@ -152,3 +149,14 @@ def test_external_solver_protocol_smoke(tmp_path):
     inst.add_clause([-x])
     model = ExternalSolver(str(REF_SOLVER)).solve(inst)
     assert model is not None and not model[x]
+
+
+def test_external_model_is_checked_against_clauses(tmp_path):
+    liar = tmp_path / "liar.py"
+    liar.write_text(f"#!{sys.executable}\nprint('s SATISFIABLE')\nprint('v -1 0')\n")
+    liar.chmod(0o755)
+    inst = SatInstance()
+    x = inst.new_var()
+    inst.add_clause([x])
+    with pytest.raises(ExternalSolverError):
+        ExternalSolver(str(liar)).solve(inst)

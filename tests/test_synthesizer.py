@@ -1,6 +1,10 @@
 import random
+import time
+from pathlib import Path
 
 import pytest
+
+from paritysat import synthesizer
 
 from paritysat.encoder import Mode
 from paritysat.ir import (
@@ -17,6 +21,7 @@ from paritysat.ir import (
 )
 from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep
+from paritysat.sat.solver import SolverTimeout
 from paritysat.synthesizer import (
     NoSolutionWithinKmax,
     SynthesisRequest,
@@ -27,6 +32,8 @@ from paritysat.synthesizer import (
 )
 
 from conftest import TOPOLOGIES, random_instance
+
+REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
 
 
 def trivial_rep(n):
@@ -149,6 +156,23 @@ def test_timeout_without_model_raises(triangle_rep, line3):
         hopps(SynthesisRequest(triangle_rep, line3, timeout_s=0.0))
 
 
+def test_timeout_bounds_the_whole_synthesis(triangle_rep, line3, monkeypatch):
+    # each call takes 0.1 s and proves its budget UNSAT, unless it is given
+    # no more than that, so only a shrinking deadline ever ends the search
+    def slow_unsat(inst, timeout_s, *args, **kwargs):
+        if timeout_s <= 0.1:
+            time.sleep(timeout_s)
+            raise SolverTimeout("stub budget exhausted")
+        time.sleep(0.1)
+        return None
+
+    monkeypatch.setattr(synthesizer, "solve_instance", slow_unsat)
+    start = time.monotonic()
+    with pytest.raises(SynthesisTimeout):
+        hopps(SynthesisRequest(triangle_rep, line3, timeout_s=0.25))
+    assert time.monotonic() - start < 0.4
+
+
 def test_disconnected_map_rejected(triangle_rep):
     broken = CouplingMap(3, frozenset({(0, 1)}))
     with pytest.raises(ValueError):
@@ -224,3 +248,16 @@ def test_symbolic_angles_synthesize_and_rebind(line3):
     reference = Circuit(3, (Cnot(0, 1), Rz(0.5, 1), Rz(0.25, 1), Cnot(0, 1)))
     assert canonical_equal(canonicalize(extract_rep(bound)),
                            canonicalize(extract_rep(reference)))
+
+
+@pytest.mark.skipif(not REF_SOLVER.exists(), reason="reference solver not found")
+def test_external_backend_selected_by_env(triangle_rep, line3, monkeypatch):
+    monkeypatch.delenv("HOPPS_SOLVER", raising=False)
+    internal = hopps(SynthesisRequest(triangle_rep, line3, doubly=False))
+    monkeypatch.setenv("HOPPS_SOLVER", str(REF_SOLVER))
+    external = hopps(SynthesisRequest(triangle_rep, line3, doubly=False))
+    # only the internal engine reports search counters
+    assert all("conflicts" not in entry for entry in external.stats)
+    assert external.cnot_count == internal.cnot_count
+    assert canonical_equal(canonicalize(extract_rep(external.circuit)),
+                           canonicalize(triangle_rep))
