@@ -5,20 +5,48 @@ resynthesizes every block; stage 2 resynthesizes randomly sampled blocks
 from offset-randomized partitions.  Blocks are independent, so each
 iteration fans out over a worker pool and merges results back in block
 order, keeping the output bit-identical regardless of worker count.
+
+Angles play no part in synthesis, so each distinct block problem is
+synthesized once per ``iterate_optimize`` call.  The problem key is
+``synthesizer.synthesis_key``: the initial rows, the final rows, the
+merged table's unique terms in order (the encoder numbers its variables
+in term order) and the induced local edge set.  Only the first block of
+each key not yet cached goes to the workers; every other block is rebuilt
+in the parent by placing its own angles on the CNOT steps found, and
+judged against its own metrics.  Only syntheses proven optimal are cached
+for later iterations.  Within one iteration the blocks of a key share the
+outcome of its first block: when that one hit ``per_block_timeout``
+(``failed_budget``, or a doubly optimal search cut short), so do they.
 """
 from __future__ import annotations
 
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from math import ceil
 from typing import Callable, Sequence
 
 from .encoder import Mode
-from .ir import Circuit, CouplingMap, cnot_count, cnot_depth, validate_topology
-from .peephole import Block, _make_block, _scan_blocks, resynth_block, splice_blocks
+from .ir import (
+    Circuit,
+    CouplingMap,
+    cnot_count,
+    cnot_depth,
+    induced_coupling,
+    validate_topology,
+)
+from .peephole import (
+    Block,
+    Skeleton,
+    _make_block,
+    _scan_blocks,
+    apply_skeleton,
+    resynth_block,
+    splice_blocks,
+)
+from .synthesizer import synthesis_key
 
 
 @dataclass
@@ -53,6 +81,8 @@ class IterationRecord:
     cnot_depth: int
     blocks_attempted: int
     blocks_improved: int
+    cache_hits: int      # blocks served without a synthesis of their own
+    blocks_failed: int   # blocks left unchanged: the worker for their key raised
     wall_time_s: float
     rolled_back: bool = False
 
@@ -84,7 +114,7 @@ def run_parallel(blocks: Sequence[Block], worker_fn: Callable[[Block], Block],
     """Apply ``worker_fn`` over blocks with at most ``jobs`` concurrent tasks.
 
     Results come back strictly in block order; a worker failure falls back
-    to that block's original.
+    to that block's original, with the exception type in ``error``.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -93,8 +123,8 @@ def run_parallel(blocks: Sequence[Block], worker_fn: Callable[[Block], Block],
         for block in blocks:
             try:
                 out.append(worker_fn(block))
-            except Exception:
-                out.append(block)
+            except Exception as exc:
+                out.append(_failed(block, exc))
         return out
     results: list[Block] = list(blocks)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -102,9 +132,48 @@ def run_parallel(blocks: Sequence[Block], worker_fn: Callable[[Block], Block],
         for i, future in futures.items():
             try:
                 results[i] = future.result()
-            except Exception:
-                results[i] = blocks[i]
+            except Exception as exc:
+                results[i] = _failed(blocks[i], exc)
     return results
+
+
+def _failed(block: Block, exc: Exception) -> Block:
+    return replace(block, status="original", error=type(exc).__name__)
+
+
+def _resynthesize(blocks: Sequence[Block], worker: Callable[[Block], Block],
+                  cache: dict[tuple, Skeleton], cm: CouplingMap,
+                  cfg: BlockwiseConfig) -> tuple[list[Block], int]:
+    """Resynthesize every block; returns the replacements and the number
+    of blocks served without a synthesis of their own.
+
+    Only the first block of each key missing from ``cache`` goes through
+    ``run_parallel``; its skeleton is cached when it is proven optimal.
+    Every other block of the key gets that skeleton, or inherits the
+    first block's failure when there is none.
+    """
+    keys = [synthesis_key(block.rep, induced_coupling(cm, block.qubits))
+            for block in blocks]
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(keys):
+        if key not in cache:
+            first.setdefault(key, i)
+    done = dict(zip(first.values(),
+                    run_parallel([blocks[i] for i in first.values()], worker, cfg.jobs)))
+    fresh = {key: done[i] for key, i in first.items()}
+    for key, block in fresh.items():
+        if block.skeleton is not None and block.skeleton.optimal:
+            cache[key] = block.skeleton
+    out = []
+    for i, (block, key) in enumerate(zip(blocks, keys)):
+        skeleton = cache[key] if key in cache else fresh[key].skeleton
+        if i in done:
+            out.append(done[i])
+        elif skeleton is not None:
+            out.append(apply_skeleton(block, skeleton, cfg.mode))
+        else:
+            out.append(replace(block, status=fresh[key].status, error=fresh[key].error))
+    return out, len(blocks) - len(first)
 
 
 def _ordered_metrics(mode: Mode, circuit: Circuit) -> tuple[int, int]:
@@ -126,6 +195,7 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
     rng = random.Random(cfg.seed)
     worker = partial(resynth_block, cm=cm, mode=cfg.mode, doubly=cfg.doubly,
                      timeout_s=cfg.per_block_timeout)
+    cache: dict[tuple, Skeleton] = {}
     start = time.monotonic()
     current = circuit
     trace: list[IterationRecord] = []
@@ -144,7 +214,7 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
                 blocks = partition(current, cfg)
             else:
                 blocks = sample_blocks(current, cfg, rng)
-            replaced = run_parallel(blocks, worker, cfg.jobs)
+            replaced, hits = _resynthesize(blocks, worker, cache, cm, cfg)
             improved = 0
             for old, new in zip(blocks, replaced):
                 if new.status == "resynthesized":
@@ -160,8 +230,9 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
                 current = candidate
             iteration += 1
             metrics = (cnot_count(current), cnot_depth(current))
+            failed = sum(1 for block in replaced if block.error is not None)
             trace.append(IterationRecord(iteration, stage, metrics[0], metrics[1],
-                                         len(blocks), improved,
+                                         len(blocks), improved, hits, failed,
                                          time.monotonic() - t0, rolled_back))
             converged = prev == metrics
             prev = metrics

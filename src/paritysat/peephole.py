@@ -9,7 +9,7 @@ across qubit-disjoint neighbors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .encoder import Mode
@@ -26,13 +26,27 @@ from .ir import (
     gate_qubits,
     induced_coupling,
 )
-from .phasepoly import extract_rep
+from .phasepoly import extract_rep, merged_table
 from .synthesizer import (
     NoSolutionWithinKmax,
     SynthesisRequest,
     SynthesisTimeout,
     hopps,
+    place_rotations,
 )
+
+
+@dataclass(frozen=True)
+class Skeleton:
+    """The CNOT steps ``hopps`` found for a block, free of angles.
+
+    ``steps`` are what ``place_rotations`` takes: one CNOT per step in
+    count mode, one layer per step in depth mode.
+    """
+
+    steps: tuple[tuple[tuple[int, int], ...], ...]
+    metrics: tuple[int, int]         # (CNOT count, CNOT depth)
+    optimal: bool                    # False when phase 2 hit the deadline
 
 
 @dataclass(frozen=True)
@@ -44,6 +58,10 @@ class Block:
     span: tuple[int, ...]            # positions in the parent circuit
     rep: PhasePolyRep                # extracted locally from identity
     status: str = "original"
+    # exception type name when the worker raised (status stays "original")
+    error: str | None = field(default=None, compare=False)
+    # the synthesis behind ``status``, when one was found
+    skeleton: Skeleton | None = field(default=None, compare=False, repr=False)
 
     @property
     def circuit(self) -> Circuit:
@@ -219,12 +237,26 @@ def _accepts(mode: Mode, old: tuple[int, int], new: tuple[int, int]) -> bool:
     return new_t < old_t or (new_t == old_t and new_o <= old_o)
 
 
+def apply_skeleton(block: Block, skeleton: Skeleton, mode: Mode) -> Block:
+    """The block rebuilt on ``skeleton`` with its own angles, when that
+    improves it; otherwise the block itself, flagged ``kept_original``."""
+    if not _accepts(mode, _metrics(block.gates, len(block.qubits)), skeleton.metrics):
+        return replace(block, status="kept_original")
+    rep = block.rep
+    circuit = place_rotations(skeleton.steps,
+                              PhasePolyRep(rep.initial, rep.final, merged_table(rep)))
+    return Block(block.qubits, circuit.gates, block.span,
+                 extract_rep(circuit), status="resynthesized")
+
+
 def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
                   doubly: bool = True, timeout_s: float = 600.0) -> Block:
     """Optimal resynthesis of one block on its induced topology.
 
     Falls back to the original block (flagged in ``status``) when the
-    induced topology is disconnected or the solve does not finish.
+    induced topology is disconnected or the solve does not finish.  The
+    result carries the skeleton found, so that a caller can rebuild other
+    blocks of the same problem with ``apply_skeleton``.
     """
     local_map = induced_coupling(cm, block.qubits)
     if len(block.qubits) >= 2 and not local_map.is_connected():
@@ -234,12 +266,13 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
                                         timeout_s=timeout_s))
     except (SynthesisTimeout, NoSolutionWithinKmax):
         return replace(block, status="failed_budget")
-    old = _metrics(block.gates, len(block.qubits))
-    new = (result.cnot_count, result.cnot_depth)
-    if not _accepts(mode, old, new):
-        return replace(block, status="kept_original")
-    return Block(block.qubits, result.circuit.gates, block.span,
-                 extract_rep(result.circuit), status="resynthesized")
+    if mode is Mode.DEPTH:
+        steps = tuple(tuple(layer) for layer in result.layers)
+    else:
+        steps = tuple(((g.control, g.target),) for g in result.circuit.gates
+                      if isinstance(g, Cnot))
+    skeleton = Skeleton(steps, (result.cnot_count, result.cnot_depth), result.optimal)
+    return replace(apply_skeleton(block, skeleton, mode), skeleton=skeleton)
 
 
 def peephole_pass(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CNOT,
@@ -264,6 +297,7 @@ def peephole_with_report(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CN
 
 
 __all__ = [
-    "Block", "find_blocks", "block_to_physical", "splice_blocks",
-    "resynth_block", "peephole_pass", "peephole_with_report",
+    "Block", "Skeleton", "find_blocks", "block_to_physical", "splice_blocks",
+    "apply_skeleton", "resynth_block",
+    "peephole_pass", "peephole_with_report",
 ]

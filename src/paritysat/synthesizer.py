@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .encoder import (
     EncodingConfig,
@@ -115,7 +116,8 @@ def _realized_depth(model: SatModel, layout: VarLayout) -> int:
     return top + 1
 
 
-def place_rotations(steps: list[list[tuple[int, int]]], rep: PhasePolyRep) -> Circuit:
+def place_rotations(steps: Sequence[Sequence[tuple[int, int]]],
+                    rep: PhasePolyRep) -> Circuit:
     """Build the circuit: CNOT steps with each table entry's Rz inserted
     immediately after the earliest slice (then lowest row) matching its term."""
     n = rep.n
@@ -183,24 +185,45 @@ def _layered_steps(model: SatModel, layout: VarLayout) -> list[list[tuple[int, i
     return [by_label[l] for l in sorted(by_label)]
 
 
+def _angle_free(rep: PhasePolyRep, table: ParityTable) -> PhasePolyRep:
+    """``rep`` with the unique terms of its merged ``table``, in order, at
+    angle 0: all that the search reads of the phase polynomial."""
+    terms = tuple(dict.fromkeys(table.terms))
+    return PhasePolyRep(rep.initial, rep.final,
+                        ParityTable(rep.n, terms, tuple(0.0 for _ in terms)))
+
+
+def _used_coupling(coupling: CouplingMap, n: int) -> CouplingMap:
+    return induced_coupling(coupling, range(n)) if coupling.num_qubits > n else coupling
+
+
+def synthesis_key(rep: PhasePolyRep, coupling: CouplingMap) -> tuple:
+    """What ``hopps`` reads of a request's rep and coupling map.
+
+    Requests with equal keys and equal settings get the same CNOT steps;
+    only the angles that ``place_rotations`` puts on them differ.  The
+    terms keep their order, because the encoder numbers its variables in
+    term order.
+    """
+    bound = _angle_free(rep, merged_table(rep))
+    return (bound.initial.rows, bound.final.rows, bound.table.terms,
+            _used_coupling(coupling, rep.n).edges)
+
+
 def hopps(req: SynthesisRequest) -> SynthesisResult:
     """Optimal (and optionally doubly optimal) hardware-aware synthesis."""
     rep = req.rep
     n = rep.n
     if req.coupling.num_qubits < n:
         raise ValueError("coupling map has fewer qubits than the representation")
-    cm = req.coupling
-    if cm.num_qubits > n:
-        cm = induced_coupling(cm, range(n))
+    cm = _used_coupling(req.coupling, n)
     if not cm.is_connected():
         raise ValueError("coupling map must be connected on the used qubits")
 
     table = merged_table(rep)
-    unique_terms = list(dict.fromkeys(table.terms))
     decode_rep = PhasePolyRep(rep.initial, rep.final, table)
-    bound_rep = PhasePolyRep(
-        rep.initial, rep.final,
-        ParityTable(n, tuple(unique_terms), tuple(0.0 for _ in unique_terms)))
+    bound_rep = _angle_free(rep, table)
+    unique_terms = list(bound_rep.table.terms)
 
     edges = cm.directed_edges()
     k_max = req.k_max if req.k_max is not None else default_k_max(n, len(unique_terms))
@@ -280,5 +303,6 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
 __all__ = [
     "Mode", "SynthesisRequest", "SynthesisResult",
     "NoSolutionWithinKmax", "SynthesisTimeout", "InternalConsistencyError",
-    "lower_bound", "default_k_max", "hopps", "decode_circuit", "place_rotations",
+    "lower_bound", "default_k_max", "synthesis_key", "hopps", "decode_circuit",
+    "place_rotations",
 ]

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+import paritysat.peephole
 from paritysat.blockwise import (
     BlockwiseConfig,
     iterate_optimize,
@@ -18,8 +20,10 @@ from paritysat.ir import (
     cnot_depth,
     validate_topology,
 )
-from paritysat.peephole import splice_blocks
+from paritysat.encoder import Mode
+from paritysat.peephole import resynth_block, splice_blocks
 from paritysat.phasepoly import equivalent
+from paritysat.synthesizer import SynthesisTimeout, synthesis_key
 
 from conftest import random_cnot_rz_circuit
 
@@ -114,6 +118,16 @@ def test_run_parallel_matches_sequential_and_isolates_failures():
         run_parallel(blocks, _double, 0)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_parallel_records_the_exception_type(jobs):
+    c = random_cnot_rz_circuit(random.Random(4), 4, 8, 2)
+    blocks = partition(c, BlockwiseConfig(max_block_qubits=2))
+    assert len(blocks) >= 2
+    for block in run_parallel(blocks, _boom, jobs):
+        assert block.status == "original"
+        assert block.error == "RuntimeError"
+
+
 def test_iterate_optimize_converged_input_stops_early():
     c = Circuit(3, (Cnot(0, 1), Rz(0.7, 1)))
     cm = CouplingMap.line(3)
@@ -145,6 +159,113 @@ def test_iterate_optimize_identical_across_jobs():
         out, _ = iterate_optimize(c, grid, cfg)
         runs.append(out.gates)
     assert runs[0] == runs[1]
+
+
+def repeated_skeletons(n: int, layers: int, seed: int) -> tuple[Circuit, CouplingMap]:
+    """Layers of CNOT-Rz-CNOT on every edge of a line, each angle distinct,
+    plus a redundant CNOT pair per edge so that every block can improve."""
+    rng = random.Random(seed)
+    line = CouplingMap.line(n)
+    gates = []
+    for _ in range(layers):
+        for a, b in sorted(line.edges):
+            gates += [Cnot(a, b), Rz(rng.uniform(0.1, 3.0), b), Cnot(a, b),
+                      Cnot(b, a), Cnot(b, a)]
+    return Circuit(n, tuple(gates)), line
+
+
+def test_each_distinct_block_problem_is_synthesized_once(monkeypatch):
+    keys = []
+    hopps = paritysat.peephole.hopps
+
+    def counted(req):
+        keys.append(synthesis_key(req.rep, req.coupling))
+        return hopps(req)
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", counted)
+    c, line = repeated_skeletons(6, 3, seed=2)
+    cfg = BlockwiseConfig(max_block_qubits=3, iters_full=3, iters_sample=3,
+                          seed=4, per_block_timeout=30)
+    out, trace = iterate_optimize(c, line, cfg)
+    attempted = sum(r.blocks_attempted for r in trace)
+    assert len(keys) < attempted
+    assert sum(r.cache_hits for r in trace) == attempted - len(keys)
+    assert len(set(keys)) == len(keys)
+    assert all(r.blocks_failed == 0 for r in trace)
+    assert equivalent(out, c)
+
+
+@pytest.mark.parametrize("exc, raised", [(RuntimeError, True), (SynthesisTimeout, False)])
+def test_failed_synthesis_is_inherited_and_never_cached(monkeypatch, exc, raised):
+    calls = []
+
+    def fail(req):
+        calls.append(req)
+        raise exc("no synthesis")
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", fail)
+    c, line = repeated_skeletons(4, 2, seed=3)
+    cfg = BlockwiseConfig(max_block_qubits=2, iters_full=0, iters_sample=2,
+                          sample_fraction=1.0, seed=1)
+    out, trace = iterate_optimize(c, line, cfg)
+    assert out.gates == c.gates
+    assert len(trace) == 2
+    for record in trace:
+        # a worker that raised counts as failed; a timeout is failed_budget
+        assert record.blocks_failed == (record.blocks_attempted if raised else 0)
+        assert 0 < record.cache_hits < record.blocks_attempted
+    assert len(calls) == sum(r.blocks_attempted - r.cache_hits for r in trace)
+
+
+def test_unproven_skeleton_is_shared_within_one_iteration_only(monkeypatch):
+    keys = []
+    hopps = paritysat.peephole.hopps
+
+    def cut_short(req):
+        keys.append(synthesis_key(req.rep, req.coupling))
+        return dataclasses.replace(hopps(req), optimal=False)
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", cut_short)
+    c, line = repeated_skeletons(4, 2, seed=3)
+    cfg = BlockwiseConfig(max_block_qubits=2, iters_full=0, iters_sample=2,
+                          sample_fraction=1.0, seed=1, per_block_timeout=30)
+    out, trace = iterate_optimize(c, line, cfg)
+    assert len(trace) == 2 and all(r.cache_hits > 0 for r in trace)
+    assert len(keys) == sum(r.blocks_attempted - r.cache_hits for r in trace)
+    assert len(set(keys)) < len(keys)  # the second iteration synthesizes again
+    assert equivalent(out, c)
+
+
+@pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])
+@pytest.mark.parametrize("doubly", [False, True])
+def test_one_iteration_equals_resynthesizing_every_block(mode, doubly):
+    c, line = repeated_skeletons(5, 2, seed=6)
+    cfg = BlockwiseConfig(max_block_qubits=3, iters_full=1, iters_sample=0,
+                          mode=mode, doubly=doubly, per_block_timeout=30)
+    out, trace = iterate_optimize(c, line, cfg)
+    assert not trace[0].rolled_back and trace[0].cache_hits > 0
+    reference = splice_blocks(c, [resynth_block(b, line, mode, doubly, timeout_s=30)
+                                  for b in partition(c, cfg)])
+    assert out.gates == reference.gates
+
+
+def test_cancelling_rotations_give_a_different_key():
+    def skeleton(a, b, alpha, beta):
+        return [Cnot(a, b), Rz(alpha, b), Cnot(a, b), Cnot(a, b), Rz(beta, b), Cnot(a, b)]
+
+    # same gates on both pairs; on (2, 3) the two rotations cancel, so the
+    # merged table has no term left and that block needs no CNOT at all
+    c = Circuit(4, tuple(skeleton(0, 1, 0.3, 0.4) + skeleton(2, 3, 0.6, -0.6)))
+    line = CouplingMap.line(4)
+    cfg = BlockwiseConfig(max_block_qubits=2, iters_full=1, iters_sample=0,
+                          per_block_timeout=30)
+    out, trace = iterate_optimize(c, line, cfg)
+    assert trace[0].cache_hits == 0
+    reference = splice_blocks(c, [resynth_block(b, line, Mode.CNOT, False, timeout_s=30)
+                                  for b in partition(c, cfg)])
+    assert out.gates == reference.gates
+    assert cnot_count(out) == 2
+    assert equivalent(out, c)
 
 
 def test_iterate_optimize_rejects_bad_topology():

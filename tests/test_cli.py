@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import paritysat
 from paritysat.cli import main
 from paritysat.ir import Circuit, Cnot, CouplingMap, ParityMatrix, ParityTable, PhasePolyRep, Rz
 from paritysat.phasepoly import equivalent, rep_to_json
@@ -232,7 +234,11 @@ def test_oracle_command(triangle_files, capsys):
 
 def test_console_script_entry_point(triangle_files):
     qasm, _, _ = triangle_files
+    # the child imports the same paritysat as this test, installed or not
+    src = str(Path(paritysat.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "paritysat.cli", "extract", str(qasm)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 3

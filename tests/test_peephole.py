@@ -1,14 +1,18 @@
 import random
 
+import pytest
+
 from paritysat.encoder import Mode
 from paritysat.ir import (
     Circuit,
     Cnot,
     CouplingMap,
     Opaque,
+    PhasePolyRep,
     Rz,
     cnot_count,
     cnot_depth,
+    induced_coupling,
     validate_topology,
 )
 from paritysat.peephole import (
@@ -18,7 +22,8 @@ from paritysat.peephole import (
     resynth_block,
     splice_blocks,
 )
-from paritysat.phasepoly import canonical_equal, canonicalize, equivalent
+from paritysat.phasepoly import canonical_equal, canonicalize, equivalent, merged_table
+from paritysat.synthesizer import SynthesisRequest, hopps, place_rotations
 
 from conftest import random_cnot_rz_circuit, random_mixed_circuit
 
@@ -88,6 +93,26 @@ def test_resynth_skips_disconnected_block():
     assert any(r.status == "skipped_disconnected" for r in results)
     assert all(r.gates == b.gates for r, b in zip(results, blocks)
                if r.status == "skipped_disconnected")
+
+
+@pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])
+@pytest.mark.parametrize("doubly", [False, True])
+def test_skeleton_replays_the_synthesized_circuit(mode, doubly):
+    # placing the angles on the skeleton again gives hopps' circuit, gate
+    # for gate, including the order inside a depth-mode layer
+    rng = random.Random(12)
+    cm = CouplingMap.ring(4)
+    for _ in range(3):
+        (block,) = find_blocks(random_cnot_rz_circuit(rng, 4, 5, 4, cm))
+        local = induced_coupling(cm, block.qubits)
+        result = hopps(SynthesisRequest(block.rep, local, mode=mode, doubly=doubly))
+        skeleton = resynth_block(block, cm, mode, doubly).skeleton
+        rep = block.rep
+        rebuilt = place_rotations(skeleton.steps,
+                                  PhasePolyRep(rep.initial, rep.final, merged_table(rep)))
+        assert rebuilt.gates == result.circuit.gates
+        assert skeleton.metrics == (result.cnot_count, result.cnot_depth)
+        assert skeleton.optimal
 
 
 def test_already_optimal_block_keeps_metrics(line3):

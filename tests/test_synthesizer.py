@@ -29,6 +29,7 @@ from paritysat.synthesizer import (
     hopps,
     lower_bound,
     place_rotations,
+    synthesis_key,
 )
 
 from conftest import TOPOLOGIES, random_instance
@@ -185,6 +186,20 @@ def test_rep_on_larger_map_uses_prefix_qubits(triangle_rep):
     assert result.cnot_count == 5
     assert all(q < 3 for g in result.circuit.gates
                for q in ((g.control, g.target) if isinstance(g, Cnot) else (g.qubit,)))
+
+
+def test_synthesis_key_ignores_angles_and_keeps_term_order(triangle_rep, line3):
+    def with_table(terms, angles):
+        return PhasePolyRep(triangle_rep.initial, triangle_rep.final,
+                            ParityTable(3, terms, angles))
+
+    key = synthesis_key(triangle_rep, line3)
+    assert synthesis_key(with_table((5, 3, 6, 5), (0.7, 0.8, 0.9, 0.4)), line3) == key
+    assert synthesis_key(triangle_rep, CouplingMap.line(5)) == key
+    # cancelling rotations drop their term; a new order renumbers the encoding
+    assert synthesis_key(with_table((5, 3, 6, 6), (0.1, 0.2, 0.3, -0.3)), line3) != key
+    assert synthesis_key(with_table((3, 5, 6), (0.1, 0.2, 0.3)), line3) != key
+    assert synthesis_key(triangle_rep, CouplingMap.ring(3)) != key
 
 
 def test_stats_trail_records_unsat_then_sat(triangle_rep, line3):
