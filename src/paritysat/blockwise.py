@@ -99,14 +99,15 @@ def partition(circuit: Circuit, cfg: BlockwiseConfig) -> list[Block]:
 
 def sample_blocks(circuit: Circuit, cfg: BlockwiseConfig,
                   rng: random.Random) -> list[Block]:
-    """Offset-randomized partition, then a uniform sample of its blocks."""
+    """Offset-randomized partition, then a uniform sample of its blocks.
+
+    Only the sampled groups are built into blocks (and extracted)."""
     offset = rng.randrange(len(circuit.gates)) if circuit.gates else 0
     groups = _scan_blocks(circuit, max_qubits=cfg.max_block_qubits,
                           max_depth=cfg.max_block_depth, flush_at=offset)
-    blocks = [_make_block(circuit, indices) for _, indices in groups]
-    want = ceil(cfg.sample_fraction * len(blocks))
-    chosen = sorted(rng.sample(range(len(blocks)), want)) if blocks else []
-    return [blocks[i] for i in chosen]
+    want = ceil(cfg.sample_fraction * len(groups))
+    chosen = sorted(rng.sample(range(len(groups)), want)) if groups else []
+    return [_make_block(circuit, groups[i][1]) for i in chosen]
 
 
 def run_parallel(blocks: Sequence[Block], worker_fn: Callable[[Block], Block],

@@ -4,10 +4,23 @@ Conflict-driven clause learning with first-UIP analysis and backjumping;
 the learned clauses are what make the unsatisfiable side of optimality
 proofs tractable.
 
+The search is incremental over one growing instance, in the manner of
+MiniSat (Een & Sorensson, SAT 2003).  A ``Solver`` is built on one
+``SatInstance``; each ``solve`` call first takes in the variables and
+clauses added to the instance since the previous call, then searches,
+and returns to decision level 0 whatever the outcome: SAT, UNSAT or
+timeout.  Between calls it keeps its clause database, its learned
+clauses, its watch lists and its root-level facts, so a later call
+resumes from what earlier calls proved.  Clauses are only ever added,
+so everything learned stays implied.  The instance itself is read, never
+mutated.
+
 The search is deterministic: decisions pick the lowest-numbered
 unassigned variable and try False first, and there are no restarts or
 randomized heuristics.  Determinism is part of the synthesis contract
-(identical inputs reproduce identical circuits).
+(identical inputs reproduce identical circuits).  The first call on a
+new instance makes the same decisions, and finds the same model, as a
+one-shot ``solve``.
 """
 from __future__ import annotations
 
@@ -40,72 +53,156 @@ class SatModel:
         return {v: self.values[v] for v in range(1, len(self.values))}
 
 
-def _preprocess(inst: SatInstance) -> tuple[list[int], list[list[int]]]:
-    """Split the clause database into root units and watchable clauses,
-    dropping tautologies and duplicate literals."""
-    units: list[int] = []
-    db: list[list[int]] = []
-    for clause in inst.clauses:
-        seen = set(clause)
-        if any(-lit in seen for lit in seen):
-            continue
-        lits = sorted(seen)
-        if len(lits) == 1:
-            units.append(lits[0])
-        else:
-            db.append(lits)
-    return units, db
+class Solver:
+    """Incremental CDCL search over one growing ``SatInstance``."""
 
+    def __init__(self, inst: SatInstance) -> None:
+        self.inst = inst
+        self.num_vars = 0
+        self.taken = 0                  # clauses of the instance taken in so far
+        self.unsat = False              # the clauses taken in have no model
+        self.db: list[list[int]] = []   # watched clauses, given and learned
+        self.watches: dict[int, list[int]] = {}
+        self.assign = [0]               # 0 unknown, 1 true, -1 false
+        self.level = [0]
+        self.reason = [-1]              # clause index forcing the var, -1 = decision/root
+        self.seen = [False]
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []  # trail position where each decision level starts
+        self.qhead = 0
+        self.propagations = 0           # of the current call
 
-def _finish_stats(stats_out, start, decisions, conflicts, props, learned=0):
-    if stats_out is not None:
-        stats_out.update(decisions=decisions, conflicts=conflicts,
-                         propagations=props, learned=learned,
-                         seconds=time.monotonic() - start)
+    def solve(self, timeout_s: float = 600.0,
+              stats_out: dict | None = None) -> SatModel | None:
+        """Search the instance as it stands; returns a model or None (UNSAT).
 
+        ``stats_out`` receives this call's counters.  On ``SolverTimeout``
+        the solver is back at level 0 and may be called again.
+        """
+        start = time.monotonic()
+        deadline = start + timeout_s
+        self.propagations = 0
+        n_decisions = n_conflicts = n_learned = 0
+        model = None
+        assign = self.assign
+        trail_lim = self.trail_lim
+        cursor_lim: list[int] = []      # decision cursor snapshot per level
+        cursor = 1
+        try:
+            self._take_in()
+            nv = self.num_vars
+            while not self.unsat:
+                if (n_decisions + n_conflicts) % 256 == 0 and time.monotonic() > deadline:
+                    raise SolverTimeout(f"solve exceeded {timeout_s} s")
+                conflict = self._propagate()
+                if conflict < 0:
+                    while cursor <= nv and assign[cursor] != 0:
+                        cursor += 1
+                    if cursor > nv:
+                        model = SatModel(tuple([False] + [assign[v] == 1
+                                                          for v in range(1, nv + 1)]))
+                        break
+                    n_decisions += 1
+                    trail_lim.append(len(self.trail))
+                    cursor_lim.append(cursor)
+                    self._enqueue(-cursor, -1)  # polarity: try False first
+                    continue
+                n_conflicts += 1
+                if not trail_lim:
+                    self.unsat = True
+                    break
+                learned, back_level = self._analyze(conflict)
+                cursor = cursor_lim[back_level]
+                del cursor_lim[back_level:]
+                self._backjump(back_level)
+                if len(learned) == 1:
+                    self._enqueue(learned[0], -1)  # root-level fact
+                    continue
+                self._watch(learned)
+                n_learned += 1
+                self._enqueue(learned[0], len(self.db) - 1)
+        finally:
+            self._backjump(0)
+        if stats_out is not None:
+            stats_out.update(decisions=n_decisions, conflicts=n_conflicts,
+                             propagations=self.propagations, learned=n_learned,
+                             seconds=time.monotonic() - start)
+        return model
 
-def solve(inst: SatInstance, timeout_s: float = 600.0,
-          stats_out: dict | None = None) -> SatModel | None:
-    """Solve the instance; returns a model or None (UNSAT).
+    def _take_in(self) -> None:
+        """Take in the variables and clauses added since the last call.
 
-    Re-solving after further add_clause calls is supported by simply calling
-    again: construction cost is linear in the clause database.
-    """
-    start = time.monotonic()
-    deadline = start + timeout_s
-    nv = inst.num_vars
-    units, db = _preprocess(inst)
+        Runs at level 0.  Tautologies and duplicate literals are dropped,
+        and so is a clause a root fact satisfies; root-false literals are
+        removed before the two watches are chosen.  A clause left with one
+        literal becomes a root fact, one left with none makes the solver
+        UNSAT for good.
+        """
+        inst = self.inst
+        grow = inst.num_vars - self.num_vars
+        for v in range(self.num_vars + 1, inst.num_vars + 1):
+            self.watches[v] = []
+            self.watches[-v] = []
+        self.assign.extend([0] * grow)
+        self.level.extend([0] * grow)
+        self.reason.extend([-1] * grow)
+        self.seen.extend([False] * grow)
+        self.num_vars = inst.num_vars
 
-    assign = [0] * (nv + 1)        # 0 unknown, 1 true, -1 false
-    level = [0] * (nv + 1)
-    reason: list[int] = [-1] * (nv + 1)   # clause index forcing the var, -1 = decision/root
-    watches: dict[int, list[int]] = {l: [] for v in range(1, nv + 1) for l in (v, -v)}
-    for ci, clause in enumerate(db):
-        watches[clause[0]].append(ci)
-        watches[clause[1]].append(ci)
+        assign = self.assign
+        units: list[int] = []
+        for clause in inst.clauses[self.taken:]:
+            seen = set(clause)
+            if any(-lit in seen for lit in seen):
+                continue
+            lits = sorted(seen)
+            if self.trail:
+                values = [assign[lit] if lit > 0 else -assign[-lit] for lit in lits]
+                if 1 in values:
+                    continue
+                lits = [lit for lit, value in zip(lits, values) if value == 0]
+                if not lits:
+                    self.unsat = True
+            if len(lits) == 1:
+                units.append(lits[0])
+            elif lits:
+                self._watch(lits)
+        self.taken = len(inst.clauses)
+        for u in units:
+            if not self._enqueue(u, -1):
+                self.unsat = True
 
-    trail: list[int] = []
-    trail_lim: list[int] = []      # trail position where each decision level starts
-    cursor_lim: list[int] = []     # decision cursor snapshot per level
-    qhead = 0
-    n_decisions = n_conflicts = n_props = n_learned = 0
+    def _watch(self, clause: list[int]) -> None:
+        ci = len(self.db)
+        self.db.append(clause)
+        self.watches[clause[0]].append(ci)
+        self.watches[clause[1]].append(ci)
 
-    def enqueue(lit: int, why: int) -> bool:
+    def _enqueue(self, lit: int, why: int) -> bool:
         var = abs(lit)
         val = 1 if lit > 0 else -1
-        cur = assign[var]
+        cur = self.assign[var]
         if cur != 0:
             return cur == val
-        assign[var] = val
-        level[var] = len(trail_lim)
-        reason[var] = why
-        trail.append(lit)
+        self.assign[var] = val
+        self.level[var] = len(self.trail_lim)
+        self.reason[var] = why
+        self.trail.append(lit)
         return True
 
-    def propagate() -> int:
+    def _propagate(self) -> int:
         """Exhaust unit propagation; returns a conflicting clause index or -1."""
-        nonlocal qhead, n_props
-        while qhead < len(trail):
+        assign = self.assign
+        level = self.level
+        reason = self.reason
+        watches = self.watches
+        db = self.db
+        trail = self.trail
+        current = len(self.trail_lim)
+        qhead = self.qhead
+        n_props = 0
+        conflict = -1
+        while qhead < len(trail) and conflict < 0:
             lit = trail[qhead]
             qhead += 1
             falsified = -lit
@@ -138,23 +235,28 @@ def solve(inst: SatInstance, timeout_s: float = 600.0,
                 new_ws.append(ci)
                 if v0 == -1:
                     new_ws.extend(ws[i:])
-                    watches[falsified] = new_ws
-                    return ci
+                    conflict = ci
+                    break
                 n_props += 1
                 var = first if first > 0 else -first
                 assign[var] = 1 if first > 0 else -1
-                level[var] = len(trail_lim)
+                level[var] = current
                 reason[var] = ci
                 trail.append(first)
             watches[falsified] = new_ws
-        return -1
+        self.qhead = qhead
+        self.propagations += n_props
+        return conflict
 
-    seen = [False] * (nv + 1)
-
-    def analyze(conflict_ci: int) -> tuple[list[int], int]:
+    def _analyze(self, conflict_ci: int) -> tuple[list[int], int]:
         """First-UIP resolution: learned clause (asserting literal first)
         plus the level to backjump to."""
-        current = len(trail_lim)
+        seen = self.seen
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        db = self.db
+        current = len(self.trail_lim)
         learned: list[int] = []
         marked: list[int] = []
         pending = 0
@@ -192,56 +294,27 @@ def solve(inst: SatInstance, timeout_s: float = 600.0,
         learned[0], learned[top] = learned[top], learned[0]
         return [-p] + learned, back_level
 
-    def backjump(to_level: int) -> None:
-        nonlocal qhead
-        limit = trail_lim[to_level]
-        for lit in trail[limit:]:
+    def _backjump(self, to_level: int) -> None:
+        if len(self.trail_lim) <= to_level:
+            return
+        limit = self.trail_lim[to_level]
+        assign = self.assign
+        for lit in self.trail[limit:]:
             assign[abs(lit)] = 0
-        del trail[limit:]
-        del trail_lim[to_level:]
-        del cursor_lim[to_level:]
-        qhead = limit
+        del self.trail[limit:]
+        del self.trail_lim[to_level:]
+        self.qhead = limit
 
-    for u in units:
-        if not enqueue(u, -1):
-            _finish_stats(stats_out, start, 0, 0, n_props)
-            return None
 
-    cursor = 1
-    while True:
-        if (n_decisions + n_conflicts) % 256 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout(f"solve exceeded {timeout_s} s")
-        conflict = propagate()
-        if conflict < 0:
-            while cursor <= nv and assign[cursor] != 0:
-                cursor += 1
-            if cursor > nv:
-                break  # SAT
-            n_decisions += 1
-            trail_lim.append(len(trail))
-            cursor_lim.append(cursor)
-            enqueue(-cursor, -1)  # polarity: try False first
-            continue
-        n_conflicts += 1
-        if not trail_lim:
-            _finish_stats(stats_out, start, n_decisions, n_conflicts, n_props, n_learned)
-            return None
-        learned, back_level = analyze(conflict)
-        new_cursor = cursor_lim[back_level]
-        backjump(back_level)
-        cursor = new_cursor
-        if len(learned) == 1:
-            enqueue(learned[0], -1)  # root-level fact
-            continue
-        db.append(learned)
-        ci = len(db) - 1
-        watches[learned[0]].append(ci)
-        watches[learned[1]].append(ci)
-        n_learned += 1
-        enqueue(learned[0], ci)
+def solve(inst: SatInstance, timeout_s: float = 600.0,
+          stats_out: dict | None = None) -> SatModel | None:
+    """Solve the instance once; returns a model or None (UNSAT).
 
-    _finish_stats(stats_out, start, n_decisions, n_conflicts, n_props, n_learned)
-    return SatModel(tuple([False] + [assign[v] == 1 for v in range(1, nv + 1)]))
+    The same as ``Solver(inst).solve(timeout_s, stats_out)``.  To solve
+    again after adding clauses, keep the ``Solver``: its next call takes
+    in only what was added and resumes from what it learned.
+    """
+    return Solver(inst).solve(timeout_s, stats_out)
 
 
 def backend_from_env() -> str | None:
@@ -254,18 +327,22 @@ def backend_from_env() -> str | None:
 
 def solve_instance(inst: SatInstance, timeout_s: float = 600.0,
                    backend: str | None = None,
-                   stats_out: dict | None = None) -> SatModel | None:
+                   stats_out: dict | None = None,
+                   solver: Solver | None = None) -> SatModel | None:
     """Dispatch to the internal solver or an external DIMACS executable.
 
     Without an explicit ``backend`` the one named by HOPPS_SOLVER is used.
+    The internal search resumes ``solver`` (built on ``inst``) when one is
+    given; an external backend is handed the whole instance every call.
     """
     if backend is None:
         backend = backend_from_env()
     if backend is None:
-        return solve(inst, timeout_s, stats_out)
+        return (solver if solver is not None else Solver(inst)).solve(timeout_s, stats_out)
     from .external import ExternalSolver
 
     return ExternalSolver(backend).solve(inst, timeout_s, stats_out)
 
 
-__all__ = ["SatModel", "SolverTimeout", "solve", "solve_instance", "backend_from_env"]
+__all__ = ["SatModel", "SolverTimeout", "Solver", "solve", "solve_instance",
+           "backend_from_env"]

@@ -7,6 +7,11 @@ primary optimum and descends on the secondary metric by monotonically
 adding constraints to the same instance: a layer assignment plus
 shrinking depth limits in count mode, or shrinking CNOT budgets in depth
 mode.  The last satisfiable model wins.
+
+Each budget gets one encoding and one incremental ``Solver``: the
+layering call and every descent resume from what the primary call (and
+the calls after it) learned.  The solver is dropped when the budget
+grows, so at most one budget's solver is alive at a time.
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from .ir import (
 )
 from .phasepoly import merged_table
 from .sat.core import SatInstance, export_dimacs
-from .sat.solver import SatModel, SolverTimeout, solve_instance
+from .sat.solver import SatModel, Solver, SolverTimeout, solve_instance
 
 
 class NoSolutionWithinKmax(RuntimeError):
@@ -231,10 +236,16 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
     stats: list[dict] = []
     deadline = time.monotonic() + req.timeout_s
 
-    def timed_solve(inst: SatInstance, phase: str, k: int) -> SatModel | None:
-        entry: dict = {"phase": phase, "k": k}
+    def timed_solve(solver: Solver, phase: str, k: int,
+                    encoded_at: float) -> SatModel | None:
+        """One SAT call; its stats entry also records the CNF handed over
+        and the seconds spent encoding since ``encoded_at``."""
+        inst = solver.inst
+        entry: dict = {"phase": phase, "k": k, "vars": inst.num_vars,
+                       "clauses": inst.num_clauses,
+                       "encode_s": time.monotonic() - encoded_at}
         remaining = max(deadline - time.monotonic(), 0.0)
-        model = solve_instance(inst, remaining, stats_out=entry)
+        model = solve_instance(inst, remaining, stats_out=entry, solver=solver)
         entry["status"] = "sat" if model is not None else "unsat"
         stats.append(entry)
         return model
@@ -249,14 +260,16 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                                optimal, layers, stats)
 
     for k in range(lower_bound(bound_rep, req.mode), k_top + 1):
+        encoded_at = time.monotonic()
         cfg = EncodingConfig(req.mode, k, n, edges)
         inst, layout = encode_common(rep.initial, rep.final, unique_terms, cfg)
         if req.mode is Mode.CNOT:
             add_cnot_mode(inst, layout)
         else:
             add_depth_mode(inst, layout)
+        solver = Solver(inst)  # one per budget: rebinding drops the last one
         try:
-            model = timed_solve(inst, "primary", k)
+            model = timed_solve(solver, "primary", k, encoded_at)
         except SolverTimeout as exc:
             raise SynthesisTimeout(f"no model within {req.timeout_s} s at budget {k}") from exc
         if model is None:
@@ -270,9 +283,10 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
 
         # phase 2: descend on the secondary metric, keeping the last model
         if req.mode is Mode.CNOT:
+            encoded_at = time.monotonic()
             add_layer_assignment(inst, layout)
             try:
-                best = timed_solve(inst, "layering", k)
+                best = timed_solve(solver, "layering", k, encoded_at)
             except SolverTimeout:
                 return finish(model, layout, inst, None, optimal=False)
             assert best is not None  # any gate sequence admits one-gate-per-layer
@@ -285,9 +299,10 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         value = measure(best, layout)
         optimal = True
         while value > floor:
+            encoded_at = time.monotonic()
             tighten(inst, layout, value - 1)
             try:
-                nxt = timed_solve(inst, "descent", value - 1)
+                nxt = timed_solve(solver, "descent", value - 1, encoded_at)
             except SolverTimeout:
                 optimal = False
                 break

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -7,26 +5,17 @@ from paritysat.ir import (
     Circuit,
     Cnot,
     CouplingMap,
-    Opaque,
     ParityMatrix,
     ParityTable,
     PhasePolyRep,
     Rz,
 )
-from paritysat.phasepoly import extract_rep
 
 settings.register_profile(
     "ci", max_examples=40, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
-
-
-TOPOLOGIES = {
-    "line": CouplingMap.line,
-    "ring": CouplingMap.ring,
-    "complete": CouplingMap.complete,
-}
 
 
 @pytest.fixture
@@ -52,47 +41,3 @@ def triangle_circuit():
 @pytest.fixture
 def line3():
     return CouplingMap.line(3)
-
-
-def random_cnot_rz_circuit(rng: random.Random, n: int, n_cnots: int, n_rz: int,
-                           cm: CouplingMap | None = None) -> Circuit:
-    """Random {CNOT, Rz} circuit; CNOTs restricted to ``cm`` edges if given."""
-    if cm is None:
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    else:
-        pairs = list(cm.directed_edges())
-    kinds = ["c"] * n_cnots + ["r"] * n_rz
-    rng.shuffle(kinds)
-    gates = []
-    for kind in kinds:
-        if kind == "c":
-            gates.append(Cnot(*rng.choice(pairs)))
-        else:
-            gates.append(Rz(rng.uniform(0.05, 3.0), rng.randrange(n)))
-    return Circuit(n, tuple(gates))
-
-
-def random_mixed_circuit(rng: random.Random, n: int, n_gates: int) -> Circuit:
-    """Random circuit with opaque gates sprinkled between CNOTs and Rz's."""
-    gates = []
-    for _ in range(n_gates):
-        roll = rng.random()
-        if roll < 0.45 and n >= 2:
-            a = rng.randrange(n)
-            b = rng.randrange(n - 1)
-            gates.append(Cnot(a, b if b < a else b + 1))
-        elif roll < 0.75:
-            gates.append(Rz(rng.uniform(0.05, 3.0), rng.randrange(n)))
-        elif roll < 0.9 or n < 2:
-            gates.append(Opaque("h", (rng.randrange(n),)))
-        else:
-            a = rng.randrange(n)
-            b = rng.randrange(n - 1)
-            gates.append(Opaque("cz", (a, b if b < a else b + 1)))
-    return Circuit(n, tuple(gates))
-
-
-def random_instance(rng: random.Random, n: int, cm: CouplingMap,
-                    n_cnots: int, n_rz: int) -> PhasePolyRep:
-    """Representation extracted from a random topology-legal circuit."""
-    return extract_rep(random_cnot_rz_circuit(rng, n, n_cnots, n_rz, cm))

@@ -38,7 +38,7 @@ from paritysat.sat.core import SatInstance, at_least_k, at_most_k, export_dimacs
 from paritysat.sat.solver import solve
 from paritysat.synthesizer import SynthesisRequest, hopps
 
-from conftest import TOPOLOGIES, random_instance, random_mixed_circuit
+from testkit import TOPOLOGIES, random_instance, random_mixed_circuit
 
 GOLDEN = Path(__file__).parent / "golden" / "triangle_line3.json"
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"

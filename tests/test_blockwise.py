@@ -25,7 +25,7 @@ from paritysat.peephole import resynth_block, splice_blocks
 from paritysat.phasepoly import equivalent
 from paritysat.synthesizer import SynthesisTimeout, synthesis_key
 
-from conftest import random_cnot_rz_circuit
+from testkit import random_cnot_rz_circuit
 
 
 def ring8_with_redundancy():

@@ -15,7 +15,7 @@ from paritysat.encoder import (
 from paritysat.ir import CouplingMap, ParityMatrix, apply_cnot
 from paritysat.sat.solver import solve
 
-from conftest import random_instance
+from testkit import random_instance
 
 
 def make_cfg(mode, steps, cm):

@@ -15,7 +15,7 @@ from paritysat.ir import (
 from paritysat.oracle import OracleCapError, oracle_min_count, oracle_min_depth
 from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep
 
-from conftest import TOPOLOGIES, random_instance
+from testkit import TOPOLOGIES, random_instance
 
 
 def trivial_rep(n):

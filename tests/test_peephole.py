@@ -25,7 +25,7 @@ from paritysat.peephole import (
 from paritysat.phasepoly import canonical_equal, canonicalize, equivalent, merged_table
 from paritysat.synthesizer import SynthesisRequest, hopps, place_rotations
 
-from conftest import random_cnot_rz_circuit, random_mixed_circuit
+from testkit import random_cnot_rz_circuit, random_mixed_circuit
 
 
 def test_pure_circuit_is_one_block():

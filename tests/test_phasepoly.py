@@ -18,7 +18,7 @@ from paritysat.phasepoly import (
     rep_to_json,
 )
 
-from conftest import random_cnot_rz_circuit
+from testkit import random_cnot_rz_circuit
 
 
 def test_extract_triangle_instance(triangle_circuit):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from paritysat.ir import Circuit, Cnot, Opaque, Rz
 from paritysat.qasm import QasmError, parse_param, parse_qasm, write_qasm
 
-from conftest import random_mixed_circuit
+from testkit import random_mixed_circuit
 
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'

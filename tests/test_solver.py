@@ -1,15 +1,39 @@
+import itertools
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import paritysat.sat.solver as solver_module
+from paritysat.encoder import EncodingConfig, Mode, add_cnot_mode, encode_common
+from paritysat.ir import CouplingMap, ParityMatrix
 from paritysat.sat.brute import brute_is_sat
 from paritysat.sat.core import SatInstance, at_most_k
 from paritysat.sat.external import ExternalSolver, ExternalSolverError
-from paritysat.sat.solver import SolverTimeout, solve, solve_instance
+from paritysat.sat.solver import Solver, SolverTimeout, solve, solve_instance
 
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
+
+
+def _pigeonhole(holes):
+    inst = SatInstance()
+    pigeon = [[inst.new_var() for _ in range(holes)] for _ in range(holes + 1)]
+    for row in pigeon:
+        inst.add_clause(row)
+    for h in range(holes):
+        at_most_k(inst, [row[h] for row in pigeon], 1)
+    return inst
+
+
+def _random_3sat(seed, n=30, m=120):
+    rng = random.Random(seed)
+    inst = SatInstance()
+    lits = inst.new_vars(n)
+    for _ in range(m):
+        inst.add_clause([rng.choice(lits) * rng.choice([-1, 1]) for _ in range(3)])
+    return inst
 
 
 def random_instance(rng, max_vars=12, max_clauses=40):
@@ -73,29 +97,136 @@ def test_agrees_with_truth_tables_on_wider_instances():
 
 
 def test_cdcl_handles_pigeonhole_quickly():
-    inst = SatInstance()
-    holes = 5
-    pigeon = [[inst.new_var() for _ in range(holes)] for _ in range(holes + 1)]
-    for row in pigeon:
-        inst.add_clause(row)
-    for h in range(holes):
-        at_most_k(inst, [row[h] for row in pigeon], 1)
     stats = {}
-    assert solve(inst, timeout_s=60, stats_out=stats) is None
+    assert solve(_pigeonhole(5), timeout_s=60, stats_out=stats) is None
     assert stats["learned"] > 0
 
 
 def test_monotone_resolve_after_adding_clauses():
+    for resumed in (False, True):
+        inst = SatInstance()
+        solver = Solver(inst)
+        again = solver.solve if resumed else (lambda: solve(inst))
+        x, y = inst.new_vars(2)
+        inst.add_clause([x, y])
+        first = again()
+        assert first is not None
+        inst.add_clause([-x])
+        second = again()
+        assert second is not None and not second[x] and second[y]
+        inst.add_clause([-y])
+        assert again() is None
+
+
+def test_resumed_solver_agrees_with_fresh_solves_and_truth_tables():
+    rng = random.Random(2024)
+    for _ in range(150):
+        inst = SatInstance()
+        solver = Solver(inst)
+        for _ in range(rng.randint(3, 5)):
+            inst.new_vars(rng.randint(0 if inst.num_vars else 1, 4))
+            for _ in range(rng.randint(1, 8)):
+                width = min(rng.choice([1, 2, 3, 3, 4, 4]), inst.num_vars)
+                inst.add_clause([rng.randint(1, inst.num_vars) * rng.choice([-1, 1])
+                                 for _ in range(width)])
+            resumed = solver.solve()
+            fresh = solve(inst)
+            expected = brute_is_sat(inst.num_vars, inst.clauses)
+            assert (resumed is not None) == (fresh is not None) == expected
+            for model in (resumed, fresh):
+                if model is not None:
+                    assert len(model.values) == inst.num_vars + 1
+                    for clause in inst.clauses:
+                        assert any(model.truth(lit) for lit in clause)
+
+
+def test_clause_contradicting_a_root_fact_is_unsat_for_good():
     inst = SatInstance()
-    x, y = inst.new_vars(2)
-    inst.add_clause([x, y])
-    first = solve(inst)
-    assert first is not None
-    inst.add_clause([-x])
-    second = solve(inst)
-    assert second is not None and not second[x] and second[y]
-    inst.add_clause([-y])
+    x, y, z = inst.new_vars(3)
+    inst.add_clause([x])
+    inst.add_clause([-x, y])
+    solver = Solver(inst)
+    assert solver.solve() is not None
+    assert solver.trail == [x, y]  # root facts kept between calls
+    inst.add_clause([-y, -x])      # every literal is root-false
+    stats = {}
+    assert solver.solve(stats_out=stats) is None
+    assert stats["decisions"] == 0
+    inst.add_clause([z])
+    assert solver.solve() is None
     assert solve(inst) is None
+
+
+def test_root_satisfied_and_root_false_literals_on_take_in():
+    inst = SatInstance()
+    a, b, c, d = inst.new_vars(4)
+    inst.add_clause([a])
+    solver = Solver(inst)
+    assert solver.solve() is not None
+    inst.add_clause([a, b])          # satisfied by a root fact: dropped
+    inst.add_clause([-a, c])         # one literal left: a root fact
+    inst.add_clause([-a, b, d])      # watched on b and d
+    before = len(solver.db)
+    model = solver.solve()
+    assert model is not None and model[c] and (model[b] or model[d])
+    assert [sorted(clause) for clause in solver.db[before:]] == [[b, d]]
+    assert c in solver.trail and solver.trail_lim == []
+    assert inst.clauses == [[a], [a, b], [-a, c], [-a, b, d]]
+
+
+@pytest.mark.parametrize("seed, satisfiable", [(1, True), (2, False)])
+def test_solver_is_back_at_level_zero_after_a_timeout(seed, satisfiable, monkeypatch):
+    inst = _random_3sat(seed, n=60, m=255)
+    solver = Solver(inst)
+    # each reading of this clock is one second later: the deadline passes at
+    # the second check, 256 decisions and conflicts into the search
+    ticks = itertools.count()
+    monkeypatch.setattr(solver_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(SolverTimeout):
+        solver.solve(timeout_s=1.5)
+    monkeypatch.undo()
+    assert solver.trail_lim == [] and solver.qhead <= len(solver.trail)
+    assigned = [v for v in range(1, inst.num_vars + 1) if solver.assign[v] != 0]
+    assert assigned == sorted(abs(lit) for lit in solver.trail)
+    assert all(solver.level[v] == 0 for v in assigned)
+    model = solver.solve()
+    assert (model is not None) == satisfiable == (solve(inst) is not None)
+    if model is not None:
+        assert all(any(model.truth(lit) for lit in clause) for clause in inst.clauses)
+
+
+def _triangle_count(k):
+    cfg = EncodingConfig(Mode.CNOT, k, 3, CouplingMap.line(3).directed_edges())
+    inst, layout = encode_common(ParityMatrix.identity(3), ParityMatrix((1, 4, 2)),
+                                 [5, 3, 6], cfg)
+    add_cnot_mode(inst, layout)
+    return inst
+
+
+# counters and models of a first solve, recorded with the one-shot solver
+# that preceded the incremental one: a fresh solve must search exactly as it did
+FIRST_SOLVE_PINS = [
+    (lambda: _pigeonhole(5), (80, 50, 590, 42), None),
+    (lambda: _random_3sat(2), (35, 30, 365, 25), None),
+    (lambda: _random_3sat(3), (10, 6, 106, 3),
+     [1, 2, 3, 7, 8, 9, 10, 12, 13, 14, 17, 18, 22, 26, 27, 28, 30]),
+    (lambda: _triangle_count(4), (34, 29, 1062, 25), None),
+    (lambda: _triangle_count(5), (54, 38, 1573, 37),
+     [1, 5, 9, 12, 16, 17, 21, 24, 25, 26, 31, 33, 36, 37, 40, 41, 45, 47, 49, 52,
+      54, 56, 57, 58, 63, 65, 70, 72, 73, 76, 80, 81, 86, 88, 100, 115, 140]),
+]
+
+
+@pytest.mark.parametrize("make, counters, true_vars", FIRST_SOLVE_PINS,
+                         ids=["pigeonhole5", "3sat-2", "3sat-3", "triangle-k4", "triangle-k5"])
+def test_first_solve_searches_as_before(make, counters, true_vars):
+    inst = make()
+    stats = {}
+    model = Solver(inst).solve(stats_out=stats)
+    assert (stats["decisions"], stats["conflicts"], stats["propagations"],
+            stats["learned"]) == counters
+    got = None if model is None else [v for v in range(1, inst.num_vars + 1) if model[v]]
+    assert got == true_vars
 
 
 def test_determinism():
@@ -109,15 +240,8 @@ def test_determinism():
 
 
 def test_timeout_raises():
-    inst = SatInstance()
-    holes = 6
-    pigeon = [[inst.new_var() for _ in range(holes)] for _ in range(holes + 1)]
-    for row in pigeon:
-        inst.add_clause(row)
-    for h in range(holes):
-        at_most_k(inst, [row[h] for row in pigeon], 1)
     with pytest.raises(SolverTimeout):
-        solve(inst, timeout_s=0.0)
+        solve(_pigeonhole(6), timeout_s=0.0)
 
 
 def test_stats_populated():

@@ -32,7 +32,7 @@ from paritysat.synthesizer import (
     synthesis_key,
 )
 
-from conftest import TOPOLOGIES, random_instance
+from testkit import TOPOLOGIES, random_instance
 
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
 
@@ -119,6 +119,65 @@ def test_doubly_optimal_dominance_small():
         got_d = hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
         assert got_c.cnot_depth == min(cnot_depth(c) for c in count_circs)
         assert got_d.cnot_count == min(cnot_count(c) for c in depth_circs)
+
+
+@pytest.mark.parametrize("mode, doubly", [(Mode.CNOT, False), (Mode.DEPTH, False),
+                                           (Mode.CNOT, True), (Mode.DEPTH, True)])
+def test_each_budget_builds_one_solver_that_phase_two_resumes(mode, doubly, monkeypatch):
+    built = []
+    calls = []
+
+    class CountingSolver(synthesizer.Solver):
+        def __init__(self, inst):
+            super().__init__(inst)
+            built.append(self)
+
+    real_solve_instance = synthesizer.solve_instance
+
+    def recording(inst, timeout_s, *args, solver=None, **kwargs):
+        assert solver is not None and solver.inst is inst
+        calls.append((kwargs["stats_out"]["phase"], solver))
+        return real_solve_instance(inst, timeout_s, *args, solver=solver, **kwargs)
+
+    monkeypatch.setattr(synthesizer, "Solver", CountingSolver)
+    monkeypatch.setattr(synthesizer, "solve_instance", recording)
+    rng = random.Random(2718)
+    phase2_calls = 0
+    for _ in range(5):
+        n = rng.choice([2, 3])
+        cm = TOPOLOGIES[rng.choice(list(TOPOLOGIES))](n)
+        rep = random_instance(rng, n, cm, rng.randint(2, 4), rng.randint(1, 2))
+        built.clear()
+        calls.clear()
+        result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
+        primary = [solver for phase, solver in calls if phase == "primary"]
+        assert primary == built  # one solver per budget tried, in budget order
+        assert all(solver is built[-1] for phase, solver in calls if phase != "primary")
+        phase2_calls += len(calls) - len(primary)
+
+        best_count, count_circs = oracle_min_count(rep, cm)
+        best_depth, depth_circs = oracle_min_depth(rep, cm)
+        if mode is Mode.CNOT:
+            assert result.cnot_count == best_count
+            if doubly:
+                assert result.cnot_depth == min(cnot_depth(c) for c in count_circs)
+        else:
+            assert result.cnot_depth == best_depth
+            if doubly:
+                assert result.cnot_count == min(cnot_count(c) for c in depth_circs)
+        assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
+    assert (phase2_calls > 0) == doubly
+
+
+def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
+    result = hopps(SynthesisRequest(triangle_rep, line3, doubly=True))
+    phases = [entry["phase"] for entry in result.stats]
+    assert phases[:3] == ["primary"] * 3 and phases[3] == "layering"
+    for entry in result.stats:
+        assert entry["vars"] > 0 and entry["clauses"] > 0 and entry["encode_s"] >= 0
+    # phase 2 hands over the same, grown, instance
+    sizes = [(entry["vars"], entry["clauses"]) for entry in result.stats[2:]]
+    assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
 
 
 def test_result_metrics_match_recomputation(triangle_rep, line3):
@@ -237,7 +296,7 @@ def test_non_identity_initial_parity():
             c = rng.randrange(n)
             t = rng.randrange(n - 1)
             start = apply_cnot(start, c, t if t < c else t + 1)
-        from conftest import random_cnot_rz_circuit
+        from testkit import random_cnot_rz_circuit
 
         circuit = random_cnot_rz_circuit(rng, n, rng.randint(1, 4), 2, cm)
         rep = extract_rep(circuit, start)
