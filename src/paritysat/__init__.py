@@ -23,7 +23,7 @@ from .ir import (
     validate_topology,
 )
 from .oracle import oracle_min_count, oracle_min_depth
-from .peephole import Block, find_blocks, peephole_pass, resynth_block
+from .peephole import Block, find_blocks, peephole_with_report, resynth_block, resynthesize
 from .phasepoly import CanonicalRep, canonicalize, equivalent, extract_rep
 from .qasm import parse_qasm, write_qasm
 from .synthesizer import (

@@ -6,17 +6,10 @@ from offset-randomized partitions.  Blocks are independent, so each
 iteration fans out over a worker pool and merges results back in block
 order, keeping the output bit-identical regardless of worker count.
 
-Angles play no part in synthesis, so each distinct block problem is
-synthesized once per ``iterate_optimize`` call.  The problem key is
-``synthesizer.synthesis_key``: the initial rows, the final rows, the
-merged table's unique terms in order (the encoder numbers its variables
-in term order) and the induced local edge set.  Only the first block of
-each key not yet cached goes to the workers; every other block is rebuilt
-in the parent by placing its own angles on the CNOT steps found, and
-judged against its own metrics.  Only syntheses proven optimal are cached
-for later iterations.  Within one iteration the blocks of a key share the
-outcome of its first block: when that one hit ``per_block_timeout``
-(``failed_budget``, or a doubly optimal search cut short), so do they.
+Blocks go through ``peephole.resynthesize`` with one cache for the whole
+``iterate_optimize`` call, so each distinct block problem is synthesized
+once per call and only the first block of each uncached key goes to the
+workers.
 """
 from __future__ import annotations
 
@@ -34,7 +27,6 @@ from .ir import (
     CouplingMap,
     cnot_count,
     cnot_depth,
-    induced_coupling,
     validate_topology,
 )
 from .peephole import (
@@ -42,11 +34,11 @@ from .peephole import (
     Skeleton,
     _make_block,
     _scan_blocks,
-    apply_skeleton,
+    ordered_metrics,
     resynth_block,
+    resynthesize,
     splice_blocks,
 )
-from .synthesizer import synthesis_key
 
 
 @dataclass
@@ -61,7 +53,6 @@ class BlockwiseConfig:
     per_block_timeout: float = 600.0
     mode: Mode = Mode.CNOT
     doubly: bool = False
-    wall_budget_s: float = 24 * 3600.0
 
     def __post_init__(self) -> None:
         if min(self.iters_full, self.iters_sample) < 0 or self.jobs < 1:
@@ -142,54 +133,14 @@ def _failed(block: Block, exc: Exception) -> Block:
     return replace(block, status="original", error=type(exc).__name__)
 
 
-def _resynthesize(blocks: Sequence[Block], worker: Callable[[Block], Block],
-                  cache: dict[tuple, Skeleton], cm: CouplingMap,
-                  cfg: BlockwiseConfig) -> tuple[list[Block], int]:
-    """Resynthesize every block; returns the replacements and the number
-    of blocks served without a synthesis of their own.
-
-    Only the first block of each key missing from ``cache`` goes through
-    ``run_parallel``; its skeleton is cached when it is proven optimal.
-    Every other block of the key gets that skeleton, or inherits the
-    first block's failure when there is none.
-    """
-    keys = [synthesis_key(block.rep, induced_coupling(cm, block.qubits))
-            for block in blocks]
-    first: dict[tuple, int] = {}
-    for i, key in enumerate(keys):
-        if key not in cache:
-            first.setdefault(key, i)
-    done = dict(zip(first.values(),
-                    run_parallel([blocks[i] for i in first.values()], worker, cfg.jobs)))
-    fresh = {key: done[i] for key, i in first.items()}
-    for key, block in fresh.items():
-        if block.skeleton is not None and block.skeleton.optimal:
-            cache[key] = block.skeleton
-    out = []
-    for i, (block, key) in enumerate(zip(blocks, keys)):
-        skeleton = cache[key] if key in cache else fresh[key].skeleton
-        if i in done:
-            out.append(done[i])
-        elif skeleton is not None:
-            out.append(apply_skeleton(block, skeleton, cfg.mode))
-        else:
-            out.append(replace(block, status=fresh[key].status, error=fresh[key].error))
-    return out, len(blocks) - len(first)
-
-
-def _ordered_metrics(mode: Mode, circuit: Circuit) -> tuple[int, int]:
-    """(target, secondary) metric pair for the configured mode."""
-    count, depth = cnot_count(circuit), cnot_depth(circuit)
-    return (count, depth) if mode is Mode.CNOT else (depth, count)
-
-
 def iterate_optimize(circuit: Circuit, cm: CouplingMap,
                      cfg: BlockwiseConfig) -> tuple[Circuit, list[IterationRecord]]:
     """Partition / resynthesize / splice until the metrics stop moving.
 
     Every iteration recomputes global metrics from the spliced circuit and
-    rolls the iteration back if the target metric regressed (possible in
-    depth mode, where per-block optimality does not compose globally).
+    rolls the iteration back if its (target, secondary) pair got worse
+    (possible in depth mode, where per-block optimality does not compose
+    globally).
     """
     if not validate_topology(circuit, cm):
         raise ValueError("input circuit violates the coupling map")
@@ -197,36 +148,33 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
     worker = partial(resynth_block, cm=cm, mode=cfg.mode, doubly=cfg.doubly,
                      timeout_s=cfg.per_block_timeout)
     cache: dict[tuple, Skeleton] = {}
-    start = time.monotonic()
     current = circuit
     trace: list[IterationRecord] = []
     iteration = 0
     prev = (cnot_count(circuit), cnot_depth(circuit))
 
-    def out_of_budget() -> bool:
-        return time.monotonic() - start > cfg.wall_budget_s
+    def ordered(c: Circuit) -> tuple[int, int]:
+        return ordered_metrics(cfg.mode, cnot_count(c), cnot_depth(c))
 
     for stage, iters in (("full", cfg.iters_full), ("sample", cfg.iters_sample)):
         for _ in range(iters):
-            if out_of_budget():
-                return current, trace
             t0 = time.monotonic()
             if stage == "full":
                 blocks = partition(current, cfg)
             else:
                 blocks = sample_blocks(current, cfg, rng)
-            replaced, hits = _resynthesize(blocks, worker, cache, cm, cfg)
+            replaced, hits = resynthesize(
+                blocks, cm, cfg.mode, cache,
+                lambda todo: run_parallel(todo, worker, cfg.jobs))
             improved = 0
             for old, new in zip(blocks, replaced):
                 if new.status == "resynthesized":
-                    if _ordered_metrics(cfg.mode, new.circuit)[0] < \
-                            _ordered_metrics(cfg.mode, old.circuit)[0]:
+                    if ordered(new.circuit)[0] < ordered(old.circuit)[0]:
                         improved += 1
             candidate = splice_blocks(current, replaced)
             # splice-order effects can regress global metrics even though no
             # block got worse; reject such iterations to keep the trace monotone
-            rolled_back = _ordered_metrics(cfg.mode, candidate) > \
-                _ordered_metrics(cfg.mode, current)
+            rolled_back = ordered(candidate) > ordered(current)
             if not rolled_back:
                 current = candidate
             iteration += 1

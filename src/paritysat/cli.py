@@ -10,11 +10,12 @@ import csv
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
-from .blockwise import BlockwiseConfig, iterate_optimize
+from .blockwise import BlockwiseConfig, IterationRecord, iterate_optimize
 from .encoder import Mode
-from .ir import Circuit, CouplingMap, cnot_count, cnot_depth, validate_topology
+from .ir import Circuit, CouplingMap, cnot_count, cnot_depth
 from .oracle import oracle_min_count, oracle_min_depth
 from .peephole import peephole_with_report
 from .phasepoly import (
@@ -175,8 +176,6 @@ def _metrics_report(before: Circuit, after: Circuit) -> dict:
 def _cmd_peephole(args) -> int:
     circuit = _load_circuit(args.input)
     cm = _load_coupling(args.coupling_map)
-    if not validate_topology(circuit, cm):
-        raise QasmError("input circuit violates the coupling map")
     out, pairs = peephole_with_report(circuit, cm, mode=_mode(args.mode),
                                       doubly=args.doubly, timeout_s=args.timeout)
     Path(args.output).write_text(write_qasm(out))
@@ -193,8 +192,7 @@ def _write_trace(path: str, trace) -> None:
     records = [r.to_json() for r in trace]
     if path.endswith(".csv"):
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(records[0]) if records else
-                                    ["iteration"])
+            writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(IterationRecord)])
             writer.writeheader()
             writer.writerows(records)
     else:

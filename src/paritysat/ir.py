@@ -74,9 +74,6 @@ class ParityMatrix:
     def to_bits(self) -> list[list[int]]:
         return [mask_to_bits(r, self.n) for r in self.rows]
 
-    def row(self, i: int) -> int:
-        return self.rows[i]
-
     def __str__(self) -> str:
         return "\n".join("".join(str(b) for b in row) for row in self.to_bits())
 
@@ -114,11 +111,6 @@ class ParityTable:
         for a in self.angles:
             if not isinstance(a, (int, float, str)):
                 raise ValueError(f"angle must be a number or label, got {a!r}")
-
-    @classmethod
-    def from_bits(cls, n: int, terms: Sequence[Sequence[int]],
-                  angles: Sequence[Angle]) -> "ParityTable":
-        return cls(n, tuple(bits_to_mask(t) for t in terms), tuple(angles))
 
     def __len__(self) -> int:
         return len(self.terms)

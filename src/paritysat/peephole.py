@@ -6,6 +6,20 @@ qubits, while an opaque gate seals every open block it touches -- a sealed
 block accepts no further gates, which guarantees that emitting each block
 contiguously at the position of its last gate only ever commutes gates
 across qubit-disjoint neighbors.
+
+A list of blocks is resynthesized by ``resynthesize``; a peephole pass
+runs it once over the maximal blocks, and ``blockwise.iterate_optimize``
+runs it on every partition with a cache that lives for the whole call.
+Angles play no part in synthesis, so each distinct block problem is
+synthesized once per cache.  The problem key is
+``synthesizer.synthesis_key``: the initial rows, the final rows, the
+merged table's unique terms in order (the encoder numbers its variables
+in term order) and the induced local edge set.  Only the first block of
+each key not yet cached is synthesized; every other block is rebuilt by
+placing its own angles on the CNOT steps found, and judged against its
+own metrics.  Only syntheses proven optimal are cached.  The blocks of a
+key share the outcome of its first block: when that one hit its timeout
+(``failed_budget``, or a doubly optimal search cut short), so do they.
 """
 from __future__ import annotations
 
@@ -25,6 +39,7 @@ from .ir import (
     cnot_depth,
     gate_qubits,
     induced_coupling,
+    validate_topology,
 )
 from .phasepoly import extract_rep, merged_table
 from .synthesizer import (
@@ -33,6 +48,7 @@ from .synthesizer import (
     SynthesisTimeout,
     hopps,
     place_rotations,
+    synthesis_key,
 )
 
 
@@ -220,27 +236,21 @@ def splice_blocks(circuit: Circuit, blocks: Sequence[Block]) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(gates))
 
 
-def _metrics(gates: Sequence[Gate], n: int) -> tuple[int, int]:
-    c = Circuit(n, tuple(gates))
-    return cnot_count(c), cnot_depth(c)
+def ordered_metrics(mode: Mode, count: int, depth: int) -> tuple[int, int]:
+    """The (target, secondary) pair of a CNOT count and depth in ``mode``.
 
-
-def _accepts(mode: Mode, old: tuple[int, int], new: tuple[int, int]) -> bool:
-    """Strict improvement on the target metric, or a tie that does not
-    worsen the other metric."""
-    if mode is Mode.CNOT:
-        old_t, old_o = old
-        new_t, new_o = new
-    else:
-        old_o, old_t = old
-        new_o, new_t = new
-    return new_t < old_t or (new_t == old_t and new_o <= old_o)
+    One circuit improves on another only when its pair is lexicographically
+    smaller; a tie is no improvement.
+    """
+    return (count, depth) if mode is Mode.CNOT else (depth, count)
 
 
 def apply_skeleton(block: Block, skeleton: Skeleton, mode: Mode) -> Block:
     """The block rebuilt on ``skeleton`` with its own angles, when that
-    improves it; otherwise the block itself, flagged ``kept_original``."""
-    if not _accepts(mode, _metrics(block.gates, len(block.qubits)), skeleton.metrics):
+    strictly improves it; otherwise the block itself, flagged ``kept_original``."""
+    own = block.circuit
+    if ordered_metrics(mode, *skeleton.metrics) >= \
+            ordered_metrics(mode, cnot_count(own), cnot_depth(own)):
         return replace(block, status="kept_original")
     rep = block.rep
     circuit = place_rotations(skeleton.steps,
@@ -275,29 +285,57 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
     return replace(apply_skeleton(block, skeleton, mode), skeleton=skeleton)
 
 
-def peephole_pass(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CNOT,
-                  doubly: bool = True, timeout_s: float = 600.0,
-                  worker: Callable[[Block], Block] | None = None) -> Circuit:
-    """Resynthesize every block independently and splice the results back."""
-    new_circuit, _ = peephole_with_report(circuit, cm, mode, doubly, timeout_s, worker)
-    return new_circuit
+def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
+                 cache: dict[tuple, Skeleton],
+                 synthesize: Callable[[list[Block]], list[Block]],
+                 ) -> tuple[list[Block], int]:
+    """Resynthesize every block; returns the replacements and the number
+    of blocks served without a synthesis of their own.
+
+    Only the first block of each key missing from ``cache`` goes through
+    ``synthesize``, which maps those blocks to their replacements (as
+    ``resynth_block`` does); its skeleton is cached when it is proven
+    optimal.  Every other block of the key gets that skeleton, or
+    inherits the first block's failure when there is none.
+    """
+    keys = [synthesis_key(block.rep, induced_coupling(cm, block.qubits))
+            for block in blocks]
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(keys):
+        if key not in cache:
+            first.setdefault(key, i)
+    done = dict(zip(first.values(), synthesize([blocks[i] for i in first.values()])))
+    fresh = {key: done[i] for key, i in first.items()}
+    for key, block in fresh.items():
+        if block.skeleton is not None and block.skeleton.optimal:
+            cache[key] = block.skeleton
+    out = []
+    for i, (block, key) in enumerate(zip(blocks, keys)):
+        skeleton = cache[key] if key in cache else fresh[key].skeleton
+        if i in done:
+            out.append(done[i])
+        elif skeleton is not None:
+            out.append(apply_skeleton(block, skeleton, mode))
+        else:
+            out.append(replace(block, status=fresh[key].status, error=fresh[key].error))
+    return out, len(blocks) - len(first)
 
 
 def peephole_with_report(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CNOT,
                          doubly: bool = True, timeout_s: float = 600.0,
-                         worker: Callable[[Block], Block] | None = None,
                          ) -> tuple[Circuit, list[tuple[Block, Block]]]:
-    if circuit.num_qubits != cm.num_qubits:
-        raise ValueError("circuit and coupling map qubit counts differ")
+    """One pass of ``resynthesize`` over the maximal blocks, spliced back;
+    returns the new circuit and the (original, replacement) block pairs."""
+    if not validate_topology(circuit, cm):
+        raise ValueError("input circuit violates the coupling map")
     blocks = find_blocks(circuit)
-    if worker is None:
-        worker = lambda b: resynth_block(b, cm, mode, doubly, timeout_s)
-    replaced = [worker(b) for b in blocks]
+    replaced, _ = resynthesize(
+        blocks, cm, mode, {},
+        lambda todo: [resynth_block(b, cm, mode, doubly, timeout_s) for b in todo])
     return splice_blocks(circuit, replaced), list(zip(blocks, replaced))
 
 
 __all__ = [
     "Block", "Skeleton", "find_blocks", "block_to_physical", "splice_blocks",
-    "apply_skeleton", "resynth_block",
-    "peephole_pass", "peephole_with_report",
+    "apply_skeleton", "resynth_block", "resynthesize", "peephole_with_report",
 ]

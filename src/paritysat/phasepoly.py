@@ -63,18 +63,18 @@ class MergedAngle:
     numeric: float
     labels: tuple[tuple[str, int], ...] = ()
 
-    def is_zero(self, eps: float = EPS_ANGLE) -> bool:
+    def is_zero(self) -> bool:
         if self.labels:
             return False
         d = self.numeric % TWO_PI
-        return min(d, TWO_PI - d) < eps
+        return min(d, TWO_PI - d) < EPS_ANGLE
 
 
-def _angles_close(a: MergedAngle, b: MergedAngle, eps: float) -> bool:
+def _angles_close(a: MergedAngle, b: MergedAngle) -> bool:
     if a.labels != b.labels:
         return False
     d = (a.numeric - b.numeric) % TWO_PI
-    return min(d, TWO_PI - d) < eps
+    return min(d, TWO_PI - d) < EPS_ANGLE
 
 
 @dataclass
@@ -85,7 +85,7 @@ class CanonicalRep:
     phase_map: dict[int, MergedAngle] = field(default_factory=dict)
 
 
-def canonicalize(rep: PhasePolyRep, eps: float = EPS_ANGLE) -> CanonicalRep:
+def canonicalize(rep: PhasePolyRep) -> CanonicalRep:
     """Merge duplicate terms by angle summation and drop numeric zeros.
 
     Symbolic labels never cancel numerically: a term carrying labels is
@@ -107,52 +107,49 @@ def canonicalize(rep: PhasePolyRep, eps: float = EPS_ANGLE) -> CanonicalRep:
     phase_map: dict[int, MergedAngle] = {}
     for term in order:
         merged = MergedAngle(numeric[term] % TWO_PI, tuple(sorted(labels[term].items())))
-        if not merged.is_zero(eps):
+        if not merged.is_zero():
             phase_map[term] = merged
     return CanonicalRep(rep.final, phase_map)
 
 
-def canonical_equal(a: CanonicalRep, b: CanonicalRep, eps: float = EPS_ANGLE) -> bool:
+def canonical_equal(a: CanonicalRep, b: CanonicalRep) -> bool:
     if a.final.rows != b.final.rows:
         return False
     if set(a.phase_map) != set(b.phase_map):
         return False
-    return all(_angles_close(a.phase_map[t], b.phase_map[t], eps) for t in a.phase_map)
+    return all(_angles_close(a.phase_map[t], b.phase_map[t]) for t in a.phase_map)
 
 
-def equivalent(c1: Circuit, c2: Circuit, initial: ParityMatrix | None = None,
-               eps: float = EPS_ANGLE) -> bool:
+def equivalent(c1: Circuit, c2: Circuit) -> bool:
     """Phase-polynomial equivalence of two {CNOT, Rz} circuits."""
     if c1.num_qubits != c2.num_qubits:
         raise ValueError("circuits must have the same qubit count")
-    r1 = canonicalize(extract_rep(c1, initial), eps)
-    r2 = canonicalize(extract_rep(c2, initial), eps)
-    return canonical_equal(r1, r2, eps)
+    return canonical_equal(canonicalize(extract_rep(c1)), canonicalize(extract_rep(c2)))
 
 
-def angle_components(angle: MergedAngle, eps: float = EPS_ANGLE) -> tuple[Angle, ...]:
+def angle_components(angle: MergedAngle) -> tuple[Angle, ...]:
     """Expand a merged angle into individually placeable Rz angles."""
     out: list[Angle] = []
     d = angle.numeric % TWO_PI
-    if min(d, TWO_PI - d) >= eps:
+    if min(d, TWO_PI - d) >= EPS_ANGLE:
         out.append(angle.numeric)
     for label, count in angle.labels:
         out.extend([label] * count)
     return tuple(out)
 
 
-def merged_table(rep: PhasePolyRep, eps: float = EPS_ANGLE) -> ParityTable:
+def merged_table(rep: PhasePolyRep) -> ParityTable:
     """Synthesis-ready table: unique terms, duplicate angles merged.
 
     Entries stay in first-appearance order; a merged composite angle is
     expanded back into consecutive per-component entries so every angle
     remains a plain number or label.
     """
-    canon = canonicalize(rep, eps)
+    canon = canonicalize(rep)
     terms: list[int] = []
     angles: list[Angle] = []
     for term, merged in canon.phase_map.items():
-        for comp in angle_components(merged, eps):
+        for comp in angle_components(merged):
             terms.append(term)
             angles.append(comp)
     return ParityTable(rep.n, tuple(terms), tuple(angles))

@@ -237,21 +237,21 @@ def _fmt_angle(angle: Angle) -> str:
     return repr(float(angle))
 
 
-def write_qasm(circuit: Circuit, reg: str = "q") -> str:
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg {reg}[{circuit.num_qubits}];"]
+def write_qasm(circuit: Circuit) -> str:
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
     for g in circuit.gates:
         if isinstance(g, Cnot):
-            lines.append(f"cx {reg}[{g.control}],{reg}[{g.target}];")
+            lines.append(f"cx q[{g.control}],q[{g.target}];")
         elif isinstance(g, Rz):
-            lines.append(f"rz({_fmt_angle(g.angle)}) {reg}[{g.qubit}];")
+            lines.append(f"rz({_fmt_angle(g.angle)}) q[{g.qubit}];")
         elif g.name == "barrier":
-            args = ",".join(f"{reg}[{q}]" for q in g.qubits)
+            args = ",".join(f"q[{q}]" for q in g.qubits)
             lines.append(f"barrier {args};")
         else:
             params = ""
             if g.params:
                 params = "(" + ",".join(_fmt_angle(p) for p in g.params) + ")"
-            args = ",".join(f"{reg}[{q}]" for q in g.qubits)
+            args = ",".join(f"q[{q}]" for q in g.qubits)
             lines.append(f"{g.name}{params} {args};")
     return "\n".join(lines) + "\n"
 

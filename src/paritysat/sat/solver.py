@@ -317,32 +317,21 @@ def solve(inst: SatInstance, timeout_s: float = 600.0,
     return Solver(inst).solve(timeout_s, stats_out)
 
 
-def backend_from_env() -> str | None:
-    """Solver backend selected by HOPPS_SOLVER (path to a DIMACS solver)."""
-    value = os.environ.get("HOPPS_SOLVER", "").strip()
-    if not value or value == "internal":
-        return None
-    return value
-
-
 def solve_instance(inst: SatInstance, timeout_s: float = 600.0,
-                   backend: str | None = None,
                    stats_out: dict | None = None,
                    solver: Solver | None = None) -> SatModel | None:
-    """Dispatch to the internal solver or an external DIMACS executable.
+    """Dispatch to the internal solver or to the external DIMACS executable
+    named by HOPPS_SOLVER (unset or ``internal`` selects the internal one).
 
-    Without an explicit ``backend`` the one named by HOPPS_SOLVER is used.
     The internal search resumes ``solver`` (built on ``inst``) when one is
     given; an external backend is handed the whole instance every call.
     """
-    if backend is None:
-        backend = backend_from_env()
-    if backend is None:
+    backend = os.environ.get("HOPPS_SOLVER", "").strip()
+    if not backend or backend == "internal":
         return (solver if solver is not None else Solver(inst)).solve(timeout_s, stats_out)
     from .external import ExternalSolver
 
     return ExternalSolver(backend).solve(inst, timeout_s, stats_out)
 
 
-__all__ = ["SatModel", "SolverTimeout", "Solver", "solve", "solve_instance",
-           "backend_from_env"]
+__all__ = ["SatModel", "SolverTimeout", "Solver", "solve", "solve_instance"]

@@ -15,13 +15,15 @@ from paritysat.ir import (
     Circuit,
     Cnot,
     CouplingMap,
+    Opaque,
     Rz,
     cnot_count,
     cnot_depth,
+    induced_coupling,
     validate_topology,
 )
 from paritysat.encoder import Mode
-from paritysat.peephole import resynth_block, splice_blocks
+from paritysat.peephole import find_blocks, peephole_with_report, resynth_block, splice_blocks
 from paritysat.phasepoly import equivalent
 from paritysat.synthesizer import SynthesisTimeout, synthesis_key
 
@@ -239,14 +241,28 @@ def test_unproven_skeleton_is_shared_within_one_iteration_only(monkeypatch):
 @pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])
 @pytest.mark.parametrize("doubly", [False, True])
 def test_one_iteration_equals_resynthesizing_every_block(mode, doubly):
+    def reference(circuit, blocks):
+        return splice_blocks(circuit, [resynth_block(b, line, mode, doubly, timeout_s=30)
+                                       for b in blocks]).gates
+
     c, line = repeated_skeletons(5, 2, seed=6)
     cfg = BlockwiseConfig(max_block_qubits=3, iters_full=1, iters_sample=0,
                           mode=mode, doubly=doubly, per_block_timeout=30)
     out, trace = iterate_optimize(c, line, cfg)
     assert not trace[0].rolled_back and trace[0].cache_hits > 0
-    reference = splice_blocks(c, [resynth_block(b, line, mode, doubly, timeout_s=30)
-                                  for b in partition(c, cfg)])
-    assert out.gates == reference.gates
+    assert out.gates == reference(c, partition(c, cfg))
+    # a peephole pass: opaque gates cut the same circuit into 2-qubit blocks
+    # that repeat one key
+    gates = []
+    for i, g in enumerate(c.gates):
+        gates.append(g)
+        if i % 5 == 4:  # the last of one edge's five gates
+            gates.append(Opaque("h", (g.target,)))
+    walled = Circuit(5, tuple(gates))
+    out, pairs = peephole_with_report(walled, line, mode, doubly, timeout_s=30)
+    keys = {synthesis_key(old.rep, induced_coupling(line, old.qubits)) for old, _ in pairs}
+    assert len(keys) < len(pairs)
+    assert out.gates == reference(walled, find_blocks(walled))
 
 
 def test_cancelling_rotations_give_a_different_key():

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import paritysat
+from paritysat.blockwise import IterationRecord
 from paritysat.cli import main
 from paritysat.ir import Circuit, Cnot, CouplingMap, ParityMatrix, ParityTable, PhasePolyRep, Rz
 from paritysat.phasepoly import equivalent, rep_to_json
@@ -221,6 +224,36 @@ def test_blockwise_command_with_trace(triangle_files, tmp_path, capsys):
     assert records and all("cnot_count" in r for r in records)
     emitted = parse_qasm(out_file.read_text())
     assert equivalent(emitted, circuit)
+
+
+@pytest.mark.parametrize("iters", [3, 0])
+def test_blockwise_trace_as_csv(iters, triangle_files, tmp_path, capsys):
+    _, _, cm_file = triangle_files
+    src = tmp_path / "in.qasm"
+    src.write_text(write_qasm(Circuit(3, (Cnot(0, 1), Cnot(0, 1), Cnot(1, 2), Rz(0.3, 2)))))
+    trace_file = tmp_path / "trace.csv"
+    code, out, _ = run_cli(capsys, "blockwise", str(src), "--coupling-map",
+                           str(cm_file), "--iters-full", str(iters),
+                           "--iters-sample", str(iters), "--trace-out", str(trace_file),
+                           "-o", str(tmp_path / "out.qasm"))
+    assert code == 0
+    with open(trace_file, newline="") as fh:
+        rows = list(csv.reader(fh))
+    # the header holds every field, also when no iteration ran
+    assert rows[0] == [f.name for f in dataclasses.fields(IterationRecord)]
+    assert len(rows) - 1 == json.loads(out)["iterations"]
+    assert (len(rows) > 1) == (iters > 0)
+
+
+@pytest.mark.parametrize("command", ["peephole", "blockwise"])
+def test_off_map_circuit_exits_two(command, triangle_files, tmp_path, capsys):
+    _, _, cm_file = triangle_files
+    src = tmp_path / "in.qasm"
+    src.write_text(write_qasm(Circuit(3, (Cnot(0, 2),))))
+    code, out, err = run_cli(capsys, command, str(src), "--coupling-map", str(cm_file),
+                             "-o", str(tmp_path / "out.qasm"))
+    assert code == 2 and out == ""
+    assert "violates the coupling map" in err
 
 
 def test_oracle_command(triangle_files, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import paritysat.peephole
 from paritysat.encoder import Mode
 from paritysat.ir import (
     Circuit,
@@ -17,7 +18,6 @@ from paritysat.ir import (
 )
 from paritysat.peephole import (
     find_blocks,
-    peephole_pass,
     peephole_with_report,
     resynth_block,
     splice_blocks,
@@ -121,12 +121,15 @@ def test_already_optimal_block_keeps_metrics(line3):
     new = resynth_block(block, line3, Mode.CNOT, doubly=True, timeout_s=30)
     assert cnot_count(new.circuit) == cnot_count(block.circuit)
     assert cnot_depth(new.circuit) == cnot_depth(block.circuit)
+    # a tie is no improvement: the block keeps its own gates
+    assert new.status == "kept_original"
+    assert new.gates == block.gates
 
 
 def test_pass_on_opaque_only_circuit():
     c = Circuit(2, (Opaque("h", (0,)), Opaque("cz", (0, 1))))
     cm = CouplingMap.complete(2)
-    assert peephole_pass(c, cm).gates == c.gates
+    assert peephole_with_report(c, cm)[0].gates == c.gates
 
 
 def test_pass_equivalent_to_direct_synthesis(triangle_circuit, line3):
@@ -136,7 +139,7 @@ def test_pass_equivalent_to_direct_synthesis(triangle_circuit, line3):
         Cnot(2, 1), Rz(0.1, 1), Cnot(0, 1), Cnot(1, 2),
     ))
     assert validate_topology(legal, line3)
-    out = peephole_pass(legal, line3, Mode.CNOT, doubly=True, timeout_s=60)
+    out = peephole_with_report(legal, line3, Mode.CNOT, doubly=True, timeout_s=60)[0]
     assert equivalent(out, legal)
     assert cnot_count(out) == 5  # golden optimum for this instance
 
@@ -159,7 +162,7 @@ def test_pass_soundness_on_pure_circuits():
     cm = CouplingMap.complete(3)
     for _ in range(5):
         c = random_cnot_rz_circuit(rng, 3, 4, 2, cm)
-        out = peephole_pass(c, cm, Mode.CNOT, doubly=True, timeout_s=30)
+        out = peephole_with_report(c, cm, Mode.CNOT, doubly=True, timeout_s=30)[0]
         assert equivalent(out, c)
         assert cnot_count(out) <= cnot_count(c)
 
@@ -168,7 +171,38 @@ def test_second_pass_is_metric_noop():
     rng = random.Random(32)
     cm = CouplingMap.complete(3)
     c = random_cnot_rz_circuit(rng, 3, 5, 3, cm)
-    once = peephole_pass(c, cm, Mode.CNOT, doubly=True, timeout_s=30)
-    twice = peephole_pass(once, cm, Mode.CNOT, doubly=True, timeout_s=30)
+    once = peephole_with_report(c, cm, Mode.CNOT, doubly=True, timeout_s=30)[0]
+    twice = peephole_with_report(once, cm, Mode.CNOT, doubly=True, timeout_s=30)[0]
     assert cnot_count(twice) == cnot_count(once)
     assert cnot_depth(twice) == cnot_depth(once)
+
+
+def test_pass_synthesizes_each_distinct_block_problem_once(monkeypatch):
+    calls = []
+    real = paritysat.peephole.hopps
+
+    def counted(req):
+        calls.append(req)
+        return real(req)
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", counted)
+
+    def gadget(angle):
+        return (Cnot(0, 1), Rz(angle, 1), Cnot(0, 1), Cnot(0, 1), Cnot(0, 1))
+
+    # the opaque gate splits two blocks that differ only in their angle
+    c = Circuit(2, gadget(0.3) + (Opaque("h", (1,)),) + gadget(0.7))
+    out, pairs = peephole_with_report(c, CouplingMap.line(2), Mode.CNOT, doubly=True,
+                                      timeout_s=30)
+    assert len(calls) == 1
+    assert [new.status for _, new in pairs] == ["resynthesized"] * 2
+    assert cnot_count(out) == 4
+    assert [g.angle for g in out.gates if isinstance(g, Rz)] == [0.3, 0.7]
+    for old, new in pairs:
+        assert canonical_equal(canonicalize(new.rep), canonicalize(old.rep))
+
+
+def test_pass_rejects_an_off_map_circuit():
+    c = Circuit(3, (Cnot(0, 2),))
+    with pytest.raises(ValueError, match="violates the coupling map"):
+        peephole_with_report(c, CouplingMap.line(3))

@@ -12,7 +12,7 @@ from paritysat.ir import CouplingMap, ParityMatrix
 from paritysat.sat.brute import brute_is_sat
 from paritysat.sat.core import SatInstance, at_most_k
 from paritysat.sat.external import ExternalSolver, ExternalSolverError
-from paritysat.sat.solver import Solver, SolverTimeout, solve, solve_instance
+from paritysat.sat.solver import Solver, SolverTimeout, solve
 
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
 
@@ -260,7 +260,7 @@ def test_external_backend_differential():
     for _ in range(10):
         inst = random_instance(rng, max_vars=10, max_clauses=30)
         internal = solve(inst)
-        external = solve_instance(inst, backend=backend)
+        external = ExternalSolver(backend).solve(inst)
         assert (internal is None) == (external is None)
         if external is not None:
             for clause in inst.clauses:
