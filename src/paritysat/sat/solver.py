@@ -10,25 +10,39 @@ MiniSat (Een & Sorensson, SAT 2003).  A ``Solver`` is built on one
 clauses added to the instance since the previous call, then searches,
 and returns to decision level 0 whatever the outcome: SAT, UNSAT or
 timeout.  Between calls it keeps its clause database, its learned
-clauses, its watch lists and its root-level facts, so a later call
-resumes from what earlier calls proved.  Clauses are only ever added,
-so everything learned stays implied.  The instance itself is read, never
-mutated.
+clauses, its watch lists, its root-level facts and its heuristic state
+(activities, saved phases, the position in the restart sequence), so a
+later call resumes from what earlier calls proved.  Clauses are only
+ever added, so everything learned stays implied.  The instance itself is
+read, never mutated.
 
-The search is deterministic: decisions pick the lowest-numbered
-unassigned variable and try False first, and there are no restarts or
-randomized heuristics.  Determinism is part of the synthesis contract
-(identical inputs reproduce identical circuits).  The first call on a
-new instance makes the same decisions, and finds the same model, as a
-one-shot ``solve``.
+Decisions follow EVSIDS (Chaff, DAC 2001; MiniSat): every variable that
+conflict analysis touches has its activity bumped, the bump grows by
+1/0.95 per conflict, and a decision takes the unassigned variable of
+highest activity, the lowest-numbered one on ties.  It is set to the
+value it last held (phase saving, Pipatsrisawat & Darwiche, SAT 2007),
+False for a variable that never held one.  The search restarts at level
+0 after 100 conflicts times the next term of the Luby sequence.  Nothing
+is randomized, so the search is deterministic; determinism is part of
+the synthesis contract (identical inputs reproduce identical circuits).
+Activities start at 0, so until its first conflict a fresh solve decides
+as the plain rule did: lowest-numbered variable, False first.  A fresh
+``Solver`` searches exactly as a one-shot ``solve``.
 """
 from __future__ import annotations
 
 import os
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .core import SatInstance
+
+VAR_DECAY = 0.95        # the bump grows by 1 / VAR_DECAY per conflict
+RESCALE_ABOVE = 1e100   # activities and the bump are scaled down past this
+RESTART_UNIT = 100      # conflicts per unit of the Luby sequence
+HEAP_SLACK = 2          # the heap is rebuilt past this many entries per variable
 
 
 class SolverTimeout(Exception):
@@ -53,6 +67,19 @@ class SatModel:
         return {v: self.values[v] for v in range(1, len(self.values))}
 
 
+def _luby(i: int) -> int:
+    """Term ``i`` (from 0) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    size, power = 1, 0
+    while size < i + 1:
+        power += 1
+        size = 2 * size + 1
+    while size - 1 != i:
+        size = (size - 1) >> 1
+        power -= 1
+        i %= size
+    return 1 << power
+
+
 class Solver:
     """Incremental CDCL search over one growing ``SatInstance``."""
 
@@ -71,6 +98,16 @@ class Solver:
         self.trail_lim: list[int] = []  # trail position where each decision level starts
         self.qhead = 0
         self.propagations = 0           # of the current call
+        self.activity = [0.0]
+        self.var_inc = 1.0
+        self.saved = [0]                # literal a decision on the var assigns
+        # (-activity, var) entries; an entry is stale once the var's activity
+        # moved past it.  Every unassigned var has its one current entry
+        # (in_heap), so the top current entry of an unassigned var is the
+        # decision; assigned vars are dropped lazily as they surface.
+        self.heap: list[tuple[float, int]] = []
+        self.in_heap = [False]
+        self.restarts = 0               # over all calls: the Luby index
 
     def solve(self, timeout_s: float = 600.0,
               stats_out: dict | None = None) -> SatModel | None:
@@ -82,51 +119,69 @@ class Solver:
         start = time.monotonic()
         deadline = start + timeout_s
         self.propagations = 0
-        n_decisions = n_conflicts = n_learned = 0
+        n_decisions = n_conflicts = n_learned = n_restarts = 0
         model = None
         assign = self.assign
+        activity = self.activity
+        in_heap = self.in_heap
+        heap = self.heap
+        saved = self.saved
         trail_lim = self.trail_lim
-        cursor_lim: list[int] = []      # decision cursor snapshot per level
-        cursor = 1
+        db = self.db
+        watches = self.watches
         try:
             self._take_in()
-            nv = self.num_vars
+            # each call starts at level 0, as a restart would: the conflict
+            # count toward the next restart starts afresh
+            conflicts_left = RESTART_UNIT * _luby(self.restarts)
             while not self.unsat:
                 if (n_decisions + n_conflicts) % 256 == 0 and time.monotonic() > deadline:
                     raise SolverTimeout(f"solve exceeded {timeout_s} s")
                 conflict = self._propagate()
                 if conflict < 0:
-                    while cursor <= nv and assign[cursor] != 0:
-                        cursor += 1
-                    if cursor > nv:
+                    if conflicts_left <= 0:
+                        self._backjump(0)
+                        self.restarts += 1
+                        n_restarts += 1
+                        conflicts_left = RESTART_UNIT * _luby(self.restarts)
+                    var = 0
+                    while heap:
+                        neg_act, v = heappop(heap)
+                        if neg_act == -activity[v]:
+                            in_heap[v] = False
+                            if assign[v] == 0:
+                                var = v
+                                break
+                    if not var:
                         model = SatModel(tuple([False] + [assign[v] == 1
-                                                          for v in range(1, nv + 1)]))
+                                                          for v in range(1, self.num_vars + 1)]))
                         break
                     n_decisions += 1
                     trail_lim.append(len(self.trail))
-                    cursor_lim.append(cursor)
-                    self._enqueue(-cursor, -1)  # polarity: try False first
+                    self._enqueue(saved[var], -1)
                     continue
                 n_conflicts += 1
+                conflicts_left -= 1
                 if not trail_lim:
                     self.unsat = True
                     break
                 learned, back_level = self._analyze(conflict)
-                cursor = cursor_lim[back_level]
-                del cursor_lim[back_level:]
                 self._backjump(back_level)
                 if len(learned) == 1:
                     self._enqueue(learned[0], -1)  # root-level fact
                     continue
-                self._watch(learned)
+                ci = len(db)
+                db.append(learned)
+                watches[learned[0]].append(ci)
+                watches[learned[1]].append(ci)
                 n_learned += 1
-                self._enqueue(learned[0], len(self.db) - 1)
+                self._enqueue(learned[0], ci)
         finally:
             self._backjump(0)
         if stats_out is not None:
             stats_out.update(decisions=n_decisions, conflicts=n_conflicts,
                              propagations=self.propagations, learned=n_learned,
-                             seconds=time.monotonic() - start)
+                             restarts=n_restarts, seconds=time.monotonic() - start)
         return model
 
     def _take_in(self) -> None:
@@ -139,44 +194,54 @@ class Solver:
         UNSAT for good.
         """
         inst = self.inst
-        grow = inst.num_vars - self.num_vars
-        for v in range(self.num_vars + 1, inst.num_vars + 1):
-            self.watches[v] = []
-            self.watches[-v] = []
-        self.assign.extend([0] * grow)
-        self.level.extend([0] * grow)
-        self.reason.extend([-1] * grow)
-        self.seen.extend([False] * grow)
-        self.num_vars = inst.num_vars
+        old, nv = self.num_vars, inst.num_vars
+        if nv > old:
+            grow = nv - old
+            watches = self.watches
+            for v in range(old + 1, nv + 1):
+                watches[v] = []
+                watches[-v] = []
+            self.assign.extend([0] * grow)
+            self.level.extend([0] * grow)
+            self.reason.extend([-1] * grow)
+            self.seen.extend([False] * grow)
+            self.activity.extend([0.0] * grow)
+            self.saved.extend(range(-old - 1, -nv - 1, -1))
+            self.in_heap.extend([True] * grow)
+            # no entry sorts after (0.0, v) for a var v above every var in
+            # the heap, so appending the new vars in order keeps it a heap
+            self.heap.extend([(0.0, v) for v in range(old + 1, nv + 1)])
+            self.num_vars = nv
 
         assign = self.assign
+        watches = self.watches
+        db = self.db
+        root_facts = bool(self.trail)
         units: list[int] = []
         for clause in inst.clauses[self.taken:]:
             seen = set(clause)
-            if any(-lit in seen for lit in seen):
-                continue
             lits = sorted(seen)
-            if self.trail:
+            if lits[0] < 0 < lits[-1] and not seen.isdisjoint(map(neg, lits)):
+                continue
+            if root_facts:
                 values = [assign[lit] if lit > 0 else -assign[-lit] for lit in lits]
                 if 1 in values:
                     continue
                 lits = [lit for lit, value in zip(lits, values) if value == 0]
                 if not lits:
                     self.unsat = True
+                    continue
             if len(lits) == 1:
                 units.append(lits[0])
-            elif lits:
-                self._watch(lits)
+            else:
+                ci = len(db)
+                db.append(lits)
+                watches[lits[0]].append(ci)
+                watches[lits[1]].append(ci)
         self.taken = len(inst.clauses)
         for u in units:
             if not self._enqueue(u, -1):
                 self.unsat = True
-
-    def _watch(self, clause: list[int]) -> None:
-        ci = len(self.db)
-        self.db.append(clause)
-        self.watches[clause[0]].append(ci)
-        self.watches[clause[1]].append(ci)
 
     def _enqueue(self, lit: int, why: int) -> bool:
         var = abs(lit)
@@ -250,7 +315,7 @@ class Solver:
 
     def _analyze(self, conflict_ci: int) -> tuple[list[int], int]:
         """First-UIP resolution: learned clause (asserting literal first)
-        plus the level to backjump to."""
+        plus the level to backjump to.  Bumps every variable it marks."""
         seen = self.seen
         level = self.level
         reason = self.reason
@@ -284,8 +349,22 @@ class Solver:
             if pending == 0:
                 break
             clause = db[reason[abs(p)]]
+        activity = self.activity
+        in_heap = self.in_heap
+        inc = self.var_inc
+        top_activity = 0.0
         for v in marked:
             seen[v] = False
+            in_heap[v] = False  # the var's heap entry, if any, is now stale
+            a = activity[v] + inc
+            activity[v] = a
+            if a > top_activity:
+                top_activity = a
+        if top_activity > RESCALE_ABOVE:
+            activity[:] = [a / RESCALE_ABOVE for a in activity]
+            inc /= RESCALE_ABOVE
+            self._rebuild_heap()
+        self.var_inc = inc / VAR_DECAY
         if not learned:
             return [-p], 0
         # watch position 1 must hold a literal from the backjump level
@@ -295,15 +374,35 @@ class Solver:
         return [-p] + learned, back_level
 
     def _backjump(self, to_level: int) -> None:
+        """Undo the levels above ``to_level``; each var undone keeps its
+        value as its saved phase and gets its current heap entry back."""
         if len(self.trail_lim) <= to_level:
             return
         limit = self.trail_lim[to_level]
         assign = self.assign
+        saved = self.saved
+        in_heap = self.in_heap
+        activity = self.activity
+        heap = self.heap
         for lit in self.trail[limit:]:
-            assign[abs(lit)] = 0
+            v = lit if lit > 0 else -lit
+            assign[v] = 0
+            saved[v] = lit
+            if not in_heap[v]:
+                in_heap[v] = True
+                heappush(heap, (-activity[v], v))
         del self.trail[limit:]
         del self.trail_lim[to_level:]
         self.qhead = limit
+        if len(heap) > HEAP_SLACK * self.num_vars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Drop the stale entries: one current entry per var in the heap."""
+        activity = self.activity
+        in_heap = self.in_heap
+        self.heap[:] = [(-activity[v], v) for v in range(1, self.num_vars + 1) if in_heap[v]]
+        heapify(self.heap)
 
 
 def solve(inst: SatInstance, timeout_s: float = 600.0,

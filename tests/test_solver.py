@@ -12,7 +12,7 @@ from paritysat.ir import CouplingMap, ParityMatrix
 from paritysat.sat.brute import brute_is_sat
 from paritysat.sat.core import SatInstance, at_most_k
 from paritysat.sat.external import ExternalSolver, ExternalSolverError
-from paritysat.sat.solver import Solver, SolverTimeout, solve
+from paritysat.sat.solver import HEAP_SLACK, Solver, SolverTimeout, solve
 
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
 
@@ -140,6 +140,95 @@ def test_resumed_solver_agrees_with_fresh_solves_and_truth_tables():
                         assert any(model.truth(lit) for lit in clause)
 
 
+def _planted_3sat_rounds(seed, n, sizes):
+    """Random 3-SAT that a hidden assignment satisfies, grown to each of
+    ``sizes`` clauses in turn; yields the instance and its truth per round."""
+    rng = random.Random(seed)
+    inst = SatInstance()
+    lits = inst.new_vars(n)
+    hidden = [None] + [rng.random() < 0.5 for _ in lits]
+    for size in sizes:
+        while inst.num_clauses < size:
+            clause = [rng.choice(lits) * rng.choice([-1, 1]) for _ in range(3)]
+            if any((lit > 0) == hidden[abs(lit)] for lit in clause):
+                inst.add_clause(clause)
+        yield inst, True
+
+
+def _pigeonhole_rounds(holes):
+    """The pigeonhole instance, its holes constrained two at a time: it has
+    a model until the last hole is constrained."""
+    inst = SatInstance()
+    pigeon = [[inst.new_var() for _ in range(holes)] for _ in range(holes + 1)]
+    for row in pigeon:
+        inst.add_clause(row)
+    for h in range(holes):
+        at_most_k(inst, [row[h] for row in pigeon], 1)
+        if h % 2 == 1 or h == holes - 1:
+            yield inst, h < holes - 1
+
+
+def _assert_heap_sound(solver):
+    """Within its bound, ordered, and one current entry per var it holds,
+    which covers every unassigned var."""
+    heap = solver.heap
+    assert len(heap) <= HEAP_SLACK * solver.num_vars
+    assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+    current = [v for neg_act, v in heap if neg_act == -solver.activity[v]]
+    assert len(current) == len(set(current))
+    assert set(current) == {v for v in range(1, solver.num_vars + 1) if solver.in_heap[v]}
+    assert all(solver.in_heap[v] for v in range(1, solver.num_vars + 1) if solver.assign[v] == 0)
+
+
+@pytest.mark.parametrize("rounds", [
+    lambda: _planted_3sat_rounds(0, 150, (600, 620, 640, 660)),
+    lambda: _planted_3sat_rounds(3, 150, (600, 620, 640, 660)),
+    lambda: _pigeonhole_rounds(6),
+], ids=["planted-0", "planted-3", "pigeonhole6"])
+def test_restarting_search_agrees_with_the_truth_fresh_and_resumed(rounds, monkeypatch):
+    rebuilds = []
+    rebuild = Solver._rebuild_heap
+
+    def counted_rebuild(self):
+        rebuilds.append(len(self.heap))
+        rebuild(self)
+
+    monkeypatch.setattr(Solver, "_rebuild_heap", counted_rebuild)
+    restarts = {"resumed": 0, "fresh": 0}
+    resumed = None
+    for inst, satisfiable in rounds():
+        if resumed is None:
+            resumed = Solver(inst)
+        for kind, solver in (("resumed", resumed), ("fresh", Solver(inst))):
+            stats = {}
+            model = solver.solve(stats_out=stats)
+            assert (model is not None) == satisfiable
+            if model is not None:
+                assert all(any(model.truth(lit) for lit in clause) for clause in inst.clauses)
+            restarts[kind] += stats["restarts"]
+            _assert_heap_sound(solver)
+    assert restarts["resumed"] >= 1 and restarts["fresh"] >= 1
+    assert rebuilds  # the heap was compacted along the way
+
+
+def test_decision_heap_stays_bounded_over_a_long_solve(monkeypatch):
+    inst = _pigeonhole(7)
+    solver = Solver(inst)
+    longest = [0]
+    backjump = Solver._backjump
+
+    def measured_backjump(self, to_level):
+        backjump(self, to_level)
+        longest[0] = max(longest[0], len(self.heap))
+
+    monkeypatch.setattr(Solver, "_backjump", measured_backjump)
+    stats = {}
+    assert solver.solve(stats_out=stats) is None
+    assert stats["conflicts"] > 1000 and stats["restarts"] >= 1
+    assert longest[0] <= HEAP_SLACK * inst.num_vars
+    _assert_heap_sound(solver)
+
+
 def test_clause_contradicting_a_root_fact_is_unsat_for_good():
     inst = SatInstance()
     x, y, z = inst.new_vars(3)
@@ -174,9 +263,16 @@ def test_root_satisfied_and_root_false_literals_on_take_in():
     assert inst.clauses == [[a], [a, b], [-a, c], [-a, b, d]]
 
 
-@pytest.mark.parametrize("seed, satisfiable", [(1, True), (2, False)])
-def test_solver_is_back_at_level_zero_after_a_timeout(seed, satisfiable, monkeypatch):
-    inst = _random_3sat(seed, n=60, m=255)
+@pytest.mark.parametrize("make, satisfiable", [
+    (lambda: _random_3sat(2, n=120, m=500), True),
+    (lambda: _pigeonhole(6), False),
+], ids=["3sat-120-sat", "pigeonhole6-unsat"])
+def test_solver_is_back_at_level_zero_after_a_timeout(make, satisfiable, monkeypatch):
+    inst = make()
+    stats = {}
+    solve(inst, stats_out=stats)
+    # the instance must still be searching at the second clock check below
+    assert stats["decisions"] + stats["conflicts"] > 512
     solver = Solver(inst)
     # each reading of this clock is one second later: the deadline passes at
     # the second check, 256 decisions and conflicts into the search
@@ -203,15 +299,15 @@ def _triangle_count(k):
     return inst
 
 
-# counters and models of a first solve, recorded with the one-shot solver
-# that preceded the incremental one: a fresh solve must search exactly as it did
+# counters and models of a first solve, recorded with the EVSIDS, phase-saving
+# and Luby-restart search: a fresh solve must search exactly as it did
 FIRST_SOLVE_PINS = [
-    (lambda: _pigeonhole(5), (80, 50, 590, 42), None),
-    (lambda: _random_3sat(2), (35, 30, 365, 25), None),
-    (lambda: _random_3sat(3), (10, 6, 106, 3),
-     [1, 2, 3, 7, 8, 9, 10, 12, 13, 14, 17, 18, 22, 26, 27, 28, 30]),
-    (lambda: _triangle_count(4), (34, 29, 1062, 25), None),
-    (lambda: _triangle_count(5), (54, 38, 1573, 37),
+    (lambda: _pigeonhole(5), (183, 145, 1737, 137), None),
+    (lambda: _random_3sat(2), (14, 12, 111, 7), None),
+    (lambda: _random_3sat(3), (18, 15, 201, 13),
+     [1, 2, 3, 7, 8, 9, 10, 12, 13, 14, 15, 17, 18, 22, 26, 27, 28, 30]),
+    (lambda: _triangle_count(4), (68, 37, 1390, 27), None),
+    (lambda: _triangle_count(5), (200, 107, 3240, 100),
      [1, 5, 9, 12, 16, 17, 21, 24, 25, 26, 31, 33, 36, 37, 40, 41, 45, 47, 49, 52,
       54, 56, 57, 58, 63, 65, 70, 72, 73, 76, 80, 81, 86, 88, 100, 115, 140]),
 ]

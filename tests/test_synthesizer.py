@@ -32,7 +32,7 @@ from paritysat.synthesizer import (
     synthesis_key,
 )
 
-from testkit import TOPOLOGIES, random_instance
+from testkit import TOPOLOGIES, random_cnot_rz_circuit, random_instance
 
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
 
@@ -306,6 +306,18 @@ def test_non_identity_initial_parity():
         assert canonical_equal(got, canonicalize(rep))
         best, _ = oracle_min_count(rep, cm)
         assert result.cnot_count == best
+
+
+def test_k4_count_doubly_search_work_stays_bounded():
+    cm = CouplingMap.complete(4)
+    rep = extract_rep(random_cnot_rz_circuit(random.Random(5), 4, 9, 4, cm))
+    result = hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
+    assert (result.cnot_count, result.cnot_depth) == (6, 5) and result.optimal
+    assert result.cnot_count == oracle_min_count(rep, cm)[0]
+    assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
+    assert all("restarts" in entry for entry in result.stats)
+    # the lowest-index, False-first search without restarts needed 23,607
+    assert sum(entry["conflicts"] for entry in result.stats) < 8000
 
 
 def test_symbolic_angles_synthesize_and_rebind(line3):
