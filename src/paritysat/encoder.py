@@ -4,12 +4,11 @@ Variable families:
 
 * ``cnot[k][e]``   -- a CNOT acts on directed edge ``e`` at step ``k``
 * ``P[k][i][j]``   -- bit ``j`` of parity row ``i`` after ``k`` steps
-* ``D[k][l]``      -- the gate at step ``k`` sits in layer ``l``
-* ``L[l][e]``      -- layer ``l`` contains a CNOT on directed edge ``e``
 
 In count mode each step holds exactly one CNOT, so the step budget equals
 the CNOT count.  In depth mode each step is a nonempty layer of
-qubit-disjoint CNOTs, so the step budget equals the CNOT depth.
+qubit-disjoint CNOTs, so the step budget equals the CNOT depth; a CNOT
+budget on top of it bounds the count, which serves both doubly searches.
 """
 from __future__ import annotations
 
@@ -53,8 +52,6 @@ class VarLayout:
     cfg: EncodingConfig
     parity: list[list[list[int]]]          # [k][i][j] for k in 0..steps
     cnot: list[list[int]]                  # [k][e] for k in 0..steps-1
-    gate_layer: list[list[int]] | None = None   # D[k][l]
-    layer_edge: list[list[int]] | None = None   # L[l][e]
 
 
 def _value_lit(var: int, bit: int) -> int:
@@ -173,77 +170,8 @@ def add_depth_mode(inst: SatInstance, layout: VarLayout) -> None:
             at_most_k(inst, incident, 1)
 
 
-def add_layer_assignment(inst: SatInstance, layout: VarLayout) -> None:
-    """Assign the count-mode gate sequence to qubit-disjoint layers.
-
-    Layer labels are nondecreasing along the sequence and each layer is a
-    contiguous run of steps, which removes permutation symmetry without
-    excluding any achievable depth (a greedy layering can always be
-    realized by stably sorting commuting gates).
-    """
-    if layout.cfg.mode is not Mode.CNOT:
-        raise ValueError("layer assignment applies to count-mode instances only")
-    if layout.gate_layer is not None:
-        raise ValueError("layer assignment already added")
-    K = layout.cfg.steps
-    edges = layout.cfg.directed_edges
-    if K == 0:
-        layout.gate_layer = []
-        layout.layer_edge = []
-        return
-
-    dvars = [[inst.name_var("D", k, l) for l in range(K)] for k in range(K)]
-    layout.gate_layer = dvars
-    for k in range(K):
-        at_least_k(inst, dvars[k], 1)
-        at_most_k(inst, dvars[k], 1)
-    # a layer is a contiguous run of steps
-    for k in range(K - 1):
-        for l in range(K):
-            for i in range(2, K - k):
-                inst.add_clause([-dvars[k][l], dvars[k + 1][l], -dvars[k + i][l]])
-    # labels never decrease along the sequence
-    for k in range(K - 1):
-        for l in range(1, K):
-            for k2 in range(k + 1, K):
-                for l2 in range(l):
-                    inst.add_clause([-dvars[k][l], -dvars[k2][l2]])
-
-    lvars = [[inst.name_var("L", l, a, b) for a, b in edges] for l in range(K)]
-    layout.layer_edge = lvars
-    for l in range(K):
-        for e in range(len(edges)):
-            conj = []
-            for k in range(K):
-                g = inst.new_var()
-                inst.add_clause([-g, dvars[k][l]])
-                inst.add_clause([-g, layout.cnot[k][e]])
-                inst.add_clause([-dvars[k][l], -layout.cnot[k][e], g])
-                inst.add_clause([-g, lvars[l][e]])
-                conj.append(g)
-            inst.add_clause([-lvars[l][e]] + conj)
-            # the layer-edge indicator collapses repeated uses of one edge,
-            # so qubit-disjointness alone would let two same-edge steps share
-            # a layer; cap the edge's step multiplicity per layer directly
-            at_most_k(inst, conj, 1)
-    for l in range(K):
-        for q in range(layout.cfg.num_qubits):
-            incident = [lvars[l][e] for e, (a, b) in enumerate(edges) if q in (a, b)]
-            at_most_k(inst, incident, 1)
-
-
-def add_depth_limit(inst: SatInstance, layout: VarLayout, depth: int) -> None:
-    """Ban layer labels at or beyond ``depth`` (0 forces UNSAT when K > 0)."""
-    if layout.gate_layer is None:
-        raise ValueError("no layer assignment present")
-    K = layout.cfg.steps
-    for k in range(K):
-        for l in range(max(depth, 0), K):
-            inst.add_clause([-layout.gate_layer[k][l]])
-
-
 def add_cnot_budget(inst: SatInstance, layout: VarLayout, budget: int) -> None:
-    """Cap the total CNOT count across all steps (depth-mode descent)."""
+    """Cap the total CNOT count across all steps of a depth-mode instance."""
     if budget < 0:
         raise ValueError("CNOT budget must be nonnegative")
     if layout.cfg.mode is not Mode.DEPTH:
@@ -254,6 +182,5 @@ def add_cnot_budget(inst: SatInstance, layout: VarLayout, budget: int) -> None:
 
 __all__ = [
     "Mode", "EncodingConfig", "VarLayout",
-    "encode_common", "add_cnot_mode", "add_depth_mode",
-    "add_layer_assignment", "add_depth_limit", "add_cnot_budget",
+    "encode_common", "add_cnot_mode", "add_depth_mode", "add_cnot_budget",
 ]

@@ -3,15 +3,20 @@
 Phase 1 grows the step budget from a lower bound until the first
 satisfiable encoding; that budget is the optimal primary metric (count in
 count mode, depth in depth mode).  Phase 2, when requested, fixes the
-primary optimum and descends on the secondary metric by monotonically
-adding constraints to the same instance: a layer assignment plus
-shrinking depth limits in count mode, or shrinking CNOT budgets in depth
-mode.  The last satisfiable model wins.
+primary optimum and descends on the secondary metric; the last
+satisfiable model wins.  Both descents run on the depth-mode encoding:
 
-Each budget gets one encoding and one incremental ``Solver``: the
-layering call and every descent resume from what the primary call (and
-the calls after it) learned.  The solver is dropped when the budget
-grows, so at most one budget's solver is alive at a time.
+* depth mode adds shrinking CNOT budgets to the primary instance, so each
+  descent resumes the incremental ``Solver`` of the optimal budget;
+* count mode pins the budget to the optimal count and tries depths below
+  the best circuit's, one fresh depth-mode instance and ``Solver`` per
+  depth, down to the floor ``ceil(count / (n // 2))``, since a layer
+  holds at most ``n // 2`` CNOTs.  On 2 and 3 qubits the floor equals the
+  count, so no call is made.
+
+Each phase-1 budget gets one encoding and one ``Solver``; the solver is
+dropped when the budget grows, so at most one budget's solver is alive at
+a time.
 """
 from __future__ import annotations
 
@@ -25,9 +30,7 @@ from .encoder import (
     VarLayout,
     add_cnot_budget,
     add_cnot_mode,
-    add_depth_limit,
     add_depth_mode,
-    add_layer_assignment,
     encode_common,
 )
 from .ir import (
@@ -44,6 +47,10 @@ from .ir import (
 from .phasepoly import merged_table
 from .sat.core import SatInstance, export_dimacs
 from .sat.solver import SatModel, Solver, SolverTimeout, solve_instance
+
+
+# bench/layertrace.py wraps both names by attribute; nothing calls them
+add_layer_assignment = add_depth_limit = None
 
 
 class NoSolutionWithinKmax(RuntimeError):
@@ -111,14 +118,18 @@ def _count_gates(model: SatModel, layout: VarLayout) -> int:
     return sum(1 for step_vars in layout.cnot for var in step_vars if model[var])
 
 
-def _realized_depth(model: SatModel, layout: VarLayout) -> int:
-    assert layout.gate_layer is not None
-    top = -1
-    for k, row in enumerate(layout.gate_layer):
-        for l, var in enumerate(row):
-            if model[var] and l > top:
-                top = l
-    return top + 1
+def _greedy_layers(circuit: Circuit) -> list[list[tuple[int, int]]]:
+    """The CNOTs of ``circuit`` grouped into the layers ``cnot_depth`` counts."""
+    level = [0] * circuit.num_qubits
+    layers: list[list[tuple[int, int]]] = []
+    for g in circuit.gates:
+        if isinstance(g, Cnot):
+            lv = max(level[g.control], level[g.target])
+            level[g.control] = level[g.target] = lv + 1
+            if lv == len(layers):
+                layers.append([])
+            layers[lv].append((g.control, g.target))
+    return layers
 
 
 def place_rotations(steps: Sequence[Sequence[tuple[int, int]]],
@@ -176,18 +187,6 @@ def decode_circuit(model: SatModel, layout: VarLayout, rep: PhasePolyRep) -> Cir
             if model[layout.parity[len(steps)][i][j]] != bool((rows[i] >> j) & 1):
                 raise InternalConsistencyError(f"parity mismatch at final step, row {i}")
     return place_rotations(steps, rep)
-
-
-def _layered_steps(model: SatModel, layout: VarLayout) -> list[list[tuple[int, int]]]:
-    """Group the count-mode gate sequence by its assigned layer labels."""
-    assert layout.gate_layer is not None
-    edges = layout.cfg.directed_edges
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for k, step_vars in enumerate(layout.cnot):
-        gate = next(edges[e] for e, var in enumerate(step_vars) if model[var])
-        label = next(l for l, var in enumerate(layout.gate_layer[k]) if model[var])
-        by_label.setdefault(label, []).append(gate)
-    return [by_label[l] for l in sorted(by_label)]
 
 
 def _angle_free(rep: PhasePolyRep, table: ParityTable) -> PhasePolyRep:
@@ -248,25 +247,29 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         model = solve_instance(inst, remaining, stats_out=entry, solver=solver)
         entry["status"] = "sat" if model is not None else "unsat"
         stats.append(entry)
-        return model
-
-    def finish(model: SatModel, layout: VarLayout, inst: SatInstance,
-               layers: list[list[tuple[int, int]]] | None, optimal: bool) -> SynthesisResult:
-        if req.dimacs_path:
+        if model is not None and req.dimacs_path:
+            # the last satisfiable instance is the one whose model is returned
             with open(req.dimacs_path, "w") as fh:
                 fh.write(export_dimacs(inst))
-        circuit = decode_circuit(model, layout, decode_rep)
+        return model
+
+    def encode(mode: Mode, k: int) -> tuple[SatInstance, VarLayout]:
+        cfg = EncodingConfig(mode, k, n, edges)
+        inst, layout = encode_common(rep.initial, rep.final, unique_terms, cfg)
+        if mode is Mode.CNOT:
+            add_cnot_mode(inst, layout)
+        else:
+            add_depth_mode(inst, layout)
+        return inst, layout
+
+    def finish(circuit: Circuit, layers: list[list[tuple[int, int]]] | None,
+               optimal: bool) -> SynthesisResult:
         return SynthesisResult(circuit, cnot_count(circuit), cnot_depth(circuit),
                                optimal, layers, stats)
 
     for k in range(lower_bound(bound_rep, req.mode), k_top + 1):
         encoded_at = time.monotonic()
-        cfg = EncodingConfig(req.mode, k, n, edges)
-        inst, layout = encode_common(rep.initial, rep.final, unique_terms, cfg)
-        if req.mode is Mode.CNOT:
-            add_cnot_mode(inst, layout)
-        else:
-            add_depth_mode(inst, layout)
+        inst, layout = encode(req.mode, k)
         solver = Solver(inst)  # one per budget: rebinding drops the last one
         try:
             model = timed_solve(solver, "primary", k, encoded_at)
@@ -279,38 +282,45 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
             layers = _selected_steps(model, layout) if req.mode is Mode.DEPTH else None
             if k == 0:
                 layers = []
-            return finish(model, layout, inst, layers, optimal=True)
+            return finish(decode_circuit(model, layout, decode_rep), layers, optimal=True)
 
         # phase 2: descend on the secondary metric, keeping the last model
-        if req.mode is Mode.CNOT:
-            encoded_at = time.monotonic()
-            add_layer_assignment(inst, layout)
-            try:
-                best = timed_solve(solver, "layering", k, encoded_at)
-            except SolverTimeout:
-                return finish(model, layout, inst, None, optimal=False)
-            assert best is not None  # any gate sequence admits one-gate-per-layer
-            measure, tighten, steps_of, floor = (
-                _realized_depth, add_depth_limit, _layered_steps, 1)
-        else:
-            best = model
-            measure, tighten, steps_of, floor = (
-                _count_gates, add_cnot_budget, _selected_steps, 0)
-        value = measure(best, layout)
         optimal = True
-        while value > floor:
+        if req.mode is Mode.DEPTH:
+            count = _count_gates(model, layout)
+            while count > 0:
+                encoded_at = time.monotonic()
+                add_cnot_budget(inst, layout, count - 1)
+                try:
+                    nxt = timed_solve(solver, "descent", count - 1, encoded_at)
+                except SolverTimeout:
+                    optimal = False
+                    break
+                if nxt is None:
+                    break
+                model = nxt
+                count = _count_gates(model, layout)
+            return finish(decode_circuit(model, layout, decode_rep),
+                          _selected_steps(model, layout), optimal)
+
+        # count mode: a fresh depth-mode instance per depth, with k CNOTs at
+        # most; a layer holds at most n // 2 of them
+        best = decode_circuit(model, layout, decode_rep)
+        depth = cnot_depth(best) - 1
+        while depth >= -(-k // (n // 2)):
             encoded_at = time.monotonic()
-            tighten(inst, layout, value - 1)
+            inst, layout = encode(Mode.DEPTH, depth)
+            add_cnot_budget(inst, layout, k)
             try:
-                nxt = timed_solve(solver, "descent", value - 1, encoded_at)
+                model = timed_solve(Solver(inst), "descent", depth, encoded_at)
             except SolverTimeout:
                 optimal = False
                 break
-            if nxt is None:
+            if model is None:
                 break
-            best = nxt
-            value = measure(best, layout)
-        return finish(best, layout, inst, steps_of(best, layout), optimal)
+            best = decode_circuit(model, layout, decode_rep)
+            depth = cnot_depth(best) - 1
+        return finish(best, _greedy_layers(best), optimal)
 
     raise NoSolutionWithinKmax(f"no solution with step budget up to {k_top}")
 

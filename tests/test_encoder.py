@@ -7,9 +7,7 @@ from paritysat.encoder import (
     Mode,
     add_cnot_budget,
     add_cnot_mode,
-    add_depth_limit,
     add_depth_mode,
-    add_layer_assignment,
     encode_common,
 )
 from paritysat.ir import CouplingMap, ParityMatrix, apply_cnot
@@ -72,8 +70,6 @@ def test_mode_guards():
     dinst, dlayout = encode_common(eye, eye, [], dcfg)
     with pytest.raises(ValueError):
         add_cnot_mode(dinst, dlayout)
-    with pytest.raises(ValueError):
-        add_layer_assignment(dinst, dlayout)
     with pytest.raises(ValueError):
         add_cnot_budget(inst, layout, 1)  # count-mode instance
 
@@ -172,36 +168,12 @@ def test_monotone_unsat_in_cnot_mode():
         assert all(not s for s in statuses[:first_sat])
 
 
-def test_layer_assignment_shapes():
-    cm = CouplingMap.line(2)
-    eye = ParityMatrix.identity(2)
-    swap = ParityMatrix((2, 1))
-    inst, layout = encode_for(Mode.CNOT, 3, cm, eye, swap, [])
-    add_layer_assignment(inst, layout)
-    model = solve(inst)
-    assert model is not None
-    assert len(layout.gate_layer) == 3 and len(layout.gate_layer[0]) == 3
-    labels = [next(l for l, v in enumerate(row) if model[v]) for row in layout.gate_layer]
-    assert labels == sorted(labels)
-
-
-def test_single_gate_forced_into_layer_zero():
-    cm = CouplingMap.line(2)
-    eye = ParityMatrix.identity(2)
-    target = apply_cnot(eye, 0, 1)
-    inst, layout = encode_for(Mode.CNOT, 1, cm, eye, target, [])
-    add_layer_assignment(inst, layout)
-    model = solve(inst)
-    assert model is not None and model[layout.gate_layer[0][0]]
-
-
 def test_disjoint_gates_reach_depth_one():
     cm = CouplingMap.line(4)
     eye = ParityMatrix.identity(4)
     target = apply_cnot(apply_cnot(eye, 0, 1), 2, 3)
-    inst, layout = encode_for(Mode.CNOT, 2, cm, eye, target, [])
-    add_layer_assignment(inst, layout)
-    add_depth_limit(inst, layout, 1)
+    inst, layout = encode_for(Mode.DEPTH, 1, cm, eye, target, [])
+    add_cnot_budget(inst, layout, 2)
     assert solve(inst) is not None
 
 
@@ -209,23 +181,11 @@ def test_shared_qubit_gates_need_depth_two():
     cm = CouplingMap.line(3)
     eye = ParityMatrix.identity(3)
     target = apply_cnot(apply_cnot(eye, 0, 1), 1, 2)
-    inst, layout = encode_for(Mode.CNOT, 2, cm, eye, target, [])
-    add_layer_assignment(inst, layout)
-    add_depth_limit(inst, layout, 2)
+    inst, layout = encode_for(Mode.DEPTH, 2, cm, eye, target, [])
+    add_cnot_budget(inst, layout, 2)
     assert solve(inst) is not None
-    add_depth_limit(inst, layout, 1)
-    assert solve(inst) is None
-
-
-def test_depth_limit_extremes():
-    cm = CouplingMap.line(2)
-    eye = ParityMatrix.identity(2)
-    target = apply_cnot(eye, 0, 1)
-    inst, layout = encode_for(Mode.CNOT, 1, cm, eye, target, [])
-    add_layer_assignment(inst, layout)
-    add_depth_limit(inst, layout, 1)  # d == K: no effective restriction
-    assert solve(inst) is not None
-    add_depth_limit(inst, layout, 0)
+    inst, layout = encode_for(Mode.DEPTH, 1, cm, eye, target, [])
+    add_cnot_budget(inst, layout, 2)
     assert solve(inst) is None
 
 

@@ -21,7 +21,8 @@ from paritysat.ir import (
 )
 from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep
-from paritysat.sat.solver import SolverTimeout
+from paritysat.sat.core import parse_dimacs
+from paritysat.sat.solver import SolverTimeout, solve
 from paritysat.synthesizer import (
     NoSolutionWithinKmax,
     SynthesisRequest,
@@ -121,9 +122,9 @@ def test_doubly_optimal_dominance_small():
         assert got_d.cnot_count == min(cnot_count(c) for c in depth_circs)
 
 
-@pytest.mark.parametrize("mode, doubly", [(Mode.CNOT, False), (Mode.DEPTH, False),
-                                           (Mode.CNOT, True), (Mode.DEPTH, True)])
-def test_each_budget_builds_one_solver_that_phase_two_resumes(mode, doubly, monkeypatch):
+def record_solvers(monkeypatch):
+    """Lists that fill with every ``Solver`` built and every (phase,
+    solver) SAT call that ``hopps`` makes."""
     built = []
     calls = []
 
@@ -141,6 +142,13 @@ def test_each_budget_builds_one_solver_that_phase_two_resumes(mode, doubly, monk
 
     monkeypatch.setattr(synthesizer, "Solver", CountingSolver)
     monkeypatch.setattr(synthesizer, "solve_instance", recording)
+    return built, calls
+
+
+@pytest.mark.parametrize("mode, doubly", [(Mode.CNOT, False), (Mode.DEPTH, False),
+                                           (Mode.DEPTH, True)])
+def test_each_budget_builds_one_solver_that_phase_two_resumes(mode, doubly, monkeypatch):
+    built, calls = record_solvers(monkeypatch)
     rng = random.Random(2718)
     phase2_calls = 0
     for _ in range(5):
@@ -155,12 +163,10 @@ def test_each_budget_builds_one_solver_that_phase_two_resumes(mode, doubly, monk
         assert all(solver is built[-1] for phase, solver in calls if phase != "primary")
         phase2_calls += len(calls) - len(primary)
 
-        best_count, count_circs = oracle_min_count(rep, cm)
+        best_count, _ = oracle_min_count(rep, cm)
         best_depth, depth_circs = oracle_min_depth(rep, cm)
         if mode is Mode.CNOT:
             assert result.cnot_count == best_count
-            if doubly:
-                assert result.cnot_depth == min(cnot_depth(c) for c in count_circs)
         else:
             assert result.cnot_depth == best_depth
             if doubly:
@@ -169,14 +175,50 @@ def test_each_budget_builds_one_solver_that_phase_two_resumes(mode, doubly, monk
     assert (phase2_calls > 0) == doubly
 
 
+def test_count_doubly_builds_one_solver_per_depth_above_the_floor(monkeypatch):
+    built, calls = record_solvers(monkeypatch)
+    rng = random.Random(2718)
+    descents = 0
+    for n in (2, 3, 4, 4, 4):
+        cm = TOPOLOGIES[rng.choice(list(TOPOLOGIES))](n)
+        rep = random_instance(rng, n, cm, rng.randint(3, 6), rng.randint(1, 3))
+        built.clear()
+        calls.clear()
+        result = hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
+        phases = [phase for phase, _ in calls]
+        primary = phases.count("primary")
+        assert phases == ["primary"] * primary + ["descent"] * (len(phases) - primary)
+        # every budget and every depth tried gets a solver of its own
+        assert [solver for _, solver in calls] == built
+        depths = [entry["k"] for entry in result.stats if entry["phase"] == "descent"]
+        assert depths == sorted(set(depths), reverse=True)
+        # a layer holds at most n // 2 CNOTs: no call below that floor, and
+        # none at all on 2 and 3 qubits, where the floor is the count
+        assert all(d >= -(-result.cnot_count // (n // 2)) for d in depths)
+        assert n == 4 or depths == []
+        descents += len(depths)
+
+        best_count, count_circs = oracle_min_count(rep, cm)
+        assert result.cnot_count == best_count and result.optimal
+        assert result.cnot_depth == min(cnot_depth(c) for c in count_circs)
+        assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
+    assert descents > 0
+
+
 def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
-    result = hopps(SynthesisRequest(triangle_rep, line3, doubly=True))
-    phases = [entry["phase"] for entry in result.stats]
-    assert phases[:3] == ["primary"] * 3 and phases[3] == "layering"
-    for entry in result.stats:
-        assert entry["vars"] > 0 and entry["clauses"] > 0 and entry["encode_s"] >= 0
-    # phase 2 hands over the same, grown, instance
-    sizes = [(entry["vars"], entry["clauses"]) for entry in result.stats[2:]]
+    runs = {mode: hopps(SynthesisRequest(triangle_rep, line3, mode=mode, doubly=True))
+            for mode in (Mode.CNOT, Mode.DEPTH)}
+    for result in runs.values():
+        for entry in result.stats:
+            assert entry["vars"] > 0 and entry["clauses"] > 0 and entry["encode_s"] >= 0
+    # count-doubly: on 3 qubits a layer holds one CNOT, so phase 2 makes no call
+    assert [entry["phase"] for entry in runs[Mode.CNOT].stats] == ["primary"] * 3
+    # depth-doubly: phase 2 hands over the optimal budget's, grown, instance
+    stats = runs[Mode.DEPTH].stats
+    phases = [entry["phase"] for entry in stats]
+    first = phases.index("descent") - 1
+    assert set(phases[:first]) <= {"primary"} and set(phases[first + 1:]) == {"descent"}
+    sizes = [(entry["vars"], entry["clauses"]) for entry in stats[first:]]
     assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
 
 
@@ -278,10 +320,15 @@ def test_place_rotations_slot_zero():
 
 def test_dimacs_dump_written(tmp_path, triangle_rep, line3):
     path = tmp_path / "dump.cnf"
-    hopps(SynthesisRequest(triangle_rep, line3, dimacs_path=str(path)))
-    text = path.read_text()
-    assert text.splitlines()[-1].endswith(" 0")
-    assert "p cnf" in text
+    for mode in (Mode.CNOT, Mode.DEPTH):
+        for doubly in (False, True):
+            hopps(SynthesisRequest(triangle_rep, line3, mode=mode, doubly=doubly,
+                                   dimacs_path=str(path)))
+            text = path.read_text()
+            assert text.splitlines()[-1].endswith(" 0")
+            assert "p cnf" in text
+            # the dump is the instance whose model was returned
+            assert solve(parse_dimacs(text)) is not None, (mode, doubly)
 
 
 def test_non_identity_initial_parity():
