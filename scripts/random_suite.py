@@ -4,7 +4,10 @@
 Generates topology-legal random {CNOT, Rz} circuits, extracts their
 phase-polynomial representations, and compares count-, depth-, and doubly
 optimal synthesis against the breadth-first oracle, reporting per-instance
-metrics and timing.
+metrics and timing.  Each instance's count and depth floors
+(``lower_bound``) are printed next to the oracle optima; a floor above an
+optimum is a mismatch (verdict ``FLOOR>OPT``), and any mismatch makes the
+exit status nonzero.
 
     python scripts/random_suite.py --count 30 --seed 7 --max-qubits 4
 """
@@ -20,7 +23,7 @@ from paritysat.encoder import Mode
 from paritysat.ir import Circuit, Cnot, CouplingMap, Rz, cnot_count, cnot_depth, validate_topology
 from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep
-from paritysat.synthesizer import SynthesisRequest, hopps
+from paritysat.synthesizer import SynthesisRequest, hopps, lower_bound
 
 TOPOLOGIES = {
     "line": CouplingMap.line,
@@ -56,6 +59,7 @@ def main():
     rng = random.Random(args.seed)
     header = (f"{'#':>3} {'n':>2} {'topology':>9} {'gen':>4} "
               f"{'count':>5} {'depth':>5} {'d@c':>4} {'c@d':>4} "
+              f"{'c_min':>5} {'c_lb':>4} {'d_min':>5} {'d_lb':>4} "
               f"{'oracle_s':>8} {'synth_s':>8} verdict")
     print(header)
     print("-" * len(header))
@@ -83,7 +87,11 @@ def main():
 
         want_depth_at_count = min(cnot_depth(c) for c in count_circs)
         want_count_at_depth = min(cnot_count(c) for c in depth_circs)
-        ok = (by_count.cnot_count == best_count
+        count_floor = lower_bound(rep, Mode.CNOT)
+        depth_floor = lower_bound(rep, Mode.DEPTH)
+        floors_ok = count_floor <= best_count and depth_floor <= best_depth
+        ok = (floors_ok
+              and by_count.cnot_count == best_count
               and by_depth.cnot_depth == best_depth
               and by_count.cnot_depth == want_depth_at_count
               and by_depth.cnot_count == want_count_at_depth
@@ -92,10 +100,12 @@ def main():
                                   canonicalize(rep)))
         if not ok:
             mismatches += 1
+        verdict = "ok" if ok else "MISMATCH" if floors_ok else "FLOOR>OPT"
         print(f"{index:>3} {n:>2} {topo:>9} {gen_cnots:>4} "
               f"{by_count.cnot_count:>5} {by_depth.cnot_depth:>5} "
               f"{by_count.cnot_depth:>4} {by_depth.cnot_count:>4} "
-              f"{oracle_s:>8.2f} {synth_s:>8.2f} {'ok' if ok else 'MISMATCH'}")
+              f"{best_count:>5} {count_floor:>4} {best_depth:>5} {depth_floor:>4} "
+              f"{oracle_s:>8.2f} {synth_s:>8.2f} {verdict}")
     print(f"\n{args.count - mismatches}/{args.count} matched the oracle; "
           f"synthesis time {total_synth:.1f} s")
     return 1 if mismatches else 0

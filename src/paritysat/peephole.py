@@ -56,8 +56,10 @@ from .synthesizer import (
 class Skeleton:
     """The CNOT steps ``hopps`` found for a block, free of angles.
 
-    ``steps`` are what ``place_rotations`` takes: one CNOT per step in
-    count mode, one layer per step in depth mode.
+    ``steps`` are the ``SynthesisResult.steps`` that ``hopps`` placed its
+    rotations on: one CNOT per step from a count-mode model, one layer
+    per step from a depth-mode model (which a count-mode doubly descent
+    also decodes).
     """
 
     steps: tuple[tuple[tuple[int, int], ...], ...]
@@ -276,11 +278,7 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
                                         timeout_s=timeout_s))
     except (SynthesisTimeout, NoSolutionWithinKmax):
         return replace(block, status="failed_budget")
-    if mode is Mode.DEPTH:
-        steps = tuple(tuple(layer) for layer in result.layers)
-    else:
-        steps = tuple(((g.control, g.target),) for g in result.circuit.gates
-                      if isinstance(g, Cnot))
+    steps = tuple(tuple(step) for step in result.steps)
     skeleton = Skeleton(steps, (result.cnot_count, result.cnot_depth), result.optimal)
     return replace(apply_skeleton(block, skeleton, mode), skeleton=skeleton)
 

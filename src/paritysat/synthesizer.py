@@ -1,18 +1,26 @@
 """Incremental SAT search for optimal and doubly optimal circuits.
 
-Phase 1 grows the step budget from a lower bound until the first
-satisfiable encoding; that budget is the optimal primary metric (count in
-count mode, depth in depth mode).  Phase 2, when requested, fixes the
-primary optimum and descends on the secondary metric; the last
-satisfiable model wins.  Both descents run on the depth-mode encoding:
+Phase 1 grows the step budget from the provable floor ``lower_bound``
+until the first satisfiable encoding; that budget is the optimal primary
+metric (count in count mode, depth in depth mode).  Phase 2, when
+requested, fixes the primary optimum and descends on the secondary
+metric; the last satisfiable model wins.  Both descents run on the
+depth-mode encoding:
 
 * depth mode adds shrinking CNOT budgets to the primary instance, so each
-  descent resumes the incremental ``Solver`` of the optimal budget;
+  descent resumes the incremental ``Solver`` of the optimal budget; it
+  stops once the model meets the count floor, below which every budget
+  is unsatisfiable;
 * count mode pins the budget to the optimal count and tries depths below
   the best circuit's, one fresh depth-mode instance and ``Solver`` per
   depth, down to the floor ``ceil(count / (n // 2))``, since a layer
   holds at most ``n // 2`` CNOTs.  On 2 and 3 qubits the floor equals the
   count, so no call is made.
+
+A budget below a floor is never handed to the solver: its answer is known
+to be UNSAT.  Each such cut in phase 1 and in the depth-mode descent
+leaves one ``bound`` stats entry, whose ``k`` is the largest budget ruled
+out and whose counters are 0.
 
 Each phase-1 budget gets one encoding and one ``Solver``; the solver is
 dropped when the budget grows, so at most one budget's solver is alive at
@@ -84,22 +92,44 @@ class SynthesisResult:
     optimal: bool
     layers: list[list[tuple[int, int]]] | None = None
     stats: list[dict] = field(default_factory=list)
+    # the CNOT steps the rotations were placed on: ``place_rotations(steps,
+    # rep)`` with the merged table gives ``circuit`` again
+    steps: list[list[tuple[int, int]]] = field(default_factory=list)
 
 
 def lower_bound(rep: PhasePolyRep, mode: Mode) -> int:
     """Cheap provable floor on the step budget.
 
-    Count mode: each CNOT rewrites exactly one row to one new value, so
-    every distinct term absent from the initial rows needs its own step.
-    Depth mode: a single nonempty layer suffices as floor unless nothing
-    needs to change at all.
+    Count mode: ``|(terms | final rows) - initial rows|`` plus the number
+    of rows ``i`` with ``final_i != initial_i`` and ``final_i`` among the
+    initial rows, plus one if some value of the first set is not the XOR
+    of two values of ``S = initial rows | first set``.  Each CNOT writes
+    one new value into one row.  Every value of the first set appears in
+    some slice without being an initial row, so some CNOT wrote it: one
+    distinct CNOT per value.  Each row of the second term changes, so its
+    last CNOT writes ``final_i``; that value is not in the first set, and
+    each such row is a different target, so these CNOTs are distinct from
+    the others and each other.  A CNOT writes the XOR of two values held
+    at the time; if every CNOT wrote a value of ``S``, every value held
+    would be in ``S``, so each value of the first set would be the XOR of
+    two of ``S``.  Otherwise one more CNOT writes a value outside ``S``,
+    distinct from all those counted.
+
+    Depth mode: a layer holds at most ``n // 2`` CNOTs, so the depth is at
+    least ``ceil(count floor / (n // 2))`` (divisor at least 1 on one
+    qubit).  This is 0 exactly when nothing needs to change, as the count
+    floor is then 0, and at least 1 otherwise.
     """
     initial_rows = set(rep.initial.rows)
-    missing = {t for t in rep.table.terms if t not in initial_rows}
+    written = (set(rep.table.terms) | set(rep.final.rows)) - initial_rows
+    restored = sum(1 for a, b in zip(rep.initial.rows, rep.final.rows)
+                   if a != b and b in initial_rows)
+    held = initial_rows | written
+    needs_other = any(all(v ^ a not in held for a in held) for v in written)
+    count = len(written) + restored + needs_other
     if mode is Mode.CNOT:
-        return len(missing)
-    done = not missing and rep.initial.rows == rep.final.rows
-    return 0 if done else 1
+        return count
+    return -(-count // max(rep.n // 2, 1))
 
 
 def default_k_max(n: int, num_terms: int) -> int:
@@ -253,6 +283,13 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                 fh.write(export_dimacs(inst))
         return model
 
+    def ruled_out(k: int) -> None:
+        """Record that every budget up to ``k`` is UNSAT by a floor."""
+        stats.append({"phase": "bound", "k": k, "vars": 0, "clauses": 0,
+                      "encode_s": 0.0, "status": "unsat", "seconds": 0.0,
+                      "decisions": 0, "conflicts": 0, "propagations": 0,
+                      "learned": 0, "restarts": 0})
+
     def encode(mode: Mode, k: int) -> tuple[SatInstance, VarLayout]:
         cfg = EncodingConfig(mode, k, n, edges)
         inst, layout = encode_common(rep.initial, rep.final, unique_terms, cfg)
@@ -263,11 +300,14 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         return inst, layout
 
     def finish(circuit: Circuit, layers: list[list[tuple[int, int]]] | None,
-               optimal: bool) -> SynthesisResult:
+               optimal: bool, steps: list[list[tuple[int, int]]]) -> SynthesisResult:
         return SynthesisResult(circuit, cnot_count(circuit), cnot_depth(circuit),
-                               optimal, layers, stats)
+                               optimal, layers, stats, steps)
 
-    for k in range(lower_bound(bound_rep, req.mode), k_top + 1):
+    floor = lower_bound(bound_rep, req.mode)
+    if floor:
+        ruled_out(floor - 1)
+    for k in range(floor, k_top + 1):
         encoded_at = time.monotonic()
         inst, layout = encode(req.mode, k)
         solver = Solver(inst)  # one per budget: rebinding drops the last one
@@ -279,16 +319,17 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
             continue
 
         if not req.doubly or k == 0:
-            layers = _selected_steps(model, layout) if req.mode is Mode.DEPTH else None
-            if k == 0:
-                layers = []
-            return finish(decode_circuit(model, layout, decode_rep), layers, optimal=True)
+            steps = _selected_steps(model, layout)
+            layers = steps if req.mode is Mode.DEPTH or k == 0 else None
+            return finish(decode_circuit(model, layout, decode_rep), layers,
+                          optimal=True, steps=steps)
 
         # phase 2: descend on the secondary metric, keeping the last model
         optimal = True
         if req.mode is Mode.DEPTH:
             count = _count_gates(model, layout)
-            while count > 0:
+            count_floor = lower_bound(bound_rep, Mode.CNOT)
+            while count > count_floor:
                 encoded_at = time.monotonic()
                 add_cnot_budget(inst, layout, count - 1)
                 try:
@@ -300,11 +341,15 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                     break
                 model = nxt
                 count = _count_gates(model, layout)
-            return finish(decode_circuit(model, layout, decode_rep),
-                          _selected_steps(model, layout), optimal)
+            else:  # the model meets the count floor: every lower budget is UNSAT
+                if count_floor:
+                    ruled_out(count_floor - 1)
+            steps = _selected_steps(model, layout)
+            return finish(decode_circuit(model, layout, decode_rep), steps, optimal, steps)
 
         # count mode: a fresh depth-mode instance per depth, with k CNOTs at
         # most; a layer holds at most n // 2 of them
+        steps = _selected_steps(model, layout)
         best = decode_circuit(model, layout, decode_rep)
         depth = cnot_depth(best) - 1
         while depth >= -(-k // (n // 2)):
@@ -318,9 +363,10 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                 break
             if model is None:
                 break
+            steps = _selected_steps(model, layout)
             best = decode_circuit(model, layout, decode_rep)
             depth = cnot_depth(best) - 1
-        return finish(best, _greedy_layers(best), optimal)
+        return finish(best, _greedy_layers(best), optimal, steps)
 
     raise NoSolutionWithinKmax(f"no solution with step budget up to {k_top}")
 

@@ -99,11 +99,16 @@ def test_resynth_skips_disconnected_block():
 @pytest.mark.parametrize("doubly", [False, True])
 def test_skeleton_replays_the_synthesized_circuit(mode, doubly):
     # placing the angles on the skeleton again gives hopps' circuit, gate
-    # for gate, including the order inside a depth-mode layer
+    # for gate, including the order inside a depth-mode layer and after a
+    # count-doubly descent, which places the rotations on a depth-mode
+    # model's layers (the fixed seeds below each end on one)
     rng = random.Random(12)
     cm = CouplingMap.ring(4)
-    for _ in range(3):
-        (block,) = find_blocks(random_cnot_rz_circuit(rng, 4, 5, 4, cm))
+    circuits = [random_cnot_rz_circuit(rng, 4, 5, 4, cm) for _ in range(3)]
+    circuits += [random_cnot_rz_circuit(random.Random(seed), 4, 6, 4, cm)
+                 for seed in (5, 11, 14, 30, 38)]
+    for circuit in circuits:
+        (block,) = find_blocks(circuit)
         local = induced_coupling(cm, block.qubits)
         result = hopps(SynthesisRequest(block.rep, local, mode=mode, doubly=doubly))
         skeleton = resynth_block(block, cm, mode, doubly).skeleton

@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -11,3 +12,14 @@ def test_random_suite_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "3/3 matched" in proc.stdout
+    assert "c_lb" in proc.stdout and "d_lb" in proc.stdout
+
+
+def test_random_suite_fails_on_a_floor_above_an_optimum(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("random_suite", SCRIPTS / "random_suite.py")
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    monkeypatch.setattr(suite, "lower_bound", lambda rep, mode: 99)
+    monkeypatch.setattr(sys, "argv", ["random_suite.py", "--count", "1", "--max-qubits", "2"])
+    assert suite.main() == 1
+    assert "FLOOR>OPT" in capsys.readouterr().out

@@ -43,17 +43,95 @@ def trivial_rep(n):
     return PhasePolyRep(eye, eye, ParityTable(n, (), ()))
 
 
+def permutation_rep(final_rows):
+    n = len(final_rows)
+    return PhasePolyRep(ParityMatrix.identity(n), ParityMatrix(tuple(final_rows)),
+                        ParityTable(n, (), ()))
+
+
 def test_lower_bound_examples(triangle_rep):
     assert lower_bound(trivial_rep(2), Mode.CNOT) == 0
     assert lower_bound(trivial_rep(2), Mode.DEPTH) == 0
-    assert lower_bound(triangle_rep, Mode.CNOT) == 3
+    # three new terms, plus two rows that end on another initial row
+    assert lower_bound(triangle_rep, Mode.CNOT) == 5
+    # five CNOTs on three qubits: a layer holds one
+    assert lower_bound(triangle_rep, Mode.DEPTH) == 5
     # a term that is already a row of the initial matrix adds nothing
     eye = ParityMatrix.identity(2)
     rep = PhasePolyRep(eye, eye, ParityTable(2, (0b01,), (0.3,)))
     assert lower_bound(rep, Mode.CNOT) == 0
     assert lower_bound(rep, Mode.DEPTH) == 0
     swapped = PhasePolyRep(eye, ParityMatrix((2, 1)), ParityTable(2, (), ()))
-    assert lower_bound(swapped, Mode.DEPTH) == 1
+    assert lower_bound(swapped, Mode.CNOT) == 2
+    assert lower_bound(swapped, Mode.DEPTH) == 2
+    # a final row that is new counts once, however many terms share it
+    rep = PhasePolyRep(eye, ParityMatrix((3, 2)), ParityTable(2, (0b11, 0b11), (0.1, 0.2)))
+    assert lower_bound(rep, Mode.CNOT) == 1
+    # x0 ^ x1 ^ x2 is no XOR of two held values, so some CNOT writes an
+    # intermediate value: one more than the term itself
+    eye3 = ParityMatrix.identity(3)
+    rep = PhasePolyRep(eye3, eye3, ParityTable(3, (0b111,), (0.5,)))
+    assert lower_bound(rep, Mode.CNOT) == 2
+    assert lower_bound(rep, Mode.DEPTH) == 2
+    assert lower_bound(rep, Mode.CNOT) <= oracle_min_count(rep, CouplingMap.complete(3))[0]
+    # four row changes on four qubits fit in two layers of two
+    assert lower_bound(permutation_rep((2, 1, 8, 4)), Mode.CNOT) == 4
+    assert lower_bound(permutation_rep((2, 1, 8, 4)), Mode.DEPTH) == 2
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_floors_never_exceed_the_oracle_optima(topology):
+    rng = random.Random(f"floors-{topology}")
+    tight = 0
+    for _ in range(12):
+        n = rng.choice([2, 3, 4])
+        cm = TOPOLOGIES[topology](n)
+        rep = random_instance(rng, n, cm, rng.randint(0, 6), rng.randint(0, 3))
+        best_count, _ = oracle_min_count(rep, cm)
+        best_depth, _ = oracle_min_depth(rep, cm)
+        assert lower_bound(rep, Mode.CNOT) <= best_count
+        assert lower_bound(rep, Mode.DEPTH) <= best_depth
+        tight += lower_bound(rep, Mode.CNOT) == best_count
+    assert tight > 0
+
+
+ALL_MODES = [(Mode.CNOT, False), (Mode.CNOT, True), (Mode.DEPTH, False), (Mode.DEPTH, True)]
+
+
+@pytest.mark.parametrize("mode, doubly", ALL_MODES)
+@pytest.mark.parametrize("final_rows, floor, optimum", [
+    ((2, 1), 2, 3),         # SWAP on line(2)
+    ((2, 4, 1), 3, 6),      # a 3-cycle of rows on line(3)
+])
+def test_pinned_permutations_reach_the_oracle_above_their_floor(
+        final_rows, floor, optimum, mode, doubly):
+    rep = permutation_rep(final_rows)
+    cm = CouplingMap.line(len(final_rows))
+    assert lower_bound(rep, Mode.CNOT) == floor
+    best_count, count_circs = oracle_min_count(rep, cm)
+    best_depth, depth_circs = oracle_min_depth(rep, cm)
+    assert best_count == optimum
+    result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
+    assert result.optimal and validate_topology(result.circuit, cm)
+    assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
+    if mode is Mode.CNOT:
+        assert result.cnot_count == best_count
+        if doubly:
+            assert result.cnot_depth == min(cnot_depth(c) for c in count_circs)
+    else:
+        assert result.cnot_depth == best_depth
+        if doubly:
+            assert result.cnot_count == min(cnot_count(c) for c in depth_circs)
+
+
+@pytest.mark.parametrize("mode, doubly", ALL_MODES)
+def test_one_qubit_rep_gives_its_rotation(mode, doubly):
+    eye = ParityMatrix.identity(1)
+    rep = PhasePolyRep(eye, eye, ParityTable(1, (1,), (0.4,)))
+    result = hopps(SynthesisRequest(rep, CouplingMap(1, frozenset()), mode=mode,
+                                    doubly=doubly))
+    assert result.circuit.gates == (Rz(0.4, 0),)
+    assert result.optimal and (result.cnot_count, result.cnot_depth) == (0, 0)
 
 
 def test_empty_table_identity_gives_empty_circuit():
@@ -210,14 +288,21 @@ def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
             for mode in (Mode.CNOT, Mode.DEPTH)}
     for result in runs.values():
         for entry in result.stats:
-            assert entry["vars"] > 0 and entry["clauses"] > 0 and entry["encode_s"] >= 0
-    # count-doubly: on 3 qubits a layer holds one CNOT, so phase 2 makes no call
-    assert [entry["phase"] for entry in runs[Mode.CNOT].stats] == ["primary"] * 3
-    # depth-doubly: phase 2 hands over the optimal budget's, grown, instance
-    stats = runs[Mode.DEPTH].stats
+            if entry["phase"] != "bound":
+                assert entry["vars"] > 0 and entry["clauses"] > 0
+            assert entry["encode_s"] >= 0
+    # count-doubly: the floor is the optimum, and on 3 qubits a layer holds
+    # one CNOT, so phase 2 makes no call
+    assert [entry["phase"] for entry in runs[Mode.CNOT].stats] == ["bound", "primary"]
+    # depth-doubly: phase 2 hands over the optimal budget's, grown, instance;
+    # the triangle's model meets its count floor, so this instance descends
+    cm = CouplingMap.line(4)
+    rep = extract_rep(random_cnot_rz_circuit(random.Random(10), 4, 6, 3, cm))
+    stats = hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True)).stats
     phases = [entry["phase"] for entry in stats]
     first = phases.index("descent") - 1
-    assert set(phases[:first]) <= {"primary"} and set(phases[first + 1:]) == {"descent"}
+    assert phases[0] == "bound" and set(phases[1:first]) <= {"primary"}
+    assert phases.count("descent") >= 2 and set(phases[first + 1:]) == {"descent"}
     sizes = [(entry["vars"], entry["clauses"]) for entry in stats[first:]]
     assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
 
@@ -303,11 +388,26 @@ def test_synthesis_key_ignores_angles_and_keeps_term_order(triangle_rep, line3):
     assert synthesis_key(triangle_rep, CouplingMap.ring(3)) != key
 
 
-def test_stats_trail_records_unsat_then_sat(triangle_rep, line3):
-    result = hopps(SynthesisRequest(triangle_rep, line3))
-    primary = [s for s in result.stats if s["phase"] == "primary"]
-    assert [s["status"] for s in primary] == ["unsat", "unsat", "sat"]
-    assert [s["k"] for s in primary] == [3, 4, 5]
+def test_stats_trail_records_unsat_then_sat():
+    # SWAP on line(2): the floor rules out budgets 0 and 1, budget 2 is
+    # UNSAT and the optimum is 3
+    result = hopps(SynthesisRequest(permutation_rep((2, 1)), CouplingMap.line(2)))
+    assert [(s["phase"], s["k"], s["status"]) for s in result.stats] == \
+        [("bound", 1, "unsat"), ("primary", 2, "unsat"), ("primary", 3, "sat")]
+    # a cut carries every counter of a SAT call, at zero
+    bound, call = result.stats[0], result.stats[1]
+    assert set(bound) == set(call)
+    assert all(bound[key] == 0 for key in bound if key not in ("phase", "k", "status"))
+
+
+def test_depth_doubly_descent_stops_at_the_count_floor(triangle_rep, line3, monkeypatch):
+    _, calls = record_solvers(monkeypatch)
+    result = hopps(SynthesisRequest(triangle_rep, line3, mode=Mode.DEPTH, doubly=True))
+    assert result.cnot_count == lower_bound(triangle_rep, Mode.CNOT) == 5
+    # the model meets the floor, so no descent is handed to the solver
+    assert [phase for phase, _ in calls] == ["primary"]
+    assert [(s["phase"], s["k"]) for s in result.stats] == \
+        [("bound", 4), ("primary", 5), ("bound", 4)]
 
 
 def test_place_rotations_slot_zero():
@@ -389,8 +489,9 @@ def test_external_backend_selected_by_env(triangle_rep, line3, monkeypatch):
     internal = hopps(SynthesisRequest(triangle_rep, line3, doubly=False))
     monkeypatch.setenv("HOPPS_SOLVER", str(REF_SOLVER))
     external = hopps(SynthesisRequest(triangle_rep, line3, doubly=False))
-    # only the internal engine reports search counters
-    assert all("conflicts" not in entry for entry in external.stats)
+    # only the internal engine reports search counters; a floor's cut is no call
+    assert all("conflicts" not in entry for entry in external.stats
+               if entry["phase"] != "bound")
     assert external.cnot_count == internal.cnot_count
     assert canonical_equal(canonicalize(extract_rep(external.circuit)),
                            canonicalize(triangle_rep))
