@@ -9,15 +9,20 @@ In count mode each step holds exactly one CNOT, so the step budget equals
 the CNOT count.  In depth mode each step is a nonempty layer of
 qubit-disjoint CNOTs, so the step budget equals the CNOT depth; a CNOT
 budget on top of it bounds the count, which serves both doubly searches.
+
+``encode_common`` encodes a fixed number of steps.  ``encode_chain`` and
+``extend_chain`` grow one instance a step at a time, and ``add_goal``
+states the goal of its current budget under an activation literal, so
+one solver can try every budget in turn.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
 from .ir import ParityMatrix
-from .sat.core import SatInstance, at_least_k, at_most_k
+from .sat.core import SatInstance, SequentialCounter, at_least_k, at_most_k, sequential_at_most
 
 
 class Mode(str, Enum):
@@ -52,10 +57,124 @@ class VarLayout:
     cfg: EncodingConfig
     parity: list[list[list[int]]]          # [k][i][j] for k in 0..steps
     cnot: list[list[int]]                  # [k][e] for k in 0..steps-1
+    # term coverage: per term, one indicator per (slice, row) encoded so far
+    terms: tuple[int, ...] = ()
+    matches: list[list[int]] = field(default_factory=list)
 
 
 def _value_lit(var: int, bit: int) -> int:
     return var if bit else -var
+
+
+def _check_terms(terms: Sequence[int], n: int) -> None:
+    for t in terms:
+        if t == 0:
+            raise ValueError("term parity vectors must be nonzero")
+        if t < 0 or t >> n:
+            raise ValueError(f"term {t:#x} out of range for n={n}")
+
+
+def _pin(inst: SatInstance, slice_vars: list[list[int]], matrix: ParityMatrix,
+         guard: int | None = None) -> None:
+    """Fix a parity slice to ``matrix``; under ``guard`` only, if given."""
+    for row, bits in zip(matrix.rows, slice_vars):
+        for j, var in enumerate(bits):
+            lit = _value_lit(var, (row >> j) & 1)
+            inst.add_clause([lit] if guard is None else [-guard, lit])
+
+
+def _row_matches(inst: SatInstance, slice_vars: list[list[int]], term: int) -> list[int]:
+    """One fresh indicator per row of a slice, each implying a bitwise
+    match of its row with ``term``."""
+    indicators = []
+    for bits in slice_vars:
+        m = inst.new_var()
+        for j, var in enumerate(bits):
+            inst.add_clause([-m, _value_lit(var, (term >> j) & 1)])
+        indicators.append(m)
+    return indicators
+
+
+def _append_step(inst: SatInstance, layout: VarLayout) -> list[int]:
+    """Add step ``k`` (its CNOTs) and parity slice ``k + 1``, and return
+    the step's CNOT variables.
+
+    A selected CNOT on edge (c, t) flips target-row bits wherever the
+    control row holds a 1, and rows targeted by no selected gate carry over
+    unchanged.
+    """
+    n = layout.cfg.num_qubits
+    edges = layout.cfg.directed_edges
+    k = len(layout.cnot)
+    step_vars = [inst.name_var("cnot", k, a, b) for a, b in edges]
+    layout.cnot.append(step_vars)
+    # auxiliary "row i is targeted at step k" indicators
+    targeted: list[int | None] = []
+    for i in range(n):
+        targeting = [step_vars[e] for e, (a, b) in enumerate(edges) if b == i]
+        if not targeting:
+            targeted.append(None)
+            continue
+        aux = inst.new_var()
+        for v in targeting:
+            inst.add_clause([-v, aux])
+        inst.add_clause([-aux] + targeting)
+        targeted.append(aux)
+
+    nxt = [[inst.name_var("P", k + 1, i, j) for j in range(n)] for i in range(n)]
+    cur = layout.parity[k]
+    layout.parity.append(nxt)
+
+    for e, (c, t) in enumerate(edges):
+        gate = step_vars[e]
+        for j in range(n):
+            pc, pt, qt = cur[c][j], cur[t][j], nxt[t][j]
+            # control bit 1: target bit flips
+            inst.add_clause([-gate, -pc, qt, pt])
+            inst.add_clause([-gate, -pc, -qt, -pt])
+            # control bit 0: target bit carries over
+            inst.add_clause([-gate, pc, qt, -pt])
+            inst.add_clause([-gate, pc, -qt, pt])
+    for i in range(n):
+        aux = targeted[i]
+        for j in range(n):
+            p, q = cur[i][j], nxt[i][j]
+            if aux is None:
+                inst.add_clause([-p, q])
+                inst.add_clause([p, -q])
+            else:
+                inst.add_clause([aux, -p, q])
+                inst.add_clause([aux, p, -q])
+    return step_vars
+
+
+def _step_mode(inst: SatInstance, cfg: EncodingConfig, step_vars: list[int]) -> None:
+    """Count mode: exactly one CNOT.  Depth mode: a nonempty layer of
+    qubit-disjoint CNOTs."""
+    at_least_k(inst, step_vars, 1)
+    if cfg.mode is Mode.CNOT:
+        at_most_k(inst, step_vars, 1)
+        return
+    for q in range(cfg.num_qubits):
+        incident = [step_vars[e] for e, (a, b) in enumerate(cfg.directed_edges) if q in (a, b)]
+        at_most_k(inst, incident, 1)
+
+
+def _check_size(matrix: ParityMatrix, cfg: EncodingConfig) -> None:
+    if matrix.n != cfg.num_qubits:
+        raise ValueError("matrix size does not match the encoding config")
+
+
+def _open(initial: ParityMatrix, terms: Sequence[int],
+          cfg: EncodingConfig) -> tuple[SatInstance, VarLayout]:
+    """An instance with parity slice 0 pinned to ``initial``, and no step."""
+    n = cfg.num_qubits
+    _check_size(initial, cfg)
+    _check_terms(terms, n)
+    inst = SatInstance()
+    parity = [[[inst.name_var("P", 0, i, j) for j in range(n)] for i in range(n)]]
+    _pin(inst, parity[0], initial)
+    return inst, VarLayout(cfg, parity, [], tuple(terms))
 
 
 def encode_common(initial: ParityMatrix, final: ParityMatrix,
@@ -63,90 +182,61 @@ def encode_common(initial: ParityMatrix, final: ParityMatrix,
     """Parity evolution, endpoint, and term-coverage constraints.
 
     The parity state is pinned to ``initial`` at step 0 and to ``final``
-    after the last step; a selected CNOT on edge (c, t) flips target-row
-    bits wherever the control row holds a 1, and rows targeted by no
-    selected gate carry over unchanged.  Every term must equal some row
-    of some parity slice, endpoints included.
+    after the last step.  Every term must equal some row of some parity
+    slice, endpoints included.
     """
-    n = cfg.num_qubits
-    K = cfg.steps
-    if initial.n != n or final.n != n:
-        raise ValueError("matrix size does not match the encoding config")
-    for t in terms:
-        if t == 0:
-            raise ValueError("term parity vectors must be nonzero")
-        if t < 0 or t >> n:
-            raise ValueError(f"term {t:#x} out of range for n={n}")
-
-    inst = SatInstance()
-    edges = cfg.directed_edges
-
-    parity = [[[inst.name_var("P", 0, i, j) for j in range(n)] for i in range(n)]]
-    for i in range(n):
-        row = initial.rows[i]
-        for j in range(n):
-            inst.add_clause([_value_lit(parity[0][i][j], (row >> j) & 1)])
-
-    cnot: list[list[int]] = []
-    for k in range(K):
-        step_vars = [inst.name_var("cnot", k, a, b) for a, b in edges]
-        cnot.append(step_vars)
-        # auxiliary "row i is targeted at step k" indicators
-        targeted: list[int | None] = []
-        for i in range(n):
-            targeting = [step_vars[e] for e, (a, b) in enumerate(edges) if b == i]
-            if not targeting:
-                targeted.append(None)
-                continue
-            aux = inst.new_var()
-            for v in targeting:
-                inst.add_clause([-v, aux])
-            inst.add_clause([-aux] + targeting)
-            targeted.append(aux)
-
-        nxt = [[inst.name_var("P", k + 1, i, j) for j in range(n)] for i in range(n)]
-        parity.append(nxt)
-        cur = parity[k]
-
-        for e, (c, t) in enumerate(edges):
-            gate = step_vars[e]
-            for j in range(n):
-                pc, pt, qt = cur[c][j], cur[t][j], nxt[t][j]
-                # control bit 1: target bit flips
-                inst.add_clause([-gate, -pc, qt, pt])
-                inst.add_clause([-gate, -pc, -qt, -pt])
-                # control bit 0: target bit carries over
-                inst.add_clause([-gate, pc, qt, -pt])
-                inst.add_clause([-gate, pc, -qt, pt])
-        for i in range(n):
-            aux = targeted[i]
-            for j in range(n):
-                p, q = cur[i][j], nxt[i][j]
-                if aux is None:
-                    inst.add_clause([-p, q])
-                    inst.add_clause([p, -q])
-                else:
-                    inst.add_clause([aux, -p, q])
-                    inst.add_clause([aux, p, -q])
-
-    for i in range(n):
-        row = final.rows[i]
-        for j in range(n):
-            inst.add_clause([_value_lit(parity[K][i][j], (row >> j) & 1)])
-
+    _check_size(final, cfg)
+    inst, layout = _open(initial, terms, cfg)
+    for _ in range(cfg.steps):
+        _append_step(inst, layout)
+    _pin(inst, layout.parity[-1], final)
     # term coverage: a fresh indicator per (term, slice, row) implies a
     # bitwise row match; at least one indicator fires per term
     for t in terms:
-        indicators = []
-        for k in range(K + 1):
-            for i in range(n):
-                m = inst.new_var()
-                for j in range(n):
-                    inst.add_clause([-m, _value_lit(parity[k][i][j], (t >> j) & 1)])
-                indicators.append(m)
+        indicators = [m for slice_vars in layout.parity
+                      for m in _row_matches(inst, slice_vars, t)]
         at_least_k(inst, indicators, 1)
+        layout.matches.append(indicators)
+    return inst, layout
 
-    return inst, VarLayout(cfg, parity, cnot)
+
+def encode_chain(initial: ParityMatrix, terms: Sequence[int],
+                 cfg: EncodingConfig) -> tuple[SatInstance, VarLayout]:
+    """The parity evolution of ``encode_common`` over ``cfg.steps`` steps,
+    with the mode constraints of each step and the coverage indicators of
+    each slice, but no goal: ``extend_chain`` grows it by one step, and
+    ``add_goal`` states the goal of its current budget."""
+    inst, layout = _open(initial, terms, cfg)
+    layout.cfg = replace(cfg, steps=0)
+    layout.matches.extend(_row_matches(inst, layout.parity[0], t) for t in terms)
+    for _ in range(cfg.steps):
+        extend_chain(inst, layout)
+    return inst, layout
+
+
+def extend_chain(inst: SatInstance, layout: VarLayout) -> None:
+    """Append one step to a chain of ``encode_chain``, in place: its CNOTs,
+    the next parity slice, the transition and mode constraints of the step
+    and the coverage indicators of the slice."""
+    step_vars = _append_step(inst, layout)
+    _step_mode(inst, layout.cfg, step_vars)
+    for t, indicators in zip(layout.terms, layout.matches):
+        indicators.extend(_row_matches(inst, layout.parity[-1], t))
+    layout.cfg = replace(layout.cfg, steps=len(layout.cnot))
+
+
+def add_goal(inst: SatInstance, layout: VarLayout, final: ParityMatrix) -> int:
+    """Guard the goal of a chain's current budget with a fresh activation
+    literal, and return it: under it the last slice is ``final`` and every
+    term appears in some slice.  Solve under the literal to try the budget;
+    add its negation as a unit to drop the goal, or the literal itself to
+    keep it for good."""
+    _check_size(final, layout.cfg)
+    goal = inst.new_var()
+    _pin(inst, layout.parity[-1], final, guard=goal)
+    for indicators in layout.matches:
+        inst.add_clause([-goal] + indicators)
+    return goal
 
 
 def add_cnot_mode(inst: SatInstance, layout: VarLayout) -> None:
@@ -154,33 +244,38 @@ def add_cnot_mode(inst: SatInstance, layout: VarLayout) -> None:
     if layout.cfg.mode is not Mode.CNOT:
         raise ValueError("count-mode constraints on a non-count config")
     for step_vars in layout.cnot:
-        at_least_k(inst, step_vars, 1)
-        at_most_k(inst, step_vars, 1)
+        _step_mode(inst, layout.cfg, step_vars)
 
 
 def add_depth_mode(inst: SatInstance, layout: VarLayout) -> None:
     """Nonempty qubit-disjoint layer per step: the budget is the depth."""
     if layout.cfg.mode is not Mode.DEPTH:
         raise ValueError("depth-mode constraints on a non-depth config")
-    edges = layout.cfg.directed_edges
     for step_vars in layout.cnot:
-        at_least_k(inst, step_vars, 1)
-        for q in range(layout.cfg.num_qubits):
-            incident = [step_vars[e] for e, (a, b) in enumerate(edges) if q in (a, b)]
-            at_most_k(inst, incident, 1)
+        _step_mode(inst, layout.cfg, step_vars)
 
 
-def add_cnot_budget(inst: SatInstance, layout: VarLayout, budget: int) -> None:
-    """Cap the total CNOT count across all steps of a depth-mode instance."""
+def add_cnot_budget(inst: SatInstance, layout: VarLayout,
+                    budget: int) -> SequentialCounter | None:
+    """Cap the total CNOT count across all steps of a depth-mode instance.
+
+    For ``1 <= budget <`` the number of CNOT variables the cap is a
+    sequential counter, and its handle is returned: ``tighten`` lowers the
+    cap in place.  Otherwise None is returned.
+    """
     if budget < 0:
         raise ValueError("CNOT budget must be nonnegative")
     if layout.cfg.mode is not Mode.DEPTH:
         raise ValueError("CNOT budget applies to depth-mode instances only")
     everything = [v for step_vars in layout.cnot for v in step_vars]
+    if 1 <= budget < len(everything):
+        return sequential_at_most(inst, everything, budget)
     at_most_k(inst, everything, budget)
+    return None
 
 
 __all__ = [
     "Mode", "EncodingConfig", "VarLayout",
-    "encode_common", "add_cnot_mode", "add_depth_mode", "add_cnot_budget",
+    "encode_common", "encode_chain", "extend_chain", "add_goal",
+    "add_cnot_mode", "add_depth_mode", "add_cnot_budget",
 ]

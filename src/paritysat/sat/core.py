@@ -63,8 +63,32 @@ def _pairwise_at_most_one(inst: SatInstance, lits: Sequence[Lit]) -> None:
             inst.add_clause([-lits[i], -lits[j]])
 
 
-def _sequential_at_most(inst: SatInstance, lits: Sequence[Lit], k: int) -> None:
-    """Sinz sequential-counter encoding of AtMost-k (adds auxiliary vars)."""
+@dataclass(frozen=True)
+class SequentialCounter:
+    """What a Sinz counter over two or more literals needs to be tightened.
+
+    ``last`` is the last literal and ``row`` the registers after all the
+    others: ``row[j]`` is forced true once ``j + 1`` of them are true.
+    """
+
+    last: Lit
+    row: tuple[Lit, ...]
+
+    def tighten(self, inst: SatInstance, k: int) -> None:
+        """Lower the bound in place to ``k``, below the bound it was built
+        with: at most ``k`` of the others, and at most ``k - 1`` of them
+        when the last literal is true."""
+        if not 0 <= k < len(self.row):
+            raise ValueError(f"cannot tighten a counter of bound {len(self.row)} to {k}")
+        inst.add_clause([-self.row[k]])
+        inst.add_clause([-self.last, -self.row[k - 1]] if k else [-self.last])
+
+
+def sequential_at_most(inst: SatInstance, lits: Sequence[Lit], k: int) -> SequentialCounter:
+    """Sinz sequential-counter encoding of AtMost-k (adds auxiliary vars),
+    for ``1 <= k < len(lits)``; returns the handle that tightens it."""
+    if not 1 <= k < len(lits):
+        raise ValueError(f"a sequential counter needs 1 <= k < {len(lits)}, got {k}")
     n = len(lits)
     # registers s[i][j]: among the first i+1 literals at least j+1 are true
     s = [[inst.new_var() for _ in range(k)] for _ in range(n - 1)]
@@ -79,6 +103,7 @@ def _sequential_at_most(inst: SatInstance, lits: Sequence[Lit], k: int) -> None:
             inst.add_clause([-s[i - 1][j], s[i][j]])
         inst.add_clause([-lits[i], -s[i - 1][k - 1]])
     inst.add_clause([-lits[n - 1], -s[n - 2][k - 1]])
+    return SequentialCounter(lits[n - 1], tuple(s[n - 2]))
 
 
 def at_most_k(inst: SatInstance, lits: Sequence[Lit], k: int) -> None:
@@ -95,7 +120,7 @@ def at_most_k(inst: SatInstance, lits: Sequence[Lit], k: int) -> None:
     if k == 1 and len(lits) <= 6:
         _pairwise_at_most_one(inst, lits)
         return
-    _sequential_at_most(inst, lits, k)
+    sequential_at_most(inst, lits, k)
 
 
 def at_least_k(inst: SatInstance, lits: Sequence[Lit], k: int) -> None:
@@ -117,15 +142,20 @@ def at_least_k(inst: SatInstance, lits: Sequence[Lit], k: int) -> None:
     at_most_k(inst, [-lit for lit in lits], len(lits) - k)
 
 
-def export_dimacs(inst: SatInstance) -> str:
-    """Standard DIMACS CNF text plus a comment block naming variable families."""
+def export_dimacs(inst: SatInstance, units: Sequence[Lit] = ()) -> str:
+    """Standard DIMACS CNF text plus a comment block naming variable families.
+
+    ``units`` are appended as unit clauses, so an instance solved under
+    assumptions is exported with them; ``inst`` is not changed.
+    """
     lines = []
     for (family, index), var in sorted(inst.named.items(), key=lambda kv: kv[1]):
         idx = ",".join(str(i) for i in index)
         lines.append(f"c named {family}({idx}) = {var}")
-    lines.append(f"p cnf {inst.num_vars} {inst.num_clauses}")
+    lines.append(f"p cnf {inst.num_vars} {inst.num_clauses + len(units)}")
     for clause in inst.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    lines.extend(f"{lit} 0" for lit in units)
     return "\n".join(lines) + "\n"
 
 
@@ -164,6 +194,7 @@ def parse_dimacs(text: str) -> SatInstance:
 
 
 __all__ = [
-    "Lit", "CardinalityError", "SatInstance", "at_most_k", "at_least_k",
+    "Lit", "CardinalityError", "SatInstance", "SequentialCounter",
+    "sequential_at_most", "at_most_k", "at_least_k",
     "export_dimacs", "parse_dimacs",
 ]

@@ -2,8 +2,9 @@
 
 The executable receives one argument (a CNF file path) and must print
 ``s SATISFIABLE`` or ``s UNSATISFIABLE`` plus ``v`` value lines, the
-convention used by SAT-competition solvers.  A claimed model is checked
-against every clause before it is returned.
+convention used by SAT-competition solvers.  Assumptions are written as
+extra unit clauses.  A claimed model is checked against every clause and
+every assumption before it is returned.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import subprocess
 import tempfile
 import time
 from pathlib import Path
+from typing import Sequence
 
 from .core import SatInstance, export_dimacs
 from .solver import SatModel, SolverTimeout
@@ -25,11 +27,14 @@ class ExternalSolver:
         self.path = path
 
     def solve(self, inst: SatInstance, timeout_s: float = 600.0,
-              stats_out: dict | None = None) -> SatModel | None:
+              stats_out: dict | None = None,
+              assumptions: Sequence[int] = ()) -> SatModel | None:
+        """Solve ``inst`` with the ``assumptions`` as extra unit clauses;
+        the instance itself is not changed."""
         start = time.monotonic()
         with tempfile.TemporaryDirectory(prefix="paritysat-") as tmp:
             cnf = Path(tmp) / "problem.cnf"
-            cnf.write_text(export_dimacs(inst))
+            cnf.write_text(export_dimacs(inst, assumptions))
             try:
                 proc = subprocess.run(
                     [self.path, str(cnf)],
@@ -62,7 +67,7 @@ class ExternalSolver:
             if abs(lit) <= inst.num_vars:
                 values[abs(lit)] = lit > 0
         model = SatModel(tuple(values))
-        for clause in inst.clauses:
+        for clause in [*inst.clauses, *([lit] for lit in assumptions)]:
             if not any(model.truth(lit) for lit in clause):
                 raise ExternalSolverError(
                     f"model from {self.path!r} falsifies clause {clause}")

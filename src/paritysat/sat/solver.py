@@ -16,6 +16,15 @@ later call resumes from what earlier calls proved.  Clauses are only
 ever added, so everything learned stays implied.  The instance itself is
 read, never mutated.
 
+A call may assume literals: they are decided first, one per decision
+level, and a model sets them all.  Learned clauses follow from the
+clauses alone, never from the assumptions, so they stay valid once the
+assumptions are dropped.  An assumption found false ends the call
+without a model, but the instance stays open; only a conflict at level
+0 makes it UNSAT for good.  A synthesis guards the goal of each step
+budget with an activation literal and assumes it, so one solver serves
+every budget.
+
 Decisions follow EVSIDS (Chaff, DAC 2001; MiniSat): every variable that
 conflict analysis touches has its activity bumped, the bump grows by
 1/0.95 per conflict, and a decision takes the unassigned variable of
@@ -36,6 +45,7 @@ import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import neg
+from typing import Sequence
 
 from .core import SatInstance
 
@@ -109,12 +119,16 @@ class Solver:
         self.in_heap = [False]
         self.restarts = 0               # over all calls: the Luby index
 
-    def solve(self, timeout_s: float = 600.0,
-              stats_out: dict | None = None) -> SatModel | None:
+    def solve(self, timeout_s: float = 600.0, stats_out: dict | None = None,
+              assumptions: Sequence[int] = ()) -> SatModel | None:
         """Search the instance as it stands; returns a model or None (UNSAT).
 
-        ``stats_out`` receives this call's counters.  On ``SolverTimeout``
-        the solver is back at level 0 and may be called again.
+        ``assumptions`` are literals decided first, one per decision level,
+        in order; a model sets them all true.  None then means no model sets
+        them all true: the instance itself is UNSAT for good (``unsat``)
+        only when a conflict reaches level 0.  ``stats_out`` receives this
+        call's counters.  On ``SolverTimeout`` the solver is back at level 0
+        and may be called again.
         """
         start = time.monotonic()
         deadline = start + timeout_s
@@ -129,8 +143,12 @@ class Solver:
         trail_lim = self.trail_lim
         db = self.db
         watches = self.watches
+        n_assumed = len(assumptions)
+        refuted = False
         try:
             self._take_in()
+            if any(abs(lit) > self.num_vars or lit == 0 for lit in assumptions):
+                raise ValueError("assumption on an unallocated variable")
             # each call starts at level 0, as a restart would: the conflict
             # count toward the next restart starts afresh
             conflicts_left = RESTART_UNIT * _luby(self.restarts)
@@ -144,6 +162,24 @@ class Solver:
                         self.restarts += 1
                         n_restarts += 1
                         conflicts_left = RESTART_UNIT * _luby(self.restarts)
+                    # an assumption already true gets an empty level, so
+                    # that level i + 1 always belongs to assumptions[i]
+                    while len(trail_lim) < n_assumed:
+                        lit = assumptions[len(trail_lim)]
+                        value = assign[lit] if lit > 0 else -assign[-lit]
+                        if value == 0:
+                            break
+                        if value < 0:
+                            refuted = True
+                            break
+                        trail_lim.append(len(self.trail))
+                    if refuted:
+                        break
+                    if len(trail_lim) < n_assumed:
+                        n_decisions += 1
+                        trail_lim.append(len(self.trail))
+                        self._enqueue(assumptions[len(trail_lim) - 1], -1)
+                        continue
                     var = 0
                     while heap:
                         neg_act, v = heappop(heap)
@@ -213,24 +249,25 @@ class Solver:
             self.heap.extend([(0.0, v) for v in range(old + 1, nv + 1)])
             self.num_vars = nv
 
-        assign = self.assign
         watches = self.watches
         db = self.db
-        root_facts = bool(self.trail)
+        # at level 0 the trail holds exactly the root facts
+        root_true = set(self.trail)
+        root_false = set(map(neg, root_true))
         units: list[int] = []
         for clause in inst.clauses[self.taken:]:
             seen = set(clause)
             lits = sorted(seen)
             if lits[0] < 0 < lits[-1] and not seen.isdisjoint(map(neg, lits)):
                 continue
-            if root_facts:
-                values = [assign[lit] if lit > 0 else -assign[-lit] for lit in lits]
-                if 1 in values:
+            if root_true:
+                if not root_true.isdisjoint(seen):
                     continue
-                lits = [lit for lit, value in zip(lits, values) if value == 0]
-                if not lits:
-                    self.unsat = True
-                    continue
+                if not root_false.isdisjoint(seen):
+                    lits = [lit for lit in lits if lit not in root_false]
+                    if not lits:
+                        self.unsat = True
+                        continue
             if len(lits) == 1:
                 units.append(lits[0])
             else:
@@ -417,20 +454,22 @@ def solve(inst: SatInstance, timeout_s: float = 600.0,
 
 
 def solve_instance(inst: SatInstance, timeout_s: float = 600.0,
-                   stats_out: dict | None = None,
-                   solver: Solver | None = None) -> SatModel | None:
+                   stats_out: dict | None = None, solver: Solver | None = None,
+                   assumptions: Sequence[int] = ()) -> SatModel | None:
     """Dispatch to the internal solver or to the external DIMACS executable
     named by HOPPS_SOLVER (unset or ``internal`` selects the internal one).
 
     The internal search resumes ``solver`` (built on ``inst``) when one is
-    given; an external backend is handed the whole instance every call.
+    given; an external backend is handed the whole instance every call,
+    with the ``assumptions`` as extra unit clauses.
     """
     backend = os.environ.get("HOPPS_SOLVER", "").strip()
     if not backend or backend == "internal":
-        return (solver if solver is not None else Solver(inst)).solve(timeout_s, stats_out)
+        return (solver if solver is not None else Solver(inst)).solve(
+            timeout_s, stats_out, assumptions)
     from .external import ExternalSolver
 
-    return ExternalSolver(backend).solve(inst, timeout_s, stats_out)
+    return ExternalSolver(backend).solve(inst, timeout_s, stats_out, assumptions)
 
 
 __all__ = ["SatModel", "SolverTimeout", "Solver", "solve", "solve_instance"]

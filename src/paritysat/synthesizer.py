@@ -1,16 +1,26 @@
 """Incremental SAT search for optimal and doubly optimal circuits.
 
 Phase 1 grows the step budget from the provable floor ``lower_bound``
-until the first satisfiable encoding; that budget is the optimal primary
-metric (count in count mode, depth in depth mode).  Phase 2, when
-requested, fixes the primary optimum and descends on the secondary
-metric; the last satisfiable model wins.  Both descents run on the
-depth-mode encoding:
+until the first satisfiable budget; that budget is the optimal primary
+metric (count in count mode, depth in depth mode).  It runs on one
+growing instance and one ``Solver``, in the style of incremental bounded
+model checking (Een & Sorensson, 2003): ``encode_chain`` encodes the
+steps up to the floor, ``add_goal`` states the goal of the current budget
+(final parities, term coverage) under a fresh activation literal, and the
+call assumes that literal.  On UNSAT the negated literal becomes a unit
+and ``extend_chain`` appends one step in place; on SAT the literal
+becomes a unit.  Every later call resumes from what earlier budgets
+learned.
 
-* depth mode adds shrinking CNOT budgets to the primary instance, so each
-  descent resumes the incremental ``Solver`` of the optimal budget; it
-  stops once the model meets the count floor, below which every budget
-  is unsatisfiable;
+Phase 2, when requested, fixes the primary optimum and descends on the
+secondary metric; the last satisfiable model wins.  Both descents run on
+the depth-mode encoding:
+
+* depth mode puts one sequential counter on the CNOT count of the
+  optimal budget's instance, just below the first model's count, and
+  tightens it in place for each lower count, so each descent resumes the
+  same ``Solver``; it stops once the model meets the count floor, below
+  which every budget is unsatisfiable;
 * count mode pins the budget to the optimal count and tries depths below
   the best circuit's, one fresh depth-mode instance and ``Solver`` per
   depth, down to the floor ``ceil(count / (n // 2))``, since a layer
@@ -21,10 +31,6 @@ A budget below a floor is never handed to the solver: its answer is known
 to be UNSAT.  Each such cut in phase 1 and in the depth-mode descent
 leaves one ``bound`` stats entry, whose ``k`` is the largest budget ruled
 out and whose counters are 0.
-
-Each phase-1 budget gets one encoding and one ``Solver``; the solver is
-dropped when the budget grows, so at most one budget's solver is alive at
-a time.
 """
 from __future__ import annotations
 
@@ -39,7 +45,10 @@ from .encoder import (
     add_cnot_budget,
     add_cnot_mode,
     add_depth_mode,
+    add_goal,
+    encode_chain,
     encode_common,
+    extend_chain,
 )
 from .ir import (
     Circuit,
@@ -53,11 +62,12 @@ from .ir import (
     induced_coupling,
 )
 from .phasepoly import merged_table
-from .sat.core import SatInstance, export_dimacs
+from .sat.core import export_dimacs
 from .sat.solver import SatModel, Solver, SolverTimeout, solve_instance
 
 
-# bench/layertrace.py wraps both names by attribute; nothing calls them
+# bench/layertrace.py wraps these names and ``add_cnot_mode`` by attribute;
+# nothing here calls them
 add_layer_assignment = add_depth_limit = None
 
 
@@ -265,8 +275,8 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
     stats: list[dict] = []
     deadline = time.monotonic() + req.timeout_s
 
-    def timed_solve(solver: Solver, phase: str, k: int,
-                    encoded_at: float) -> SatModel | None:
+    def timed_solve(solver: Solver, phase: str, k: int, encoded_at: float,
+                    assumptions: tuple[int, ...] = ()) -> SatModel | None:
         """One SAT call; its stats entry also records the CNF handed over
         and the seconds spent encoding since ``encoded_at``."""
         inst = solver.inst
@@ -274,13 +284,14 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                        "clauses": inst.num_clauses,
                        "encode_s": time.monotonic() - encoded_at}
         remaining = max(deadline - time.monotonic(), 0.0)
-        model = solve_instance(inst, remaining, stats_out=entry, solver=solver)
+        model = solve_instance(inst, remaining, stats_out=entry, solver=solver,
+                               assumptions=assumptions)
         entry["status"] = "sat" if model is not None else "unsat"
         stats.append(entry)
         if model is not None and req.dimacs_path:
-            # the last satisfiable instance is the one whose model is returned
+            # the last satisfiable call is the one whose model is returned
             with open(req.dimacs_path, "w") as fh:
-                fh.write(export_dimacs(inst))
+                fh.write(export_dimacs(inst, assumptions))
         return model
 
     def ruled_out(k: int) -> None:
@@ -289,15 +300,6 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                       "encode_s": 0.0, "status": "unsat", "seconds": 0.0,
                       "decisions": 0, "conflicts": 0, "propagations": 0,
                       "learned": 0, "restarts": 0})
-
-    def encode(mode: Mode, k: int) -> tuple[SatInstance, VarLayout]:
-        cfg = EncodingConfig(mode, k, n, edges)
-        inst, layout = encode_common(rep.initial, rep.final, unique_terms, cfg)
-        if mode is Mode.CNOT:
-            add_cnot_mode(inst, layout)
-        else:
-            add_depth_mode(inst, layout)
-        return inst, layout
 
     def finish(circuit: Circuit, layers: list[list[tuple[int, int]]] | None,
                optimal: bool, steps: list[list[tuple[int, int]]]) -> SynthesisResult:
@@ -309,12 +311,18 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         ruled_out(floor - 1)
     for k in range(floor, k_top + 1):
         encoded_at = time.monotonic()
-        inst, layout = encode(req.mode, k)
-        solver = Solver(inst)  # one per budget: rebinding drops the last one
+        if k == floor:
+            inst, layout = encode_chain(rep.initial, unique_terms,
+                                        EncodingConfig(req.mode, k, n, edges))
+            solver = Solver(inst)
+        else:
+            extend_chain(inst, layout)
+        goal = add_goal(inst, layout, rep.final)
         try:
-            model = timed_solve(solver, "primary", k, encoded_at)
+            model = timed_solve(solver, "primary", k, encoded_at, (goal,))
         except SolverTimeout as exc:
             raise SynthesisTimeout(f"no model within {req.timeout_s} s at budget {k}") from exc
+        inst.add_clause([goal if model is not None else -goal])
         if model is None:
             continue
 
@@ -329,9 +337,13 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         if req.mode is Mode.DEPTH:
             count = _count_gates(model, layout)
             count_floor = lower_bound(bound_rep, Mode.CNOT)
+            budget = None  # one counter, tightened in place by each step down
             while count > count_floor:
                 encoded_at = time.monotonic()
-                add_cnot_budget(inst, layout, count - 1)
+                if budget is None:
+                    budget = add_cnot_budget(inst, layout, count - 1)
+                else:
+                    budget.tighten(inst, count - 1)
                 try:
                     nxt = timed_solve(solver, "descent", count - 1, encoded_at)
                 except SolverTimeout:
@@ -354,7 +366,9 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         depth = cnot_depth(best) - 1
         while depth >= -(-k // (n // 2)):
             encoded_at = time.monotonic()
-            inst, layout = encode(Mode.DEPTH, depth)
+            inst, layout = encode_common(rep.initial, rep.final, unique_terms,
+                                         EncodingConfig(Mode.DEPTH, depth, n, edges))
+            add_depth_mode(inst, layout)
             add_cnot_budget(inst, layout, k)
             try:
                 model = timed_solve(Solver(inst), "descent", depth, encoded_at)

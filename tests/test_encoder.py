@@ -8,10 +8,13 @@ from paritysat.encoder import (
     add_cnot_budget,
     add_cnot_mode,
     add_depth_mode,
+    add_goal,
+    encode_chain,
     encode_common,
+    extend_chain,
 )
 from paritysat.ir import CouplingMap, ParityMatrix, apply_cnot
-from paritysat.sat.solver import solve
+from paritysat.sat.solver import Solver, solve
 
 from testkit import random_instance
 
@@ -123,6 +126,35 @@ def test_model_replay_reproduces_parity_and_terms():
                 assert tuple(rows) == rep.final.rows
                 assert all(matched.values())
                 break
+
+
+def test_grown_chain_answers_each_budget_as_a_fresh_encoding():
+    rng = random.Random(58)
+    unsat_budgets = 0
+    for _ in range(8):
+        n = rng.choice([2, 3])
+        cm = rng.choice([CouplingMap.line, CouplingMap.complete])(n)
+        rep = random_instance(rng, n, cm, rng.randint(1, 4), rng.randint(0, 2))
+        terms = sorted(set(rep.table.terms))
+        for mode in (Mode.CNOT, Mode.DEPTH):
+            inst, layout = encode_chain(rep.initial, terms, make_cfg(mode, 0, cm))
+            solver = Solver(inst)
+            for k in range(6):
+                if k:
+                    extend_chain(inst, layout)
+                assert layout.cfg.steps == len(layout.cnot) == k
+                goal = add_goal(inst, layout, rep.final)
+                model = solver.solve(assumptions=[goal])
+                fresh, _ = encode_for(mode, k, cm, rep.initial, rep.final, terms)
+                assert (model is None) == (solve(fresh) is None)
+                if model is None:
+                    inst.add_clause([-goal])
+                    unsat_budgets += 1
+                    continue
+                rows, matched = _replay_and_check(model, layout, rep.initial, terms)
+                assert tuple(rows) == rep.final.rows and all(matched.values())
+                break
+    assert unsat_budgets > 0
 
 
 def test_model_enumeration_matches_sequence_count():

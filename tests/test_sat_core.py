@@ -13,6 +13,7 @@ from paritysat.sat.core import (
     at_most_k,
     export_dimacs,
     parse_dimacs,
+    sequential_at_most,
 )
 from paritysat.sat.solver import solve
 
@@ -149,6 +150,46 @@ def test_cardinality_projections_with_many_auxiliaries():
             extendable = solve(probe) is not None
             expected = sum(bits) <= k if most else sum(bits) >= k
             assert extendable == expected
+
+
+def _extendable(inst, lits):
+    """The assignments of ``lits`` that the auxiliaries of ``inst`` extend
+    to a model."""
+    allowed = set()
+    for bits in itertools.product([False, True], repeat=len(lits)):
+        units = [[lit if bit else -lit] for lit, bit in zip(lits, bits)]
+        if solve(SatInstance(inst.num_vars, [*inst.clauses, *units])) is not None:
+            allowed.add(bits)
+    return allowed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tightened_counter_allows_at_most_the_new_bound(n):
+    everything = set(itertools.product([False, True], repeat=n))
+    for k in range(1, n):
+        # each bound below k, tightened once and as a descent does, step by step
+        descent, lits = fresh(n)
+        stepped = sequential_at_most(descent, lits, k)
+        for tight in range(k - 1, -1, -1):
+            inst, once_lits = fresh(n)
+            sequential_at_most(inst, once_lits, k).tighten(inst, tight)
+            stepped.tighten(descent, tight)
+            want = {p for p in everything if sum(p) <= tight}
+            assert _extendable(inst, once_lits) == want
+            assert _extendable(descent, lits) == want
+        with pytest.raises(ValueError):
+            stepped.tighten(descent, k)
+    with pytest.raises(ValueError):
+        sequential_at_most(*fresh(n), n)
+
+
+def test_export_appends_units_without_changing_the_instance():
+    inst, (x1, x2) = fresh(2)
+    inst.add_clause([x1, -x2])
+    lines = export_dimacs(inst, (x2, -x1)).strip().splitlines()
+    assert lines == ["p cnf 2 3", "1 -2 0", "2 0", "-1 0"]
+    assert inst.clauses == [[x1, -x2]]
+    assert solve(parse_dimacs("\n".join(lines))) is None
 
 
 def test_export_empty_instance():

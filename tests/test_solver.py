@@ -140,6 +140,74 @@ def test_resumed_solver_agrees_with_fresh_solves_and_truth_tables():
                         assert any(model.truth(lit) for lit in clause)
 
 
+def _assert_model(model, inst, assumptions=()):
+    assert len(model.values) == inst.num_vars + 1
+    assert all(any(model.truth(lit) for lit in clause) for clause in inst.clauses)
+    assert all(model.truth(lit) for lit in assumptions)
+
+
+def test_assumptions_agree_with_truth_tables_on_growing_instances():
+    rng = random.Random(4096)
+    refuted = 0
+    for _ in range(150):
+        inst = SatInstance()
+        solver = Solver(inst)
+        for _ in range(rng.randint(3, 5)):
+            inst.new_vars(rng.randint(0 if inst.num_vars else 1, 4))
+            for _ in range(rng.randint(1, 8)):
+                width = min(rng.choice([1, 2, 3, 3, 4, 4]), inst.num_vars)
+                inst.add_clause([rng.randint(1, inst.num_vars) * rng.choice([-1, 1])
+                                 for _ in range(width)])
+            assumed = [rng.randint(1, inst.num_vars) * rng.choice([-1, 1])
+                       for _ in range(rng.randint(0, 4))]
+            model = solver.solve(assumptions=assumed)
+            expected = brute_is_sat(inst.num_vars, inst.clauses + [[lit] for lit in assumed])
+            assert (model is not None) == expected
+            if model is not None:
+                _assert_model(model, inst, assumed)
+            # the same solver, without the assumptions, still answers the instance
+            satisfiable = brute_is_sat(inst.num_vars, inst.clauses)
+            refuted += satisfiable and not expected
+            plain = solver.solve()
+            assert (plain is not None) == satisfiable and solver.unsat != satisfiable
+            if plain is not None:
+                _assert_model(plain, inst)
+    assert refuted > 20
+
+
+def test_unsat_under_an_activation_literal_leaves_the_instance_open():
+    # a pigeonhole instance whose "every pigeon sits" clauses hold only
+    # under the activation literal: a real search refutes it, yet dropping
+    # the literal leaves a satisfiable instance, as phase 1 does per budget
+    inst = _pigeonhole(5)
+    active = inst.new_var()
+    inst.clauses[:6] = [[-active] + clause for clause in inst.clauses[:6]]
+    solver = Solver(inst)
+    stats = {}
+    assert solver.solve(stats_out=stats, assumptions=[active]) is None
+    assert stats["conflicts"] > 50 and not solver.unsat
+    assert solver.trail_lim == []
+    model = solver.solve(assumptions=[-active])
+    assert model is not None and not model[active]
+    _assert_model(model, inst)
+    inst.add_clause([active])
+    assert solver.solve() is None and solver.unsat
+
+
+def test_an_assumption_false_at_the_root_refutes_without_search():
+    inst = SatInstance()
+    x, y = inst.new_vars(2)
+    inst.add_clause([-x])
+    solver = Solver(inst)
+    stats = {}
+    assert solver.solve(stats_out=stats, assumptions=[y, x]) is None
+    assert stats["conflicts"] == 0 and not solver.unsat
+    model = solver.solve(assumptions=[y])
+    assert model is not None and model[y] and not model[x]
+    with pytest.raises(ValueError):
+        solver.solve(assumptions=[3])
+
+
 def _planted_3sat_rounds(seed, n, sizes):
     """Random 3-SAT that a hidden assignment satisfies, grown to each of
     ``sizes`` clauses in turn; yields the instance and its truth per round."""
@@ -361,6 +429,15 @@ def test_external_backend_differential():
         if external is not None:
             for clause in inst.clauses:
                 assert any(external.truth(lit) for lit in clause)
+        # assumptions reach the external solver as unit clauses
+        assumed = [rng.randint(1, inst.num_vars) * rng.choice([-1, 1]) for _ in range(2)]
+        clauses = [list(clause) for clause in inst.clauses]
+        internal = Solver(inst).solve(assumptions=assumed)
+        external = ExternalSolver(backend).solve(inst, assumptions=assumed)
+        assert (internal is None) == (external is None)
+        assert inst.clauses == clauses
+        if external is not None:
+            _assert_model(external, inst, assumed)
 
 
 def test_external_solver_protocol_smoke(tmp_path):
@@ -380,3 +457,10 @@ def test_external_model_is_checked_against_clauses(tmp_path):
     inst.add_clause([x])
     with pytest.raises(ExternalSolverError):
         ExternalSolver(str(liar)).solve(inst)
+    # and against the assumptions
+    inst = SatInstance()
+    x = inst.new_var()
+    inst.add_clause([x, -x])
+    assert not ExternalSolver(str(liar)).solve(inst)[x]
+    with pytest.raises(ExternalSolverError):
+        ExternalSolver(str(liar)).solve(inst, assumptions=[x])

@@ -202,7 +202,8 @@ def test_doubly_optimal_dominance_small():
 
 def record_solvers(monkeypatch):
     """Lists that fill with every ``Solver`` built and every (phase,
-    solver) SAT call that ``hopps`` makes."""
+    solver) SAT call that ``hopps`` makes.  Each phase-1 call is made under
+    one activation literal, and no other call under any."""
     built = []
     calls = []
 
@@ -215,7 +216,9 @@ def record_solvers(monkeypatch):
 
     def recording(inst, timeout_s, *args, solver=None, **kwargs):
         assert solver is not None and solver.inst is inst
-        calls.append((kwargs["stats_out"]["phase"], solver))
+        phase = kwargs["stats_out"]["phase"]
+        assert len(kwargs.get("assumptions", ())) == (phase == "primary")
+        calls.append((phase, solver))
         return real_solve_instance(inst, timeout_s, *args, solver=solver, **kwargs)
 
     monkeypatch.setattr(synthesizer, "Solver", CountingSolver)
@@ -225,10 +228,10 @@ def record_solvers(monkeypatch):
 
 @pytest.mark.parametrize("mode, doubly", [(Mode.CNOT, False), (Mode.DEPTH, False),
                                            (Mode.DEPTH, True)])
-def test_each_budget_builds_one_solver_that_phase_two_resumes(mode, doubly, monkeypatch):
+def test_each_synthesis_builds_one_solver_that_every_call_resumes(mode, doubly, monkeypatch):
     built, calls = record_solvers(monkeypatch)
     rng = random.Random(2718)
-    phase2_calls = 0
+    phase2_calls = unsat_budgets = 0
     for _ in range(5):
         n = rng.choice([2, 3])
         cm = TOPOLOGIES[rng.choice(list(TOPOLOGIES))](n)
@@ -236,10 +239,11 @@ def test_each_budget_builds_one_solver_that_phase_two_resumes(mode, doubly, monk
         built.clear()
         calls.clear()
         result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
-        primary = [solver for phase, solver in calls if phase == "primary"]
-        assert primary == built  # one solver per budget tried, in budget order
-        assert all(solver is built[-1] for phase, solver in calls if phase != "primary")
+        # one solver grows across every budget tried and every descent
+        assert len(built) == 1 and all(solver is built[0] for _, solver in calls)
+        primary = [phase for phase, _ in calls if phase == "primary"]
         phase2_calls += len(calls) - len(primary)
+        unsat_budgets += len(primary) - 1
 
         best_count, _ = oracle_min_count(rep, cm)
         best_depth, depth_circs = oracle_min_depth(rep, cm)
@@ -250,7 +254,7 @@ def test_each_budget_builds_one_solver_that_phase_two_resumes(mode, doubly, monk
             if doubly:
                 assert result.cnot_count == min(cnot_count(c) for c in depth_circs)
         assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
-    assert (phase2_calls > 0) == doubly
+    assert (phase2_calls > 0) == doubly and unsat_budgets > 0
 
 
 def test_count_doubly_builds_one_solver_per_depth_above_the_floor(monkeypatch):
@@ -266,8 +270,10 @@ def test_count_doubly_builds_one_solver_per_depth_above_the_floor(monkeypatch):
         phases = [phase for phase, _ in calls]
         primary = phases.count("primary")
         assert phases == ["primary"] * primary + ["descent"] * (len(phases) - primary)
-        # every budget and every depth tried gets a solver of its own
-        assert [solver for _, solver in calls] == built
+        # phase 1 grows one solver across its budgets, and every depth
+        # tried gets a solver of its own
+        assert [solver for _, solver in calls] == \
+            [built[0]] * primary + built[1:] and len(built) == 1 + len(phases) - primary
         depths = [entry["k"] for entry in result.stats if entry["phase"] == "descent"]
         assert depths == sorted(set(depths), reverse=True)
         # a layer holds at most n // 2 CNOTs: no call below that floor, and
@@ -294,17 +300,27 @@ def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
     # count-doubly: the floor is the optimum, and on 3 qubits a layer holds
     # one CNOT, so phase 2 makes no call
     assert [entry["phase"] for entry in runs[Mode.CNOT].stats] == ["bound", "primary"]
-    # depth-doubly: phase 2 hands over the optimal budget's, grown, instance;
-    # the triangle's model meets its count floor, so this instance descends
+    # depth-doubly: every call, of phase 1 and of the descent, is handed the
+    # one instance grown further; the triangle's model meets its count
+    # floor, so this instance descends
     cm = CouplingMap.line(4)
-    rep = extract_rep(random_cnot_rz_circuit(random.Random(10), 4, 6, 3, cm))
+    rep = extract_rep(random_cnot_rz_circuit(random.Random(11), 4, 6, 3, cm))
     stats = hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True)).stats
     phases = [entry["phase"] for entry in stats]
     first = phases.index("descent") - 1
-    assert phases[0] == "bound" and set(phases[1:first]) <= {"primary"}
+    assert phases[0] == "bound" and set(phases[1:first]) <= {"primary"} and first > 1
     assert phases.count("descent") >= 2 and set(phases[first + 1:]) == {"descent"}
-    sizes = [(entry["vars"], entry["clauses"]) for entry in stats[first:]]
-    assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
+    # one synthesis grows one instance, so each call is handed more clauses
+    # than the last (a descent tightens the counter without new variables);
+    # the count-doubly descent alone gets fresh instances
+    for mode, doubly in ALL_MODES:
+        result = stats if (mode, doubly) == (Mode.DEPTH, True) else \
+            hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly)).stats
+        sizes = [(entry["vars"], entry["clauses"]) for entry in result
+                 if entry["phase"] == "primary" or entry["phase"] == "descent"
+                 and mode is Mode.DEPTH]
+        assert len(sizes) > 2
+        assert all(v <= w and c < d for (v, c), (w, d) in zip(sizes, sizes[1:]))
 
 
 def test_result_metrics_match_recomputation(triangle_rep, line3):
@@ -485,13 +501,43 @@ def test_symbolic_angles_synthesize_and_rebind(line3):
 
 @pytest.mark.skipif(not REF_SOLVER.exists(), reason="reference solver not found")
 def test_external_backend_selected_by_env(triangle_rep, line3, monkeypatch):
-    monkeypatch.delenv("HOPPS_SOLVER", raising=False)
-    internal = hopps(SynthesisRequest(triangle_rep, line3, doubly=False))
-    monkeypatch.setenv("HOPPS_SOLVER", str(REF_SOLVER))
-    external = hopps(SynthesisRequest(triangle_rep, line3, doubly=False))
-    # only the internal engine reports search counters; a floor's cut is no call
-    assert all("conflicts" not in entry for entry in external.stats
-               if entry["phase"] != "bound")
-    assert external.cnot_count == internal.cnot_count
-    assert canonical_equal(canonicalize(extract_rep(external.circuit)),
-                           canonicalize(triangle_rep))
+    # the SWAP and the 3-cycle have UNSAT budgets above their floors, which
+    # reach the external solver as the negated activation literals
+    cases = [(triangle_rep, line3, Mode.CNOT, False),
+             (permutation_rep((2, 4, 1)), CouplingMap.line(3), Mode.DEPTH, False)]
+    cases += [(permutation_rep((2, 1)), CouplingMap.line(2), mode, doubly)
+              for mode, doubly in ALL_MODES]
+    for rep, cm, mode, doubly in cases:
+        monkeypatch.delenv("HOPPS_SOLVER", raising=False)
+        internal = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
+        monkeypatch.setenv("HOPPS_SOLVER", str(REF_SOLVER))
+        external = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
+        # only the internal engine reports search counters; a floor's cut is no call
+        assert all("conflicts" not in entry for entry in external.stats
+                   if entry["phase"] != "bound")
+        assert [(e["phase"], e["k"], e["status"]) for e in external.stats] == \
+            [(e["phase"], e["k"], e["status"]) for e in internal.stats]
+        assert (external.cnot_count, external.cnot_depth) == \
+            (internal.cnot_count, internal.cnot_depth)
+        assert canonical_equal(canonicalize(extract_rep(external.circuit)), canonicalize(rep))
+        unsat_budgets = [e for e in external.stats if e["phase"] == "primary"][:-1]
+        assert all(e["status"] == "unsat" for e in unsat_budgets)
+        assert (len(unsat_budgets) > 0) == (rep is not triangle_rep)
+
+
+def test_tail_block_of_the_peephole_workload_stays_cheap():
+    # a 4-qubit block of the peephole benchmark on a 2x2 grid: most of its
+    # work is the descent's final UNSAT proof, which stacked counters made
+    # cost 2,235 conflicts (3,160 in all) where one tightened counter on the
+    # instance phase 1 grew needs far fewer
+    rep = PhasePolyRep(ParityMatrix.identity(4), ParityMatrix((4, 3, 2, 8)),
+                       ParityTable(4, (4, 6, 2, 10), (0.1, 0.2, 0.3, 0.4)))
+    cm = CouplingMap(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
+    result = hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
+    assert (result.cnot_count, result.cnot_depth) == (7, 6) and result.optimal
+    best_depth, depth_circs = oracle_min_depth(rep, cm)
+    assert (result.cnot_count, result.cnot_depth) == \
+        (min(cnot_count(c) for c in depth_circs), best_depth)
+    assert validate_topology(result.circuit, cm)
+    assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
+    assert sum(entry["conflicts"] for entry in result.stats) < 3160
