@@ -72,7 +72,9 @@ class IterationRecord:
     cnot_depth: int
     blocks_attempted: int
     blocks_improved: int
-    cache_hits: int      # blocks served without a synthesis of their own
+    # blocks served without a synthesis of their own: those of a key already
+    # cached or synthesized for an earlier block, and those at their floors
+    cache_hits: int
     blocks_failed: int   # blocks left unchanged: the worker for their key raised
     wall_time_s: float
     rolled_back: bool = False

@@ -10,6 +10,7 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -181,7 +182,9 @@ def _cmd_peephole(args) -> int:
     Path(args.output).write_text(write_qasm(out))
     report = _metrics_report(circuit, out)
     report["blocks"] = len(pairs)
-    report["blocks_resynthesized"] = sum(1 for _, b in pairs if b.status == "resynthesized")
+    statuses = Counter(new.status for _, new in pairs)
+    for status in ("resynthesized", "kept_original", "failed_budget", "skipped_disconnected"):
+        report[f"blocks_{status}"] = statuses[status]
     _emit(report)
     _say(f"peephole: {report['baseline_cnot_count']} -> {report['cnot_count']} CNOTs, "
          f"depth {report['baseline_cnot_depth']} -> {report['cnot_depth']}")

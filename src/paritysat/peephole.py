@@ -10,6 +10,11 @@ across qubit-disjoint neighbors.
 A list of blocks is resynthesized by ``resynthesize``; a peephole pass
 runs it once over the maximal blocks, and ``blockwise.iterate_optimize``
 runs it on every partition with a cache that lives for the whole call.
+A block whose own CNOT count and depth equal its provable floors
+(``synthesizer.lower_bound`` and ``synthesizer.depth_floor``) is kept
+without a synthesis: no circuit for its rep is smaller in either metric,
+so none can replace it in any mode.  A block below a floor proves the
+floor wrong and raises ``InternalConsistencyError``.
 Angles play no part in synthesis, so each distinct block problem is
 synthesized once per cache.  The problem key is
 ``synthesizer.synthesis_key``: the initial rows, the final rows, the
@@ -33,6 +38,7 @@ from .ir import (
     CouplingMap,
     Gate,
     Opaque,
+    ParityTable,
     PhasePolyRep,
     Rz,
     cnot_count,
@@ -43,10 +49,13 @@ from .ir import (
 )
 from .phasepoly import extract_rep, merged_table
 from .synthesizer import (
+    InternalConsistencyError,
     NoSolutionWithinKmax,
     SynthesisRequest,
     SynthesisTimeout,
+    depth_floor,
     hopps,
+    lower_bound,
     place_rotations,
     synthesis_key,
 )
@@ -283,6 +292,25 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
     return replace(apply_skeleton(block, skeleton, mode), skeleton=skeleton)
 
 
+def at_floors(block: Block, table: ParityTable) -> bool:
+    """Whether the block's own CNOT count and depth equal its provable
+    floors, with ``table`` its merged table.
+
+    Every circuit for the block's rep has at least the floor count and
+    depth, so no result of any mode can be strictly smaller.  A block
+    below a floor raises ``InternalConsistencyError``: the floor is wrong.
+    """
+    rep = block.rep
+    count = lower_bound(PhasePolyRep(rep.initial, rep.final, table), Mode.CNOT)
+    floors = (count, depth_floor(count, rep.n))
+    circuit = block.circuit
+    own = (cnot_count(circuit), cnot_depth(circuit))
+    if own[0] < floors[0] or own[1] < floors[1]:
+        raise InternalConsistencyError(
+            f"block of CNOT count and depth {own} is below its floors {floors}")
+    return own == floors
+
+
 def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
                  cache: dict[tuple, Skeleton],
                  synthesize: Callable[[list[Block]], list[Block]],
@@ -290,16 +318,24 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
     """Resynthesize every block; returns the replacements and the number
     of blocks served without a synthesis of their own.
 
-    Only the first block of each key missing from ``cache`` goes through
-    ``synthesize``, which maps those blocks to their replacements (as
-    ``resynth_block`` does); its skeleton is cached when it is proven
-    optimal.  Every other block of the key gets that skeleton, or
-    inherits the first block's failure when there is none.
+    A block already at its floors (``at_floors``) comes back
+    ``kept_original`` without a key.  Only the first block of each other
+    key missing from ``cache`` goes through ``synthesize``, which maps
+    those blocks to their replacements (as ``resynth_block`` does); its
+    skeleton is cached when it is proven optimal.  Every other block of
+    the key gets that skeleton, or inherits the first block's failure
+    when there is none.
     """
-    keys = [synthesis_key(block.rep, induced_coupling(cm, block.qubits))
-            for block in blocks]
+    out: list[Block] = list(blocks)
+    keys: dict[int, tuple] = {}
+    for i, block in enumerate(blocks):
+        table = merged_table(block.rep)
+        if at_floors(block, table):
+            out[i] = replace(block, status="kept_original")
+        else:
+            keys[i] = synthesis_key(block.rep, induced_coupling(cm, block.qubits), table)
     first: dict[tuple, int] = {}
-    for i, key in enumerate(keys):
+    for i, key in keys.items():
         if key not in cache:
             first.setdefault(key, i)
     done = dict(zip(first.values(), synthesize([blocks[i] for i in first.values()])))
@@ -307,15 +343,14 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
     for key, block in fresh.items():
         if block.skeleton is not None and block.skeleton.optimal:
             cache[key] = block.skeleton
-    out = []
-    for i, (block, key) in enumerate(zip(blocks, keys)):
+    for i, key in keys.items():
         skeleton = cache[key] if key in cache else fresh[key].skeleton
         if i in done:
-            out.append(done[i])
+            out[i] = done[i]
         elif skeleton is not None:
-            out.append(apply_skeleton(block, skeleton, mode))
+            out[i] = apply_skeleton(blocks[i], skeleton, mode)
         else:
-            out.append(replace(block, status=fresh[key].status, error=fresh[key].error))
+            out[i] = replace(blocks[i], status=fresh[key].status, error=fresh[key].error)
     return out, len(blocks) - len(first)
 
 
@@ -335,5 +370,5 @@ def peephole_with_report(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CN
 
 __all__ = [
     "Block", "Skeleton", "find_blocks", "block_to_physical", "splice_blocks",
-    "apply_skeleton", "resynth_block", "resynthesize", "peephole_with_report",
+    "apply_skeleton", "resynth_block", "at_floors", "resynthesize", "peephole_with_report",
 ]

@@ -100,7 +100,6 @@ class SynthesisResult:
     cnot_count: int
     cnot_depth: int
     optimal: bool
-    layers: list[list[tuple[int, int]]] | None = None
     stats: list[dict] = field(default_factory=list)
     # the CNOT steps the rotations were placed on: ``place_rotations(steps,
     # rep)`` with the merged table gives ``circuit`` again
@@ -125,10 +124,7 @@ def lower_bound(rep: PhasePolyRep, mode: Mode) -> int:
     two of ``S``.  Otherwise one more CNOT writes a value outside ``S``,
     distinct from all those counted.
 
-    Depth mode: a layer holds at most ``n // 2`` CNOTs, so the depth is at
-    least ``ceil(count floor / (n // 2))`` (divisor at least 1 on one
-    qubit).  This is 0 exactly when nothing needs to change, as the count
-    floor is then 0, and at least 1 otherwise.
+    Depth mode: ``depth_floor`` of the count floor.
     """
     initial_rows = set(rep.initial.rows)
     written = (set(rep.table.terms) | set(rep.final.rows)) - initial_rows
@@ -139,7 +135,17 @@ def lower_bound(rep: PhasePolyRep, mode: Mode) -> int:
     count = len(written) + restored + needs_other
     if mode is Mode.CNOT:
         return count
-    return -(-count // max(rep.n // 2, 1))
+    return depth_floor(count, rep.n)
+
+
+def depth_floor(count: int, n: int) -> int:
+    """Least depth of ``count`` CNOTs on ``n`` qubits.
+
+    A layer holds at most ``n // 2`` CNOTs, so the depth is at least
+    ``ceil(count / (n // 2))`` (divisor at least 1 on one qubit).  This is
+    0 exactly when ``count`` is 0, and at least 1 otherwise.
+    """
+    return -(-count // max(n // 2, 1))
 
 
 def default_k_max(n: int, num_terms: int) -> int:
@@ -241,15 +247,17 @@ def _used_coupling(coupling: CouplingMap, n: int) -> CouplingMap:
     return induced_coupling(coupling, range(n)) if coupling.num_qubits > n else coupling
 
 
-def synthesis_key(rep: PhasePolyRep, coupling: CouplingMap) -> tuple:
+def synthesis_key(rep: PhasePolyRep, coupling: CouplingMap,
+                  table: ParityTable | None = None) -> tuple:
     """What ``hopps`` reads of a request's rep and coupling map.
 
     Requests with equal keys and equal settings get the same CNOT steps;
     only the angles that ``place_rotations`` puts on them differ.  The
     terms keep their order, because the encoder numbers its variables in
-    term order.
+    term order.  ``table`` is ``merged_table(rep)``, when the caller has
+    already worked it out.
     """
-    bound = _angle_free(rep, merged_table(rep))
+    bound = _angle_free(rep, merged_table(rep) if table is None else table)
     return (bound.initial.rows, bound.final.rows, bound.table.terms,
             _used_coupling(coupling, rep.n).edges)
 
@@ -301,10 +309,10 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                       "decisions": 0, "conflicts": 0, "propagations": 0,
                       "learned": 0, "restarts": 0})
 
-    def finish(circuit: Circuit, layers: list[list[tuple[int, int]]] | None,
-               optimal: bool, steps: list[list[tuple[int, int]]]) -> SynthesisResult:
+    def finish(circuit: Circuit, optimal: bool,
+               steps: list[list[tuple[int, int]]]) -> SynthesisResult:
         return SynthesisResult(circuit, cnot_count(circuit), cnot_depth(circuit),
-                               optimal, layers, stats, steps)
+                               optimal, stats, steps)
 
     floor = lower_bound(bound_rep, req.mode)
     if floor:
@@ -327,10 +335,8 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
             continue
 
         if not req.doubly or k == 0:
-            steps = _selected_steps(model, layout)
-            layers = steps if req.mode is Mode.DEPTH or k == 0 else None
-            return finish(decode_circuit(model, layout, decode_rep), layers,
-                          optimal=True, steps=steps)
+            return finish(decode_circuit(model, layout, decode_rep), optimal=True,
+                          steps=_selected_steps(model, layout))
 
         # phase 2: descend on the secondary metric, keeping the last model
         optimal = True
@@ -356,15 +362,15 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
             else:  # the model meets the count floor: every lower budget is UNSAT
                 if count_floor:
                     ruled_out(count_floor - 1)
-            steps = _selected_steps(model, layout)
-            return finish(decode_circuit(model, layout, decode_rep), steps, optimal, steps)
+            return finish(decode_circuit(model, layout, decode_rep), optimal,
+                          _selected_steps(model, layout))
 
         # count mode: a fresh depth-mode instance per depth, with k CNOTs at
         # most; a layer holds at most n // 2 of them
         steps = _selected_steps(model, layout)
         best = decode_circuit(model, layout, decode_rep)
         depth = cnot_depth(best) - 1
-        while depth >= -(-k // (n // 2)):
+        while depth >= depth_floor(k, n):
             encoded_at = time.monotonic()
             inst, layout = encode_common(rep.initial, rep.final, unique_terms,
                                          EncodingConfig(Mode.DEPTH, depth, n, edges))
@@ -380,7 +386,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
             steps = _selected_steps(model, layout)
             best = decode_circuit(model, layout, decode_rep)
             depth = cnot_depth(best) - 1
-        return finish(best, _greedy_layers(best), optimal, steps)
+        return finish(best, optimal, steps)
 
     raise NoSolutionWithinKmax(f"no solution with step budget up to {k_top}")
 
@@ -388,6 +394,6 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
 __all__ = [
     "Mode", "SynthesisRequest", "SynthesisResult",
     "NoSolutionWithinKmax", "SynthesisTimeout", "InternalConsistencyError",
-    "lower_bound", "default_k_max", "synthesis_key", "hopps", "decode_circuit",
-    "place_rotations",
+    "lower_bound", "depth_floor", "default_k_max", "synthesis_key", "hopps",
+    "decode_circuit", "place_rotations",
 ]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import paritysat.blockwise
 import paritysat.peephole
 from paritysat.blockwise import (
     BlockwiseConfig,
@@ -23,8 +24,14 @@ from paritysat.ir import (
     validate_topology,
 )
 from paritysat.encoder import Mode
-from paritysat.peephole import find_blocks, peephole_with_report, resynth_block, splice_blocks
-from paritysat.phasepoly import equivalent
+from paritysat.peephole import (
+    at_floors,
+    find_blocks,
+    peephole_with_report,
+    resynth_block,
+    splice_blocks,
+)
+from paritysat.phasepoly import equivalent, merged_table
 from paritysat.synthesizer import SynthesisTimeout, synthesis_key
 
 from testkit import random_cnot_rz_circuit
@@ -205,17 +212,38 @@ def test_failed_synthesis_is_inherited_and_never_cached(monkeypatch, exc, raised
         calls.append(req)
         raise exc("no synthesis")
 
+    seen = []
+    engine = paritysat.blockwise.resynthesize
+
+    def recorded(blocks, *args):
+        replaced, hits = engine(blocks, *args)
+        seen.append((blocks, replaced))
+        return replaced, hits
+
     monkeypatch.setattr(paritysat.peephole, "hopps", fail)
+    monkeypatch.setattr(paritysat.blockwise, "resynthesize", recorded)
     c, line = repeated_skeletons(4, 2, seed=3)
     cfg = BlockwiseConfig(max_block_qubits=2, iters_full=0, iters_sample=2,
                           sample_fraction=1.0, seed=1)
     out, trace = iterate_optimize(c, line, cfg)
     assert out.gates == c.gates
-    assert len(trace) == 2
-    for record in trace:
-        # a worker that raised counts as failed; a timeout is failed_budget
-        assert record.blocks_failed == (record.blocks_attempted if raised else 0)
+    assert len(trace) == len(seen) == 2
+    floored = 0
+    for record, (blocks, replaced) in zip(trace, seen):
+        at_floor = [at_floors(b, merged_table(b.rep)) for b in blocks]
+        floored += sum(at_floor)
+        for old, new, kept in zip(blocks, replaced, at_floor):
+            assert new.gates == old.gates
+            if kept:  # never reaches the worker
+                assert (new.status, new.error) == ("kept_original", None)
+            elif raised:  # a worker that raised counts as failed
+                assert (new.status, new.error) == ("original", exc.__name__)
+            else:  # a timeout is failed_budget
+                assert (new.status, new.error) == ("failed_budget", None)
+        assert record.blocks_failed == \
+            (record.blocks_attempted - sum(at_floor) if raised else 0)
         assert 0 < record.cache_hits < record.blocks_attempted
+    assert 0 < floored < sum(r.blocks_attempted for r in trace)
     assert len(calls) == sum(r.blocks_attempted - r.cache_hits for r in trace)
 
 

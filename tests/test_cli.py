@@ -12,7 +12,16 @@ import pytest
 import paritysat
 from paritysat.blockwise import IterationRecord
 from paritysat.cli import main
-from paritysat.ir import Circuit, Cnot, CouplingMap, ParityMatrix, ParityTable, PhasePolyRep, Rz
+from paritysat.ir import (
+    Circuit,
+    Cnot,
+    CouplingMap,
+    Opaque,
+    ParityMatrix,
+    ParityTable,
+    PhasePolyRep,
+    Rz,
+)
 from paritysat.phasepoly import equivalent, rep_to_json
 from paritysat.qasm import parse_qasm, write_qasm
 
@@ -204,6 +213,24 @@ def test_peephole_command(triangle_files, tmp_path, capsys):
     report = json.loads(out)
     assert report["cnot_count"] == 0 and report["baseline_cnot_count"] == 2
     assert equivalent(parse_qasm(out_file.read_text()), legal)
+
+
+def test_peephole_report_counts_each_block_status(triangle_files, tmp_path, capsys):
+    _, _, cm_file = triangle_files
+    # a redundant pair, then a block already at its floors
+    circuit = Circuit(3, (Cnot(0, 1), Cnot(0, 1), Rz(0.5, 1), Opaque("h", (1,)),
+                          Cnot(1, 2), Rz(0.2, 2)))
+    src = tmp_path / "in.qasm"
+    src.write_text(write_qasm(circuit))
+    code, out, _ = run_cli(capsys, "peephole", str(src), "--coupling-map",
+                           str(cm_file), "-o", str(tmp_path / "out.qasm"))
+    assert code == 0
+    report = json.loads(out)
+    counts = {key: value for key, value in report.items()
+              if key.startswith("blocks_")}
+    assert counts == {"blocks_resynthesized": 1, "blocks_kept_original": 1,
+                      "blocks_failed_budget": 0, "blocks_skipped_disconnected": 0}
+    assert sum(counts.values()) == report["blocks"] == 2
 
 
 def test_blockwise_command_with_trace(triangle_files, tmp_path, capsys):

@@ -16,16 +16,26 @@ from paritysat.ir import (
     induced_coupling,
     validate_topology,
 )
+from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.peephole import (
+    at_floors,
     find_blocks,
+    ordered_metrics,
     peephole_with_report,
     resynth_block,
+    resynthesize,
     splice_blocks,
 )
 from paritysat.phasepoly import canonical_equal, canonicalize, equivalent, merged_table
-from paritysat.synthesizer import SynthesisRequest, hopps, place_rotations
+from paritysat.synthesizer import (
+    InternalConsistencyError,
+    SynthesisRequest,
+    hopps,
+    lower_bound,
+    place_rotations,
+)
 
-from testkit import random_cnot_rz_circuit, random_mixed_circuit
+from testkit import TOPOLOGIES, random_cnot_rz_circuit, random_mixed_circuit
 
 
 def test_pure_circuit_is_one_block():
@@ -211,3 +221,68 @@ def test_pass_rejects_an_off_map_circuit():
     c = Circuit(3, (Cnot(0, 2),))
     with pytest.raises(ValueError, match="violates the coupling map"):
         peephole_with_report(c, CouplingMap.line(3))
+
+
+ALL_MODES = [(Mode.CNOT, False), (Mode.CNOT, True), (Mode.DEPTH, False), (Mode.DEPTH, True)]
+
+
+def floor_blocks_circuit() -> Circuit:
+    """Four blocks on line(4), each with its own CNOT count and depth at the
+    provable floors: (3, 2) on four qubits, (2, 2), (1, 1) and no CNOT."""
+    h = [Opaque("h", (q,)) for q in range(4)]
+    return Circuit(4, (
+        Cnot(0, 1), Cnot(2, 3), Cnot(1, 2), Rz(0.3, 2), *h,
+        Cnot(1, 2), Cnot(2, 3), Rz(0.4, 3), h[2],
+        Cnot(0, 1), Rz(0.1, 1), Rz(0.2, 3),
+    ))
+
+
+@pytest.mark.parametrize("mode, doubly", ALL_MODES)
+def test_blocks_at_their_floors_are_kept_without_a_synthesis(monkeypatch, mode, doubly):
+    def no_synthesis(req):
+        raise AssertionError("a block at its floors reached hopps")
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", no_synthesis)
+    c = floor_blocks_circuit()
+    out, pairs = peephole_with_report(c, CouplingMap.line(4), mode, doubly)
+    assert len(pairs) == 4
+    assert [(cnot_count(old.circuit), cnot_depth(old.circuit)) for old, _ in pairs] == \
+        [(3, 2), (2, 2), (1, 1), (0, 0)]
+    for old, new in pairs:
+        assert (new.status, new.error, new.skeleton) == ("kept_original", None, None)
+        assert new.gates == old.gates
+    assert out.gates == c.gates
+
+
+@pytest.mark.parametrize("mode, doubly", ALL_MODES)
+def test_no_synthesis_improves_on_a_block_at_its_floors(mode, doubly):
+    rng = random.Random(f"at-floors-{mode.name}-{doubly}")
+    sizes = []
+    for _ in range(30):
+        n = rng.choice([2, 3, 4, 4])
+        cm = TOPOLOGIES[rng.choice(sorted(TOPOLOGIES))](n)
+        c = random_cnot_rz_circuit(rng, n, rng.randint(1, 5), rng.randint(0, 3), cm)
+        for block in find_blocks(c):
+            if not at_floors(block, merged_table(block.rep)):
+                continue
+            own = (cnot_count(block.circuit), cnot_depth(block.circuit))
+            local = induced_coupling(cm, block.qubits)
+            result = hopps(SynthesisRequest(block.rep, local, mode=mode, doubly=doubly))
+            assert ordered_metrics(mode, result.cnot_count, result.cnot_depth) >= \
+                ordered_metrics(mode, *own)
+            best, circuits = (oracle_min_count if mode is Mode.CNOT else oracle_min_depth)(
+                block.rep, local)
+            assert min(ordered_metrics(mode, cnot_count(o), cnot_depth(o))
+                       for o in circuits) >= ordered_metrics(mode, *own)
+            sizes.append(block.rep.n)
+    assert len(sizes) >= 10 and {2, 4} <= set(sizes)
+
+
+def test_a_floor_above_a_block_raises(monkeypatch):
+    real = lower_bound
+    monkeypatch.setattr(paritysat.peephole, "lower_bound",
+                        lambda rep, mode: real(rep, mode) + 1)
+    blocks = find_blocks(floor_blocks_circuit())
+    with pytest.raises(InternalConsistencyError, match="below its floors"):
+        resynthesize(blocks, CouplingMap.line(4), Mode.CNOT, {},
+                     lambda todo: [resynth_block(b, CouplingMap.line(4)) for b in todo])

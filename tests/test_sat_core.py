@@ -32,8 +32,11 @@ def test_add_clause_validation():
         inst.add_clause([])
     with pytest.raises(ValueError):
         inst.add_clause([x + 1])
-    with pytest.raises(ValueError):
-        inst.add_clause([0])
+    with pytest.raises(ValueError, match="literal -2 references an unallocated"):
+        inst.add_clause([x, -(x + 1)])
+    with pytest.raises(ValueError, match="literal 0 references an unallocated"):
+        inst.add_clause([-x, 0])
+    assert inst.clauses == [[x]]
 
 
 def test_named_families_injective():

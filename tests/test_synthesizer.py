@@ -20,7 +20,7 @@ from paritysat.ir import (
     validate_topology,
 )
 from paritysat.oracle import oracle_min_count, oracle_min_depth
-from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep
+from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep, merged_table
 from paritysat.sat.core import parse_dimacs
 from paritysat.sat.solver import SolverTimeout, solve
 from paritysat.synthesizer import (
@@ -327,9 +327,9 @@ def test_result_metrics_match_recomputation(triangle_rep, line3):
     result = hopps(SynthesisRequest(triangle_rep, line3, doubly=True))
     assert result.cnot_count == cnot_count(result.circuit)
     assert result.cnot_depth == cnot_depth(result.circuit)
-    assert result.layers is not None
-    assert sum(len(layer) for layer in result.layers) == result.cnot_count
-    assert len(result.layers) == result.cnot_depth
+    layers = synthesizer._greedy_layers(result.circuit)
+    assert sum(len(layer) for layer in layers) == result.cnot_count
+    assert len(layers) == result.cnot_depth
 
 
 def test_determinism(triangle_rep, line3):
@@ -396,6 +396,7 @@ def test_synthesis_key_ignores_angles_and_keeps_term_order(triangle_rep, line3):
                             ParityTable(3, terms, angles))
 
     key = synthesis_key(triangle_rep, line3)
+    assert synthesis_key(triangle_rep, line3, merged_table(triangle_rep)) == key
     assert synthesis_key(with_table((5, 3, 6, 5), (0.7, 0.8, 0.9, 0.4)), line3) == key
     assert synthesis_key(triangle_rep, CouplingMap.line(5)) == key
     # cancelling rotations drop their term; a new order renumbers the encoding
