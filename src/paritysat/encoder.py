@@ -10,10 +10,10 @@ the CNOT count.  In depth mode each step is a nonempty layer of
 qubit-disjoint CNOTs, so the step budget equals the CNOT depth; a CNOT
 budget on top of it bounds the count, which serves both doubly searches.
 
-``encode_common`` encodes a fixed number of steps.  ``encode_chain`` and
-``extend_chain`` grow one instance a step at a time, and ``add_goal``
-states the goal of its current budget under an activation literal, so
-one solver can try every budget in turn.
+There is one encoding, a chain: ``encode_chain`` and ``extend_chain`` grow
+one instance a step at a time, and ``add_goal`` states the goal of its
+current budget (final parities, term coverage) under an activation
+literal, so one solver can try every budget in turn.
 """
 from __future__ import annotations
 
@@ -165,50 +165,20 @@ def _check_size(matrix: ParityMatrix, cfg: EncodingConfig) -> None:
         raise ValueError("matrix size does not match the encoding config")
 
 
-def _open(initial: ParityMatrix, terms: Sequence[int],
-          cfg: EncodingConfig) -> tuple[SatInstance, VarLayout]:
-    """An instance with parity slice 0 pinned to ``initial``, and no step."""
+def encode_chain(initial: ParityMatrix, terms: Sequence[int],
+                 cfg: EncodingConfig) -> tuple[SatInstance, VarLayout]:
+    """Parity slice 0 pinned to ``initial``, then ``cfg.steps`` steps, each
+    with its transition and mode constraints and the coverage indicators
+    of its slice, but no goal: ``extend_chain`` grows it by one step, and
+    ``add_goal`` states the goal of its current budget."""
     n = cfg.num_qubits
     _check_size(initial, cfg)
     _check_terms(terms, n)
     inst = SatInstance()
     parity = [[[inst.name_var("P", 0, i, j) for j in range(n)] for i in range(n)]]
     _pin(inst, parity[0], initial)
-    return inst, VarLayout(cfg, parity, [], tuple(terms))
-
-
-def encode_common(initial: ParityMatrix, final: ParityMatrix,
-                  terms: Sequence[int], cfg: EncodingConfig) -> tuple[SatInstance, VarLayout]:
-    """Parity evolution, endpoint, and term-coverage constraints.
-
-    The parity state is pinned to ``initial`` at step 0 and to ``final``
-    after the last step.  Every term must equal some row of some parity
-    slice, endpoints included.
-    """
-    _check_size(final, cfg)
-    inst, layout = _open(initial, terms, cfg)
-    for _ in range(cfg.steps):
-        _append_step(inst, layout)
-    _pin(inst, layout.parity[-1], final)
-    # term coverage: a fresh indicator per (term, slice, row) implies a
-    # bitwise row match; at least one indicator fires per term
-    for t in terms:
-        indicators = [m for slice_vars in layout.parity
-                      for m in _row_matches(inst, slice_vars, t)]
-        at_least_k(inst, indicators, 1)
-        layout.matches.append(indicators)
-    return inst, layout
-
-
-def encode_chain(initial: ParityMatrix, terms: Sequence[int],
-                 cfg: EncodingConfig) -> tuple[SatInstance, VarLayout]:
-    """The parity evolution of ``encode_common`` over ``cfg.steps`` steps,
-    with the mode constraints of each step and the coverage indicators of
-    each slice, but no goal: ``extend_chain`` grows it by one step, and
-    ``add_goal`` states the goal of its current budget."""
-    inst, layout = _open(initial, terms, cfg)
-    layout.cfg = replace(cfg, steps=0)
-    layout.matches.extend(_row_matches(inst, layout.parity[0], t) for t in terms)
+    layout = VarLayout(replace(cfg, steps=0), parity, [], tuple(terms))
+    layout.matches.extend(_row_matches(inst, parity[0], t) for t in terms)
     for _ in range(cfg.steps):
         extend_chain(inst, layout)
     return inst, layout
@@ -239,29 +209,14 @@ def add_goal(inst: SatInstance, layout: VarLayout, final: ParityMatrix) -> int:
     return goal
 
 
-def add_cnot_mode(inst: SatInstance, layout: VarLayout) -> None:
-    """Exactly one CNOT per step: the step budget is the CNOT count."""
-    if layout.cfg.mode is not Mode.CNOT:
-        raise ValueError("count-mode constraints on a non-count config")
-    for step_vars in layout.cnot:
-        _step_mode(inst, layout.cfg, step_vars)
-
-
-def add_depth_mode(inst: SatInstance, layout: VarLayout) -> None:
-    """Nonempty qubit-disjoint layer per step: the budget is the depth."""
-    if layout.cfg.mode is not Mode.DEPTH:
-        raise ValueError("depth-mode constraints on a non-depth config")
-    for step_vars in layout.cnot:
-        _step_mode(inst, layout.cfg, step_vars)
-
-
 def add_cnot_budget(inst: SatInstance, layout: VarLayout,
                     budget: int) -> SequentialCounter | None:
     """Cap the total CNOT count across all steps of a depth-mode instance.
 
     For ``1 <= budget <`` the number of CNOT variables the cap is a
     sequential counter, and its handle is returned: ``tighten`` lowers the
-    cap in place.  Otherwise None is returned.
+    cap in place, and ``extend`` carries it over the CNOTs of steps that
+    ``extend_chain`` appends later.  Otherwise None is returned.
     """
     if budget < 0:
         raise ValueError("CNOT budget must be nonnegative")
@@ -276,6 +231,5 @@ def add_cnot_budget(inst: SatInstance, layout: VarLayout,
 
 __all__ = [
     "Mode", "EncodingConfig", "VarLayout",
-    "encode_common", "encode_chain", "extend_chain", "add_goal",
-    "add_cnot_mode", "add_depth_mode", "add_cnot_budget",
+    "encode_chain", "extend_chain", "add_goal", "add_cnot_budget",
 ]

@@ -40,9 +40,6 @@ class SatInstance:
         self.named[key] = var
         return var
 
-    def var(self, family: str, *index: int) -> int:
-        return self.named[(family, tuple(index))]
-
     def add_clause(self, lits: Iterable[Lit]) -> None:
         clause = list(lits)
         if not clause:
@@ -63,25 +60,50 @@ def _pairwise_at_most_one(inst: SatInstance, lits: Sequence[Lit]) -> None:
             inst.add_clause([-lits[i], -lits[j]])
 
 
-@dataclass(frozen=True)
+@dataclass
 class SequentialCounter:
-    """What a Sinz counter over two or more literals needs to be tightened.
+    """What a Sinz counter over two or more literals needs to be tightened
+    or extended.
 
     ``last`` is the last literal and ``row`` the registers after all the
     others: ``row[j]`` is forced true once ``j + 1`` of them are true.
+    ``bound`` is the current bound, at most ``len(row)``.
     """
 
     last: Lit
     row: tuple[Lit, ...]
+    bound: int
 
     def tighten(self, inst: SatInstance, k: int) -> None:
-        """Lower the bound in place to ``k``, below the bound it was built
-        with: at most ``k`` of the others, and at most ``k - 1`` of them
-        when the last literal is true."""
-        if not 0 <= k < len(self.row):
-            raise ValueError(f"cannot tighten a counter of bound {len(self.row)} to {k}")
+        """Lower the bound in place to ``k``, below the current bound: at
+        most ``k`` of the others, and at most ``k - 1`` of them when the
+        last literal is true."""
+        if not 0 <= k < self.bound:
+            raise ValueError(f"cannot tighten a counter of bound {self.bound} to {k}")
         inst.add_clause([-self.row[k]])
         inst.add_clause([-self.last, -self.row[k - 1]] if k else [-self.last])
+        self.bound = k
+
+    def extend(self, inst: SatInstance, lits: Sequence[Lit]) -> None:
+        """Append ``lits`` in place, at the current bound: one row of
+        registers per literal, over the literal that was last, as
+        ``sequential_at_most`` builds its inner rows."""
+        k = self.bound
+        for lit in lits:
+            if k:
+                prev, last = self.row, self.last
+                row = inst.new_vars(k)
+                inst.add_clause([-last, row[0]])
+                inst.add_clause([-prev[0], row[0]])
+                for j in range(1, k):
+                    inst.add_clause([-last, -prev[j - 1], row[j]])
+                    inst.add_clause([-prev[j], row[j]])
+                # at most k of the others with ``last``: already stated
+                inst.add_clause([-lit, -row[k - 1]])
+                self.row = tuple(row)
+            else:
+                inst.add_clause([-lit])
+            self.last = lit
 
 
 def sequential_at_most(inst: SatInstance, lits: Sequence[Lit], k: int) -> SequentialCounter:
@@ -103,7 +125,7 @@ def sequential_at_most(inst: SatInstance, lits: Sequence[Lit], k: int) -> Sequen
             inst.add_clause([-s[i - 1][j], s[i][j]])
         inst.add_clause([-lits[i], -s[i - 1][k - 1]])
     inst.add_clause([-lits[n - 1], -s[n - 2][k - 1]])
-    return SequentialCounter(lits[n - 1], tuple(s[n - 2]))
+    return SequentialCounter(lits[n - 1], tuple(s[n - 2]), k)
 
 
 def at_most_k(inst: SatInstance, lits: Sequence[Lit], k: int) -> None:

@@ -1,31 +1,33 @@
 """Incremental SAT search for optimal and doubly optimal circuits.
 
-Phase 1 grows the step budget from the provable floor ``lower_bound``
-until the first satisfiable budget; that budget is the optimal primary
-metric (count in count mode, depth in depth mode).  It runs on one
-growing instance and one ``Solver``, in the style of incremental bounded
-model checking (Een & Sorensson, 2003): ``encode_chain`` encodes the
-steps up to the floor, ``add_goal`` states the goal of the current budget
+Every search grows a chain, in the style of incremental bounded model
+checking (Een & Sorensson, 2003): ``encode_chain`` encodes the steps up to
+the first budget, ``add_goal`` states the goal of the current budget
 (final parities, term coverage) under a fresh activation literal, and the
 call assumes that literal.  On UNSAT the negated literal becomes a unit
 and ``extend_chain`` appends one step in place; on SAT the literal
-becomes a unit.  Every later call resumes from what earlier budgets
-learned.
+becomes a unit.  One ``Solver`` serves the whole chain, so every later
+call resumes from what earlier budgets learned.
 
-Phase 2, when requested, fixes the primary optimum and descends on the
-secondary metric; the last satisfiable model wins.  Both descents run on
-the depth-mode encoding:
+Phase 1 grows a chain from the provable floor ``lower_bound``; its first
+satisfiable budget is the optimal primary metric (count in count mode,
+depth in depth mode).
 
-* depth mode puts one sequential counter on the CNOT count of the
-  optimal budget's instance, just below the first model's count, and
-  tightens it in place for each lower count, so each descent resumes the
-  same ``Solver``; it stops once the model meets the count floor, below
-  which every budget is unsatisfiable;
-* count mode pins the budget to the optimal count and tries depths below
-  the best circuit's, one fresh depth-mode instance and ``Solver`` per
-  depth, down to the floor ``ceil(count / (n // 2))``, since a layer
-  holds at most ``n // 2`` CNOTs.  On 2 and 3 qubits the floor equals the
-  count, so no call is made.
+Phase 2, when requested, fixes the primary optimum and optimizes the
+secondary metric:
+
+* depth mode puts one sequential counter on the CNOT count of phase 1's
+  instance, just below the first model's count, and tightens it in place
+  for each lower count, so each descent resumes the same ``Solver``; the
+  last satisfiable model wins.  It stops once the model meets the count
+  floor, below which every budget is unsatisfiable;
+* count mode grows a second chain, in depth mode, with a cap of the
+  optimal count c* on its CNOTs that one counter carries along as steps
+  are appended.  It starts at the floor ``ceil(c* / (n // 2))``, since a
+  layer holds at most ``n // 2`` CNOTs, and stops below the depth of
+  phase 1's circuit; its first satisfiable depth is the least, and if
+  there is none, phase 1's circuit has it.  On 2 and 3 qubits the floor
+  equals the count, so no call is made.
 
 A budget below a floor is never handed to the solver: its answer is known
 to be UNSAT.  Each such cut in phase 1 and in the depth-mode descent
@@ -43,11 +45,8 @@ from .encoder import (
     Mode,
     VarLayout,
     add_cnot_budget,
-    add_cnot_mode,
-    add_depth_mode,
     add_goal,
     encode_chain,
-    encode_common,
     extend_chain,
 )
 from .ir import (
@@ -66,9 +65,8 @@ from .sat.core import export_dimacs
 from .sat.solver import SatModel, Solver, SolverTimeout, solve_instance
 
 
-# bench/layertrace.py wraps these names and ``add_cnot_mode`` by attribute;
-# nothing here calls them
-add_layer_assignment = add_depth_limit = None
+# bench/layertrace.py wraps these names by attribute; nothing here calls them
+encode_common = add_cnot_mode = add_depth_mode = add_layer_assignment = add_depth_limit = None
 
 
 class NoSolutionWithinKmax(RuntimeError):
@@ -162,20 +160,6 @@ def _selected_steps(model: SatModel, layout: VarLayout) -> list[list[tuple[int, 
 
 def _count_gates(model: SatModel, layout: VarLayout) -> int:
     return sum(1 for step_vars in layout.cnot for var in step_vars if model[var])
-
-
-def _greedy_layers(circuit: Circuit) -> list[list[tuple[int, int]]]:
-    """The CNOTs of ``circuit`` grouped into the layers ``cnot_depth`` counts."""
-    level = [0] * circuit.num_qubits
-    layers: list[list[tuple[int, int]]] = []
-    for g in circuit.gates:
-        if isinstance(g, Cnot):
-            lv = max(level[g.control], level[g.target])
-            level[g.control] = level[g.target] = lv + 1
-            if lv == len(layers):
-                layers.append([])
-            layers[lv].append((g.control, g.target))
-    return layers
 
 
 def place_rotations(steps: Sequence[Sequence[tuple[int, int]]],
@@ -309,86 +293,95 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                       "decisions": 0, "conflicts": 0, "propagations": 0,
                       "learned": 0, "restarts": 0})
 
-    def finish(circuit: Circuit, optimal: bool,
-               steps: list[list[tuple[int, int]]]) -> SynthesisResult:
+    def finish(model: SatModel, layout: VarLayout, optimal: bool) -> SynthesisResult:
+        """The result decoded from ``model``; its ``stats`` is the list
+        that later calls still append to."""
+        circuit = decode_circuit(model, layout, decode_rep)
         return SynthesisResult(circuit, cnot_count(circuit), cnot_depth(circuit),
-                               optimal, stats, steps)
+                               optimal, stats, _selected_steps(model, layout))
+
+    def grow(mode: Mode, lo: int, hi: int, phase: str,
+             cap: int | None = None) -> tuple[int, SatModel, VarLayout, Solver] | None:
+        """Grow one chain in ``mode`` from budget ``lo`` on one ``Solver``,
+        and solve each budget under its goal literal: the first satisfiable
+        budget up to ``hi``, with its model, layout and solver (whose
+        ``inst`` is the instance), or None.  The goal of an UNSAT budget is
+        dropped and that of the SAT one kept.  ``cap`` bounds the CNOT
+        count of every budget with one counter that grows with the chain.
+        A timed-out call raises ``SynthesisTimeout``."""
+        for k in range(lo, hi + 1):
+            encoded_at = time.monotonic()
+            if k == lo:
+                inst, layout = encode_chain(rep.initial, unique_terms,
+                                            EncodingConfig(mode, k, n, edges))
+                # a cap of c >= 1 CNOTs starts on ceil(c / (n // 2)) steps of
+                # more than n // 2 edges each, so it always gets a counter
+                counter = None if cap is None else add_cnot_budget(inst, layout, cap)
+                solver = Solver(inst)
+            else:
+                extend_chain(inst, layout)
+                if cap is not None:
+                    counter.extend(inst, layout.cnot[-1])
+            goal = add_goal(inst, layout, rep.final)
+            try:
+                model = timed_solve(solver, phase, k, encoded_at, (goal,))
+            except SolverTimeout as exc:
+                raise SynthesisTimeout(f"no model within {req.timeout_s} s at budget {k}") from exc
+            inst.add_clause([goal if model is not None else -goal])
+            if model is not None:
+                return k, model, layout, solver
+        return None
 
     floor = lower_bound(bound_rep, req.mode)
     if floor:
         ruled_out(floor - 1)
-    for k in range(floor, k_top + 1):
-        encoded_at = time.monotonic()
-        if k == floor:
-            inst, layout = encode_chain(rep.initial, unique_terms,
-                                        EncodingConfig(req.mode, k, n, edges))
-            solver = Solver(inst)
-        else:
-            extend_chain(inst, layout)
-        goal = add_goal(inst, layout, rep.final)
-        try:
-            model = timed_solve(solver, "primary", k, encoded_at, (goal,))
-        except SolverTimeout as exc:
-            raise SynthesisTimeout(f"no model within {req.timeout_s} s at budget {k}") from exc
-        inst.add_clause([goal if model is not None else -goal])
-        if model is None:
-            continue
+    found = grow(req.mode, floor, k_top, "primary")
+    if found is None:
+        raise NoSolutionWithinKmax(f"no solution with step budget up to {k_top}")
+    k, model, layout, solver = found
+    if not req.doubly or k == 0:
+        return finish(model, layout, True)
 
-        if not req.doubly or k == 0:
-            return finish(decode_circuit(model, layout, decode_rep), optimal=True,
-                          steps=_selected_steps(model, layout))
-
-        # phase 2: descend on the secondary metric, keeping the last model
+    # phase 2: optimize the secondary metric at the optimal primary one
+    if req.mode is Mode.DEPTH:
+        inst = solver.inst
         optimal = True
-        if req.mode is Mode.DEPTH:
-            count = _count_gates(model, layout)
-            count_floor = lower_bound(bound_rep, Mode.CNOT)
-            budget = None  # one counter, tightened in place by each step down
-            while count > count_floor:
-                encoded_at = time.monotonic()
-                if budget is None:
-                    budget = add_cnot_budget(inst, layout, count - 1)
-                else:
-                    budget.tighten(inst, count - 1)
-                try:
-                    nxt = timed_solve(solver, "descent", count - 1, encoded_at)
-                except SolverTimeout:
-                    optimal = False
-                    break
-                if nxt is None:
-                    break
-                model = nxt
-                count = _count_gates(model, layout)
-            else:  # the model meets the count floor: every lower budget is UNSAT
-                if count_floor:
-                    ruled_out(count_floor - 1)
-            return finish(decode_circuit(model, layout, decode_rep), optimal,
-                          _selected_steps(model, layout))
-
-        # count mode: a fresh depth-mode instance per depth, with k CNOTs at
-        # most; a layer holds at most n // 2 of them
-        steps = _selected_steps(model, layout)
-        best = decode_circuit(model, layout, decode_rep)
-        depth = cnot_depth(best) - 1
-        while depth >= depth_floor(k, n):
+        count = _count_gates(model, layout)
+        count_floor = lower_bound(bound_rep, Mode.CNOT)
+        budget = None  # one counter, tightened in place by each step down
+        while count > count_floor:
             encoded_at = time.monotonic()
-            inst, layout = encode_common(rep.initial, rep.final, unique_terms,
-                                         EncodingConfig(Mode.DEPTH, depth, n, edges))
-            add_depth_mode(inst, layout)
-            add_cnot_budget(inst, layout, k)
+            if budget is None:
+                budget = add_cnot_budget(inst, layout, count - 1)
+            else:
+                budget.tighten(inst, count - 1)
             try:
-                model = timed_solve(Solver(inst), "descent", depth, encoded_at)
+                nxt = timed_solve(solver, "descent", count - 1, encoded_at)
             except SolverTimeout:
                 optimal = False
                 break
-            if model is None:
+            if nxt is None:
                 break
-            steps = _selected_steps(model, layout)
-            best = decode_circuit(model, layout, decode_rep)
-            depth = cnot_depth(best) - 1
-        return finish(best, optimal, steps)
+            model = nxt
+            count = _count_gates(model, layout)
+        else:  # the model meets the count floor: every lower budget is UNSAT
+            if count_floor:
+                ruled_out(count_floor - 1)
+        return finish(model, layout, optimal)
 
-    raise NoSolutionWithinKmax(f"no solution with step budget up to {k_top}")
+    # count mode: the least depth of a depth-mode chain capped at k CNOTs,
+    # from the floor up to just below phase 1's circuit; a layer holds at
+    # most n // 2 CNOTs
+    first = finish(model, layout, True)
+    try:
+        found = grow(Mode.DEPTH, depth_floor(k, n), first.cnot_depth - 1, "descent", cap=k)
+    except SynthesisTimeout:
+        first.optimal = False
+        return first
+    if found is None:
+        return first
+    _, model, layout, _ = found
+    return finish(model, layout, True)
 
 
 __all__ = [

@@ -36,9 +36,9 @@ from paritysat.qasm import write_qasm
 from paritysat.sat.brute import brute_is_sat, brute_projections
 from paritysat.sat.core import SatInstance, at_least_k, at_most_k, export_dimacs, parse_dimacs
 from paritysat.sat.solver import solve
-from paritysat.synthesizer import SynthesisRequest, _greedy_layers, hopps
+from paritysat.synthesizer import SynthesisRequest, hopps
 
-from testkit import TOPOLOGIES, random_instance, random_mixed_circuit
+from testkit import TOPOLOGIES, greedy_layers, random_instance, random_mixed_circuit
 
 GOLDEN = Path(__file__).parent / "golden" / "triangle_line3.json"
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
@@ -224,7 +224,7 @@ def test_criterion_6_layering_legality(optimality_suite):
     for mode, run in runs:
         # a depth-mode model's steps are its layers; a count-doubly result
         # is layered greedily
-        layers = run.steps if mode is Mode.DEPTH else _greedy_layers(run.circuit)
+        layers = run.steps if mode is Mode.DEPTH else greedy_layers(run.circuit)
         for layer in layers:
             used = [q for edge in layer for q in edge]
             assert len(used) == len(set(used)), "same-layer CNOTs share a qubit"

@@ -6,14 +6,12 @@ from paritysat.encoder import (
     EncodingConfig,
     Mode,
     add_cnot_budget,
-    add_cnot_mode,
-    add_depth_mode,
     add_goal,
     encode_chain,
-    encode_common,
     extend_chain,
 )
 from paritysat.ir import CouplingMap, ParityMatrix, apply_cnot
+from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.sat.solver import Solver, solve
 
 from testkit import random_instance
@@ -24,12 +22,9 @@ def make_cfg(mode, steps, cm):
 
 
 def encode_for(mode, steps, cm, initial, final, terms):
-    cfg = make_cfg(mode, steps, cm)
-    inst, layout = encode_common(initial, final, terms, cfg)
-    if mode is Mode.CNOT:
-        add_cnot_mode(inst, layout)
-    else:
-        add_depth_mode(inst, layout)
+    """A chain of ``steps`` steps whose goal holds for good."""
+    inst, layout = encode_chain(initial, terms, make_cfg(mode, steps, cm))
+    inst.add_clause([add_goal(inst, layout, final)])
     return inst, layout
 
 
@@ -58,21 +53,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EncodingConfig(Mode.CNOT, 1, 2, ((0, 1),))  # missing reverse orientation
     with pytest.raises(ValueError):
-        encode_common(ParityMatrix.identity(2), ParityMatrix.identity(2), [0],
-                      EncodingConfig(Mode.CNOT, 1, 2, ((0, 1), (1, 0))))
+        encode_chain(ParityMatrix.identity(2), [0],
+                     EncodingConfig(Mode.CNOT, 1, 2, ((0, 1), (1, 0))))
 
 
 def test_mode_guards():
-    cm = CouplingMap.line(2)
-    eye = ParityMatrix.identity(2)
-    cfg = make_cfg(Mode.CNOT, 1, cm)
-    inst, layout = encode_common(eye, eye, [], cfg)
-    with pytest.raises(ValueError):
-        add_depth_mode(inst, layout)
-    dcfg = make_cfg(Mode.DEPTH, 1, cm)
-    dinst, dlayout = encode_common(eye, eye, [], dcfg)
-    with pytest.raises(ValueError):
-        add_cnot_mode(dinst, dlayout)
+    inst, layout = encode_chain(ParityMatrix.identity(2), [],
+                                make_cfg(Mode.CNOT, 1, CouplingMap.line(2)))
     with pytest.raises(ValueError):
         add_cnot_budget(inst, layout, 1)  # count-mode instance
 
@@ -129,6 +116,8 @@ def test_model_replay_reproduces_parity_and_terms():
 
 
 def test_grown_chain_answers_each_budget_as_a_fresh_encoding():
+    # each budget of a grown chain answers as a fresh chain of that budget
+    # does, and the first satisfiable one is the exhaustive oracle's optimum
     rng = random.Random(58)
     unsat_budgets = 0
     for _ in range(8):
@@ -136,7 +125,7 @@ def test_grown_chain_answers_each_budget_as_a_fresh_encoding():
         cm = rng.choice([CouplingMap.line, CouplingMap.complete])(n)
         rep = random_instance(rng, n, cm, rng.randint(1, 4), rng.randint(0, 2))
         terms = sorted(set(rep.table.terms))
-        for mode in (Mode.CNOT, Mode.DEPTH):
+        for mode, oracle in ((Mode.CNOT, oracle_min_count), (Mode.DEPTH, oracle_min_depth)):
             inst, layout = encode_chain(rep.initial, terms, make_cfg(mode, 0, cm))
             solver = Solver(inst)
             for k in range(6):
@@ -154,6 +143,7 @@ def test_grown_chain_answers_each_budget_as_a_fresh_encoding():
                 rows, matched = _replay_and_check(model, layout, rep.initial, terms)
                 assert tuple(rows) == rep.final.rows and all(matched.values())
                 break
+            assert model is not None and k == oracle(rep, cm)[0]
     assert unsat_budgets > 0
 
 

@@ -42,7 +42,7 @@ def test_add_clause_validation():
 def test_named_families_injective():
     inst = SatInstance()
     v = inst.name_var("cnot", 0, 1, 2)
-    assert inst.var("cnot", 0, 1, 2) == v
+    assert inst.named[("cnot", (0, 1, 2))] == v
     with pytest.raises(ValueError):
         inst.name_var("cnot", 0, 1, 2)
 
@@ -166,20 +166,40 @@ def _extendable(inst, lits):
     return allowed
 
 
+def _grown(n, k, tight=None):
+    """A counter of bound ``k`` on the shortest prefix it takes, tightened
+    to ``tight`` if given, then extended one literal at a time to ``n``."""
+    inst, lits = fresh(n)
+    counter = sequential_at_most(inst, lits[:k + 1], k)
+    if tight is not None:
+        counter.tighten(inst, tight)
+    for lit in lits[k + 1:]:
+        counter.extend(inst, [lit])
+    return inst, lits, counter
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_tightened_counter_allows_at_most_the_new_bound(n):
     everything = set(itertools.product([False, True], repeat=n))
     for k in range(1, n):
-        # each bound below k, tightened once and as a descent does, step by step
+        grown, grown_lits, extended = _grown(n, k)
+        assert _extendable(grown, grown_lits) == {p for p in everything if sum(p) <= k}
+        # each bound below k, tightened once and as a descent does, step by
+        # step, on a counter built whole or extended before the tightening;
+        # and extended after it
         descent, lits = fresh(n)
         stepped = sequential_at_most(descent, lits, k)
         for tight in range(k - 1, -1, -1):
             inst, once_lits = fresh(n)
             sequential_at_most(inst, once_lits, k).tighten(inst, tight)
             stepped.tighten(descent, tight)
+            extended.tighten(grown, tight)
+            late, late_lits, _ = _grown(n, k, tight)
             want = {p for p in everything if sum(p) <= tight}
             assert _extendable(inst, once_lits) == want
             assert _extendable(descent, lits) == want
+            assert _extendable(grown, grown_lits) == want
+            assert _extendable(late, late_lits) == want
         with pytest.raises(ValueError):
             stepped.tighten(descent, k)
     with pytest.raises(ValueError):

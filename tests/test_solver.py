@@ -7,14 +7,13 @@ from types import SimpleNamespace
 import pytest
 
 import paritysat.sat.solver as solver_module
-from paritysat.encoder import EncodingConfig, Mode, add_cnot_mode, encode_common
-from paritysat.ir import CouplingMap, ParityMatrix
 from paritysat.sat.brute import brute_is_sat
-from paritysat.sat.core import SatInstance, at_most_k
+from paritysat.sat.core import SatInstance, at_most_k, parse_dimacs
 from paritysat.sat.external import ExternalSolver, ExternalSolverError
 from paritysat.sat.solver import HEAP_SLACK, Solver, SolverTimeout, solve
 
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _pigeonhole(holes):
@@ -360,11 +359,9 @@ def test_solver_is_back_at_level_zero_after_a_timeout(make, satisfiable, monkeyp
 
 
 def _triangle_count(k):
-    cfg = EncodingConfig(Mode.CNOT, k, 3, CouplingMap.line(3).directed_edges())
-    inst, layout = encode_common(ParityMatrix.identity(3), ParityMatrix((1, 4, 2)),
-                                 [5, 3, 6], cfg)
-    add_cnot_mode(inst, layout)
-    return inst
+    """The golden triangle's count-mode CNF at ``k`` steps, with its goal
+    stated for good, as a fixed-size encoding used to build it."""
+    return parse_dimacs((GOLDEN / f"triangle_count_k{k}.cnf").read_text())
 
 
 # counters and models of a first solve, recorded with the EVSIDS, phase-saving

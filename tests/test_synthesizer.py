@@ -33,7 +33,7 @@ from paritysat.synthesizer import (
     synthesis_key,
 )
 
-from testkit import TOPOLOGIES, random_cnot_rz_circuit, random_instance
+from testkit import TOPOLOGIES, greedy_layers, random_cnot_rz_circuit, random_instance
 
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
 
@@ -202,8 +202,9 @@ def test_doubly_optimal_dominance_small():
 
 def record_solvers(monkeypatch):
     """Lists that fill with every ``Solver`` built and every (phase,
-    solver) SAT call that ``hopps`` makes.  Each phase-1 call is made under
-    one activation literal, and no other call under any."""
+    solver) SAT call that ``hopps`` makes.  Every call of a chain, in phase 1
+    and in the count-doubly descent, is made under one goal literal; the
+    depth-doubly descent resumes phase 1's solver under none."""
     built = []
     calls = []
 
@@ -217,7 +218,8 @@ def record_solvers(monkeypatch):
     def recording(inst, timeout_s, *args, solver=None, **kwargs):
         assert solver is not None and solver.inst is inst
         phase = kwargs["stats_out"]["phase"]
-        assert len(kwargs.get("assumptions", ())) == (phase == "primary")
+        on_chain = phase == "primary" or solver is not built[0]
+        assert len(kwargs.get("assumptions", ())) == on_chain
         calls.append((phase, solver))
         return real_solve_instance(inst, timeout_s, *args, solver=solver, **kwargs)
 
@@ -257,36 +259,75 @@ def test_each_synthesis_builds_one_solver_that_every_call_resumes(mode, doubly, 
     assert (phase2_calls > 0) == doubly and unsat_budgets > 0
 
 
-def test_count_doubly_builds_one_solver_per_depth_above_the_floor(monkeypatch):
+def test_count_doubly_grows_one_depth_chain_up_from_the_floor(monkeypatch):
     built, calls = record_solvers(monkeypatch)
     rng = random.Random(2718)
-    descents = 0
+    cases = []
     for n in (2, 3, 4, 4, 4):
         cm = TOPOLOGIES[rng.choice(list(TOPOLOGIES))](n)
-        rep = random_instance(rng, n, cm, rng.randint(3, 6), rng.randint(1, 3))
+        cases.append((cm, random_instance(rng, n, cm, rng.randint(3, 6), rng.randint(1, 3))))
+    # pinned last: phase 2 finds a SAT depth after an UNSAT one
+    cases.append((CouplingMap.line(4), random_instance(
+        pin := random.Random(1), 4, CouplingMap.line(4), pin.randint(3, 7), pin.randint(1, 3))))
+    runs = []
+    for cm, rep in cases:
+        n = cm.num_qubits
         built.clear()
         calls.clear()
         result = hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
         phases = [phase for phase, _ in calls]
         primary = phases.count("primary")
         assert phases == ["primary"] * primary + ["descent"] * (len(phases) - primary)
-        # phase 1 grows one solver across its budgets, and every depth
-        # tried gets a solver of its own
-        assert [solver for _, solver in calls] == \
-            [built[0]] * primary + built[1:] and len(built) == 1 + len(phases) - primary
-        depths = [entry["k"] for entry in result.stats if entry["phase"] == "descent"]
-        assert depths == sorted(set(depths), reverse=True)
-        # a layer holds at most n // 2 CNOTs: no call below that floor, and
-        # none at all on 2 and 3 qubits, where the floor is the count
-        assert all(d >= -(-result.cnot_count // (n // 2)) for d in depths)
-        assert n == 4 or depths == []
-        descents += len(depths)
+        # one chain per phase, each grown on one solver of its own
+        chains = [built[0]] * primary + [built[-1]] * (len(phases) - primary)
+        assert [solver for _, solver in calls] == chains
+        assert len(built) == (2 if len(phases) > primary else 1)
+        descents = [(entry["k"], entry["status"]) for entry in result.stats
+                    if entry["phase"] == "descent"]
+        # depths go up one by one from the floor, since a layer holds at most
+        # n // 2 CNOTs; the first SAT depth is the last tried.  On 2 and 3
+        # qubits the floor is the count, and no call is made
+        floor = -(-result.cnot_count // (n // 2))
+        assert [k for k, _ in descents] == list(range(floor, floor + len(descents)))
+        assert all(status == "unsat" for _, status in descents[:-1])
+        assert n == 4 or descents == []
+        if descents and descents[-1][1] == "sat":
+            assert result.cnot_depth == descents[-1][0]
+        else:
+            assert result.cnot_depth == floor + len(descents)
+        runs.append((descents, (result.cnot_count, result.cnot_depth)))
 
         best_count, count_circs = oracle_min_count(rep, cm)
         assert result.cnot_count == best_count and result.optimal
         assert result.cnot_depth == min(cnot_depth(c) for c in count_circs)
         assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
-    assert descents > 0
+    assert sum(len(descents) for descents, _ in runs[:-1]) > 0
+    assert runs[-1] == ([(2, "unsat"), (3, "sat")], (4, 3))
+
+
+@pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])
+def test_phase2_timeout_keeps_the_phase1_circuit(mode, monkeypatch):
+    real_solve_instance = synthesizer.solve_instance
+    timed_out = []
+
+    def descent_times_out(inst, timeout_s, *args, **kwargs):
+        if kwargs["stats_out"]["phase"] == "descent":
+            timed_out.append(kwargs["stats_out"]["k"])
+            raise SolverTimeout("stub budget exhausted")
+        return real_solve_instance(inst, timeout_s, *args, **kwargs)
+
+    monkeypatch.setattr(synthesizer, "solve_instance", descent_times_out)
+    cm = CouplingMap.line(4)
+    rep = extract_rep(random_cnot_rz_circuit(random.Random(11), 4, 6, 3, cm))
+    result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=True))
+    assert len(timed_out) == 1 and not result.optimal
+    assert all(entry["phase"] != "descent" for entry in result.stats)
+    if mode is Mode.CNOT:
+        assert result.cnot_count == oracle_min_count(rep, cm)[0]
+    else:
+        assert result.cnot_depth == oracle_min_depth(rep, cm)[0]
+    assert validate_topology(result.circuit, cm)
+    assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
 
 
 def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
@@ -312,7 +353,7 @@ def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
     assert phases.count("descent") >= 2 and set(phases[first + 1:]) == {"descent"}
     # one synthesis grows one instance, so each call is handed more clauses
     # than the last (a descent tightens the counter without new variables);
-    # the count-doubly descent alone gets fresh instances
+    # the count-doubly descent grows a second chain, which starts smaller
     for mode, doubly in ALL_MODES:
         result = stats if (mode, doubly) == (Mode.DEPTH, True) else \
             hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly)).stats
@@ -327,7 +368,7 @@ def test_result_metrics_match_recomputation(triangle_rep, line3):
     result = hopps(SynthesisRequest(triangle_rep, line3, doubly=True))
     assert result.cnot_count == cnot_count(result.circuit)
     assert result.cnot_depth == cnot_depth(result.circuit)
-    layers = synthesizer._greedy_layers(result.circuit)
+    layers = greedy_layers(result.circuit)
     assert sum(len(layer) for layer in layers) == result.cnot_count
     assert len(layers) == result.cnot_depth
 

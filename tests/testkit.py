@@ -58,3 +58,17 @@ def random_instance(rng: random.Random, n: int, cm: CouplingMap,
                     n_cnots: int, n_rz: int) -> PhasePolyRep:
     """Representation extracted from a random topology-legal circuit."""
     return extract_rep(random_cnot_rz_circuit(rng, n, n_cnots, n_rz, cm))
+
+
+def greedy_layers(circuit: Circuit) -> list[list[tuple[int, int]]]:
+    """The CNOTs of ``circuit`` grouped into the layers ``cnot_depth`` counts."""
+    level = [0] * circuit.num_qubits
+    layers: list[list[tuple[int, int]]] = []
+    for g in circuit.gates:
+        if isinstance(g, Cnot):
+            lv = max(level[g.control], level[g.target])
+            level[g.control] = level[g.target] = lv + 1
+            if lv == len(layers):
+                layers.append([])
+            layers[lv].append((g.control, g.target))
+    return layers
