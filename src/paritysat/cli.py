@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit
-codes: 0 success, 1 usage, 2 parse/validation, 3 infeasible, 4 timeout.
+codes: 0 success, 1 usage, 2 parse/validation, 3 infeasible, 4 timeout or
+the oracle's node cap.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 from .blockwise import BlockwiseConfig, IterationRecord, iterate_optimize
 from .encoder import Mode
 from .ir import Circuit, CouplingMap, cnot_count, cnot_depth
-from .oracle import oracle_min_count, oracle_min_depth
+from .oracle import OracleCapError, oracle_min_count, oracle_min_depth
 from .peephole import peephole_with_report
 from .phasepoly import (
     UnsupportedGateError,
@@ -69,10 +70,6 @@ def _load_coupling(path: str) -> CouplingMap:
 
 def _load_rep(path: str):
     return rep_from_json(json.loads(Path(path).read_text()))
-
-
-def _mode(value: str) -> Mode:
-    return Mode.CNOT if value == "cnot" else Mode.DEPTH
 
 
 def build_parser() -> _Parser:
@@ -143,7 +140,7 @@ def _cmd_extract(args) -> int:
 def _cmd_synth(args) -> int:
     rep = _load_rep(args.input)
     cm = _load_coupling(args.coupling_map)
-    request = SynthesisRequest(rep, cm, mode=_mode(args.mode), doubly=args.doubly,
+    request = SynthesisRequest(rep, cm, mode=Mode(args.mode), doubly=args.doubly,
                                k_max=args.kmax, timeout_s=args.timeout,
                                dimacs_path=args.dimacs_out)
     t0 = time.monotonic()
@@ -177,7 +174,7 @@ def _metrics_report(before: Circuit, after: Circuit) -> dict:
 def _cmd_peephole(args) -> int:
     circuit = _load_circuit(args.input)
     cm = _load_coupling(args.coupling_map)
-    out, pairs = peephole_with_report(circuit, cm, mode=_mode(args.mode),
+    out, pairs = peephole_with_report(circuit, cm, mode=Mode(args.mode),
                                       doubly=args.doubly, timeout_s=args.timeout)
     Path(args.output).write_text(write_qasm(out))
     report = _metrics_report(circuit, out)
@@ -211,7 +208,7 @@ def _cmd_blockwise(args) -> int:
         max_block_qubits=args.block_qubits, max_block_depth=args.block_depth,
         iters_full=args.iters_full, iters_sample=args.iters_sample,
         sample_fraction=args.sample_fraction, seed=args.seed, jobs=args.jobs,
-        per_block_timeout=args.timeout, mode=_mode(args.mode), doubly=args.doubly)
+        per_block_timeout=args.timeout, mode=Mode(args.mode), doubly=args.doubly)
     out, trace = iterate_optimize(circuit, cm, cfg)
     Path(args.output).write_text(write_qasm(out))
     if args.trace_out:
@@ -285,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except SynthesisTimeout as exc:
         _say(f"timeout: {exc}")
+        return EXIT_TIMEOUT
+    except OracleCapError as exc:
+        _say(f"node cap: {exc}")
         return EXIT_TIMEOUT
 
 

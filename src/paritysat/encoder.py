@@ -108,13 +108,11 @@ def _append_step(inst: SatInstance, layout: VarLayout) -> list[int]:
     k = len(layout.cnot)
     step_vars = [inst.name_var("cnot", k, a, b) for a, b in edges]
     layout.cnot.append(step_vars)
-    # auxiliary "row i is targeted at step k" indicators
-    targeted: list[int | None] = []
+    # auxiliary "row i is targeted at step k" indicators; with no edge into
+    # row i the last clause is [-aux], and the row carries over
+    targeted = []
     for i in range(n):
         targeting = [step_vars[e] for e, (a, b) in enumerate(edges) if b == i]
-        if not targeting:
-            targeted.append(None)
-            continue
         aux = inst.new_var()
         for v in targeting:
             inst.add_clause([-v, aux])
@@ -139,12 +137,8 @@ def _append_step(inst: SatInstance, layout: VarLayout) -> list[int]:
         aux = targeted[i]
         for j in range(n):
             p, q = cur[i][j], nxt[i][j]
-            if aux is None:
-                inst.add_clause([-p, q])
-                inst.add_clause([p, -q])
-            else:
-                inst.add_clause([aux, -p, q])
-                inst.add_clause([aux, p, -q])
+            inst.add_clause([aux, -p, q])
+            inst.add_clause([aux, p, -q])
     return step_vars
 
 
@@ -214,9 +208,10 @@ def add_cnot_budget(inst: SatInstance, layout: VarLayout,
     """Cap the total CNOT count across all steps of a depth-mode instance.
 
     For ``1 <= budget <`` the number of CNOT variables the cap is a
-    sequential counter, and its handle is returned: ``tighten`` lowers the
-    cap in place, and ``extend`` carries it over the CNOTs of steps that
-    ``extend_chain`` appends later.  Otherwise None is returned.
+    sequential counter, and its handle is returned: ``at_most`` states each
+    lower cap under a fresh goal literal, and ``extend`` carries the cap
+    over the CNOTs of steps that ``extend_chain`` appends later.  Otherwise
+    None is returned.
     """
     if budget < 0:
         raise ValueError("CNOT budget must be nonnegative")

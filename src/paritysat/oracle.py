@@ -19,10 +19,6 @@ class OracleCapError(RuntimeError):
     """Search frontier exceeded the configured node cap."""
 
 
-class OracleInfeasible(RuntimeError):
-    """The goal state is unreachable (disconnected topology)."""
-
-
 State = tuple[tuple[int, ...], int]
 
 
@@ -31,6 +27,8 @@ def _prepare(rep: PhasePolyRep, cm: CouplingMap):
         raise ValueError("coupling map has fewer qubits than the representation")
     if cm.num_qubits > rep.n:
         cm = induced_coupling(cm, range(rep.n))
+    if not cm.is_connected():
+        raise ValueError("coupling map must be connected on the used qubits")
     table = merged_table(rep)
     unique_terms = list(dict.fromkeys(table.terms))
     decode_rep = PhasePolyRep(rep.initial, rep.final, table)
@@ -95,7 +93,9 @@ def _search(rep: PhasePolyRep, cm: CouplingMap, moves_of, node_cap: int):
     parents: dict[State, list[tuple[State, tuple]]] = {}
     frontier: list[State] = [start]
     depth = 0
-    while frontier:
+    # on a connected map every invertible matrix and every term is
+    # reachable, so the goal is found before the frontier runs dry
+    while True:
         depth += 1
         nxt: list[State] = []
         for state in frontier:
@@ -118,7 +118,6 @@ def _search(rep: PhasePolyRep, cm: CouplingMap, moves_of, node_cap: int):
         if goal in dist:
             return depth, list(_all_paths(goal, start, parents)), decode_rep
         frontier = nxt
-    raise OracleInfeasible("goal unreachable on this coupling map")
 
 
 def oracle_min_count(rep: PhasePolyRep, cm: CouplingMap,
@@ -140,4 +139,4 @@ def oracle_min_depth(rep: PhasePolyRep, cm: CouplingMap,
     return depth, circuits
 
 
-__all__ = ["OracleCapError", "OracleInfeasible", "oracle_min_count", "oracle_min_depth"]
+__all__ = ["OracleCapError", "oracle_min_count", "oracle_min_depth"]

@@ -280,7 +280,7 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
     blocks of the same problem with ``apply_skeleton``.
     """
     local_map = induced_coupling(cm, block.qubits)
-    if len(block.qubits) >= 2 and not local_map.is_connected():
+    if not local_map.is_connected():
         return replace(block, status="skipped_disconnected")
     try:
         result = hopps(SynthesisRequest(block.rep, local_map, mode=mode, doubly=doubly,

@@ -25,6 +25,12 @@ class UnsupportedGateError(ValueError):
     """Raised when a gate outside {CNOT, Rz} reaches a phase-poly operation."""
 
 
+def _near_zero(angle: float) -> bool:
+    """Whether ``angle`` is 0 modulo 2 pi, within ``EPS_ANGLE``."""
+    d = angle % TWO_PI
+    return min(d, TWO_PI - d) < EPS_ANGLE
+
+
 def extract_rep(circuit: Circuit, initial: ParityMatrix | None = None) -> PhasePolyRep:
     """Walk a {CNOT, Rz} circuit and read off its phase-polynomial form.
 
@@ -64,17 +70,11 @@ class MergedAngle:
     labels: tuple[tuple[str, int], ...] = ()
 
     def is_zero(self) -> bool:
-        if self.labels:
-            return False
-        d = self.numeric % TWO_PI
-        return min(d, TWO_PI - d) < EPS_ANGLE
+        return not self.labels and _near_zero(self.numeric)
 
 
 def _angles_close(a: MergedAngle, b: MergedAngle) -> bool:
-    if a.labels != b.labels:
-        return False
-    d = (a.numeric - b.numeric) % TWO_PI
-    return min(d, TWO_PI - d) < EPS_ANGLE
+    return a.labels == b.labels and _near_zero(a.numeric - b.numeric)
 
 
 @dataclass
@@ -130,8 +130,7 @@ def equivalent(c1: Circuit, c2: Circuit) -> bool:
 def angle_components(angle: MergedAngle) -> tuple[Angle, ...]:
     """Expand a merged angle into individually placeable Rz angles."""
     out: list[Angle] = []
-    d = angle.numeric % TWO_PI
-    if min(d, TWO_PI - d) >= EPS_ANGLE:
+    if not _near_zero(angle.numeric):
         out.append(angle.numeric)
     for label, count in angle.labels:
         out.extend([label] * count)

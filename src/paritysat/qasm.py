@@ -125,7 +125,8 @@ _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*(\d+)\s*\])?$")
 
 
 def _statements(text: str):
-    """Yield (statement, line_number) pairs, comments stripped."""
+    """Yield (statement, line_number) pairs, comments stripped; a line
+    break inside a statement separates tokens, as a space does."""
     buf = ""
     start_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,6 +141,7 @@ def _statements(text: str):
                 buf = ""
             else:
                 buf += ch
+        buf += " "
     if buf.strip():
         raise QasmError(f"statement missing ';': {buf.strip()!r}", start_line)
 

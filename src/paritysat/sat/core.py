@@ -62,53 +62,51 @@ def _pairwise_at_most_one(inst: SatInstance, lits: Sequence[Lit]) -> None:
 
 @dataclass
 class SequentialCounter:
-    """What a Sinz counter over two or more literals needs to be tightened
-    or extended.
+    """A Sinz counter over two or more literals, bounded by ``len(row)``.
 
     ``last`` is the last literal and ``row`` the registers after all the
     others: ``row[j]`` is forced true once ``j + 1`` of them are true.
-    ``bound`` is the current bound, at most ``len(row)``.
+    ``at_most`` states a lower bound under a goal literal, and ``extend``
+    carries the counter over more literals.
     """
 
     last: Lit
     row: tuple[Lit, ...]
-    bound: int
 
-    def tighten(self, inst: SatInstance, k: int) -> None:
-        """Lower the bound in place to ``k``, below the current bound: at
-        most ``k`` of the others, and at most ``k - 1`` of them when the
-        last literal is true."""
-        if not 0 <= k < self.bound:
-            raise ValueError(f"cannot tighten a counter of bound {self.bound} to {k}")
-        inst.add_clause([-self.row[k]])
-        inst.add_clause([-self.last, -self.row[k - 1]] if k else [-self.last])
-        self.bound = k
+    def at_most(self, inst: SatInstance, k: int) -> Lit:
+        """A fresh goal literal that, when true, bounds the literals counted
+        so far by ``k``, below the bound: at most ``k`` of the others, and
+        at most ``k - 1`` of them when the last literal is true."""
+        if not 0 <= k < len(self.row):
+            raise ValueError(f"a counter of bound {len(self.row)} cannot state at most {k}")
+        goal = inst.new_var()
+        inst.add_clause([-goal, -self.row[k]])
+        inst.add_clause([-goal, -self.last, -self.row[k - 1]] if k else [-goal, -self.last])
+        return goal
 
     def extend(self, inst: SatInstance, lits: Sequence[Lit]) -> None:
-        """Append ``lits`` in place, at the current bound: one row of
-        registers per literal, over the literal that was last, as
-        ``sequential_at_most`` builds its inner rows."""
-        k = self.bound
+        """Append ``lits`` in place, at the bound: one row of registers per
+        literal, over the literal that was last, as ``sequential_at_most``
+        builds its inner rows."""
+        k = len(self.row)
         for lit in lits:
-            if k:
-                prev, last = self.row, self.last
-                row = inst.new_vars(k)
-                inst.add_clause([-last, row[0]])
-                inst.add_clause([-prev[0], row[0]])
-                for j in range(1, k):
-                    inst.add_clause([-last, -prev[j - 1], row[j]])
-                    inst.add_clause([-prev[j], row[j]])
-                # at most k of the others with ``last``: already stated
-                inst.add_clause([-lit, -row[k - 1]])
-                self.row = tuple(row)
-            else:
-                inst.add_clause([-lit])
+            prev, last = self.row, self.last
+            row = inst.new_vars(k)
+            inst.add_clause([-last, row[0]])
+            inst.add_clause([-prev[0], row[0]])
+            for j in range(1, k):
+                inst.add_clause([-last, -prev[j - 1], row[j]])
+                inst.add_clause([-prev[j], row[j]])
+            # at most k of the others with ``last``: already stated
+            inst.add_clause([-lit, -row[k - 1]])
+            self.row = tuple(row)
             self.last = lit
 
 
 def sequential_at_most(inst: SatInstance, lits: Sequence[Lit], k: int) -> SequentialCounter:
     """Sinz sequential-counter encoding of AtMost-k (adds auxiliary vars),
-    for ``1 <= k < len(lits)``; returns the handle that tightens it."""
+    for ``1 <= k < len(lits)``; returns the handle that states lower bounds
+    and extends it."""
     if not 1 <= k < len(lits):
         raise ValueError(f"a sequential counter needs 1 <= k < {len(lits)}, got {k}")
     n = len(lits)
@@ -125,7 +123,7 @@ def sequential_at_most(inst: SatInstance, lits: Sequence[Lit], k: int) -> Sequen
             inst.add_clause([-s[i - 1][j], s[i][j]])
         inst.add_clause([-lits[i], -s[i - 1][k - 1]])
     inst.add_clause([-lits[n - 1], -s[n - 2][k - 1]])
-    return SequentialCounter(lits[n - 1], tuple(s[n - 2]), k)
+    return SequentialCounter(lits[n - 1], tuple(s[n - 2]))
 
 
 def at_most_k(inst: SatInstance, lits: Sequence[Lit], k: int) -> None:
@@ -156,10 +154,6 @@ def at_least_k(inst: SatInstance, lits: Sequence[Lit], k: int) -> None:
         raise CardinalityError(f"at least {k} of {len(lits)} literals is unsatisfiable")
     if k == 1:
         inst.add_clause(lits)
-        return
-    if k == len(lits):
-        for lit in lits:
-            inst.add_clause([lit])
         return
     at_most_k(inst, [-lit for lit in lits], len(lits) - k)
 

@@ -44,6 +44,9 @@ class ExternalSolver:
                 raise SolverTimeout(f"external solver exceeded {timeout_s} s") from exc
             except OSError as exc:
                 raise ExternalSolverError(f"cannot run {self.path!r}: {exc}") from exc
+            finally:
+                if stats_out is not None:
+                    stats_out.update(seconds=time.monotonic() - start)
         status = None
         model_lits: list[int] = []
         for line in proc.stdout.splitlines():
@@ -52,8 +55,6 @@ class ExternalSolver:
                 status = line[2:].strip()
             elif line.startswith("v"):
                 model_lits.extend(int(tok) for tok in line[1:].split())
-        if stats_out is not None:
-            stats_out.update(seconds=time.monotonic() - start)
         if status == "UNSATISFIABLE":
             return None
         if status != "SATISFIABLE":

@@ -127,8 +127,8 @@ class Solver:
         in order; a model sets them all true.  None then means no model sets
         them all true: the instance itself is UNSAT for good (``unsat``)
         only when a conflict reaches level 0.  ``stats_out`` receives this
-        call's counters.  On ``SolverTimeout`` the solver is back at level 0
-        and may be called again.
+        call's counters, also those reached before a ``SolverTimeout``;
+        the solver is then back at level 0 and may be called again.
         """
         start = time.monotonic()
         deadline = start + timeout_s
@@ -214,10 +214,10 @@ class Solver:
                 self._enqueue(learned[0], ci)
         finally:
             self._backjump(0)
-        if stats_out is not None:
-            stats_out.update(decisions=n_decisions, conflicts=n_conflicts,
-                             propagations=self.propagations, learned=n_learned,
-                             restarts=n_restarts, seconds=time.monotonic() - start)
+            if stats_out is not None:
+                stats_out.update(decisions=n_decisions, conflicts=n_conflicts,
+                                 propagations=self.propagations, learned=n_learned,
+                                 restarts=n_restarts, seconds=time.monotonic() - start)
         return model
 
     def _take_in(self) -> None:

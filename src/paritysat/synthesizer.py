@@ -17,10 +17,10 @@ Phase 2, when requested, fixes the primary optimum and optimizes the
 secondary metric:
 
 * depth mode puts one sequential counter on the CNOT count of phase 1's
-  instance, just below the first model's count, and tightens it in place
-  for each lower count, so each descent resumes the same ``Solver``; the
-  last satisfiable model wins.  It stops once the model meets the count
-  floor, below which every budget is unsatisfiable;
+  instance, at the first model's count, and states each lower count as a
+  fresh goal literal on it, so each descent resumes the same ``Solver``;
+  the last satisfiable model wins.  It stops once the model meets the
+  count floor, below which every budget is unsatisfiable;
 * count mode grows a second chain, in depth mode, with a cap of the
   optimal count c* on its CNOTs that one counter carries along as steps
   are appended.  It starts at the floor ``ceil(c* / (n // 2))``, since a
@@ -29,10 +29,13 @@ secondary metric:
   there is none, phase 1's circuit has it.  On 2 and 3 qubits the floor
   equals the count, so no call is made.
 
-A budget below a floor is never handed to the solver: its answer is known
-to be UNSAT.  Each such cut in phase 1 and in the depth-mode descent
-leaves one ``bound`` stats entry, whose ``k`` is the largest budget ruled
-out and whose counters are 0.
+Every SAT call goes through one helper: it assumes one goal literal and
+appends its stats entry before it solves, with status ``timeout`` until
+the call returns ``sat`` or ``unsat``, so a timed-out call keeps its
+record.  A budget below a floor is never handed to the solver: its
+answer is known to be UNSAT.  Each such cut in phase 1 and in the
+depth-mode descent leaves one ``bound`` stats entry, whose ``k`` is the
+largest budget ruled out and whose counters are 0.
 """
 from __future__ import annotations
 
@@ -263,27 +266,35 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
 
     edges = cm.directed_edges()
     k_max = req.k_max if req.k_max is not None else default_k_max(n, len(unique_terms))
-    k_top = k_max if edges else 0
     stats: list[dict] = []
     deadline = time.monotonic() + req.timeout_s
 
-    def timed_solve(solver: Solver, phase: str, k: int, encoded_at: float,
-                    assumptions: tuple[int, ...] = ()) -> SatModel | None:
-        """One SAT call; its stats entry also records the CNF handed over
-        and the seconds spent encoding since ``encoded_at``."""
+    def attempt(solver: Solver, phase: str, k: int, encoded_at: float,
+                goal: int) -> SatModel | None:
+        """One SAT call under the activation literal ``goal``.  Its stats
+        entry, appended before the call, also records the CNF handed over
+        and the seconds spent encoding since ``encoded_at``.  The goal of a
+        satisfiable call is kept as a unit, that of an unsatisfiable one
+        dropped by its negation.  A timed-out call raises
+        ``SynthesisTimeout``, and its entry keeps status ``timeout``."""
         inst = solver.inst
         entry: dict = {"phase": phase, "k": k, "vars": inst.num_vars,
                        "clauses": inst.num_clauses,
-                       "encode_s": time.monotonic() - encoded_at}
-        remaining = max(deadline - time.monotonic(), 0.0)
-        model = solve_instance(inst, remaining, stats_out=entry, solver=solver,
-                               assumptions=assumptions)
-        entry["status"] = "sat" if model is not None else "unsat"
+                       "encode_s": time.monotonic() - encoded_at, "status": "timeout"}
         stats.append(entry)
+        remaining = max(deadline - time.monotonic(), 0.0)
+        try:
+            model = solve_instance(inst, remaining, stats_out=entry, solver=solver,
+                                   assumptions=(goal,))
+        except SolverTimeout as exc:
+            raise SynthesisTimeout(
+                f"no {phase} model within {req.timeout_s} s at budget {k}") from exc
+        entry["status"] = "sat" if model is not None else "unsat"
+        inst.add_clause([goal if model is not None else -goal])
         if model is not None and req.dimacs_path:
             # the last satisfiable call is the one whose model is returned
             with open(req.dimacs_path, "w") as fh:
-                fh.write(export_dimacs(inst, assumptions))
+                fh.write(export_dimacs(inst))
         return model
 
     def ruled_out(k: int) -> None:
@@ -305,10 +316,8 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         """Grow one chain in ``mode`` from budget ``lo`` on one ``Solver``,
         and solve each budget under its goal literal: the first satisfiable
         budget up to ``hi``, with its model, layout and solver (whose
-        ``inst`` is the instance), or None.  The goal of an UNSAT budget is
-        dropped and that of the SAT one kept.  ``cap`` bounds the CNOT
-        count of every budget with one counter that grows with the chain.
-        A timed-out call raises ``SynthesisTimeout``."""
+        ``inst`` is the instance), or None.  ``cap`` bounds the CNOT count
+        of every budget with one counter that grows with the chain."""
         for k in range(lo, hi + 1):
             encoded_at = time.monotonic()
             if k == lo:
@@ -322,12 +331,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                 extend_chain(inst, layout)
                 if cap is not None:
                     counter.extend(inst, layout.cnot[-1])
-            goal = add_goal(inst, layout, rep.final)
-            try:
-                model = timed_solve(solver, phase, k, encoded_at, (goal,))
-            except SolverTimeout as exc:
-                raise SynthesisTimeout(f"no model within {req.timeout_s} s at budget {k}") from exc
-            inst.add_clause([goal if model is not None else -goal])
+            model = attempt(solver, phase, k, encoded_at, add_goal(inst, layout, rep.final))
             if model is not None:
                 return k, model, layout, solver
         return None
@@ -335,9 +339,9 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
     floor = lower_bound(bound_rep, req.mode)
     if floor:
         ruled_out(floor - 1)
-    found = grow(req.mode, floor, k_top, "primary")
+    found = grow(req.mode, floor, k_max, "primary")
     if found is None:
-        raise NoSolutionWithinKmax(f"no solution with step budget up to {k_top}")
+        raise NoSolutionWithinKmax(f"no solution with step budget up to {k_max}")
     k, model, layout, solver = found
     if not req.doubly or k == 0:
         return finish(model, layout, True)
@@ -348,22 +352,24 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         optimal = True
         count = _count_gates(model, layout)
         count_floor = lower_bound(bound_rep, Mode.CNOT)
-        budget = None  # one counter, tightened in place by each step down
+        encoded_at = time.monotonic()
+        if count > count_floor:
+            # one counter at phase 1's count: a step sets at most n // 2 of
+            # its 2 (n - 1) or more CNOT variables, so the count is below
+            # their number and the cap is always a counter
+            counter = add_cnot_budget(inst, layout, count)
         while count > count_floor:
-            encoded_at = time.monotonic()
-            if budget is None:
-                budget = add_cnot_budget(inst, layout, count - 1)
-            else:
-                budget.tighten(inst, count - 1)
             try:
-                nxt = timed_solve(solver, "descent", count - 1, encoded_at)
-            except SolverTimeout:
+                nxt = attempt(solver, "descent", count - 1, encoded_at,
+                              counter.at_most(inst, count - 1))
+            except SynthesisTimeout:
                 optimal = False
                 break
             if nxt is None:
                 break
             model = nxt
             count = _count_gates(model, layout)
+            encoded_at = time.monotonic()
         else:  # the model meets the count floor: every lower budget is UNSAT
             if count_floor:
                 ruled_out(count_floor - 1)

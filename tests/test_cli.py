@@ -292,6 +292,26 @@ def test_oracle_command(triangle_files, capsys):
     assert json.loads(out) == golden
 
 
+def test_oracle_on_a_disconnected_map_exits_two(triangle_files, tmp_path, capsys):
+    _, rep_file, _ = triangle_files
+    cm_file = tmp_path / "split.json"
+    cm_file.write_text(json.dumps(CouplingMap(3, frozenset({(0, 1)})).to_json()))
+    code, out, err = run_cli(capsys, "oracle", str(rep_file), "--coupling-map", str(cm_file))
+    assert code == 2 and out == ""
+    assert "must be connected" in err
+
+
+def test_oracle_node_cap_exits_four(triangle_files, capsys, monkeypatch):
+    _, rep_file, cm_file = triangle_files
+    real = paritysat.cli.oracle_min_count
+    monkeypatch.setattr(paritysat.cli, "oracle_min_count",
+                        lambda rep, cm: real(rep, cm, node_cap=10))
+    code, out, err = run_cli(capsys, "oracle", str(rep_file), "--coupling-map",
+                             str(cm_file))
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "more than 10 states" in err
+
+
 def test_console_script_entry_point(triangle_files):
     qasm, _, _ = triangle_files
     # the child imports the same paritysat as this test, installed or not

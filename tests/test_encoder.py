@@ -148,10 +148,9 @@ def test_grown_chain_answers_each_budget_as_a_fresh_encoding():
 
 
 def test_model_enumeration_matches_sequence_count():
-    # every ordered pair of directed line-3 edges whose replay lands on G
-    # corresponds to exactly one model projection, and vice versa
-    cm = CouplingMap.line(3)
-    edges = cm.directed_edges()
+    # every ordered pair of directed edges whose replay lands on G
+    # corresponds to exactly one model projection, and vice versa; on the
+    # one-edge map, qubit 2 is never targeted and its row carries over
     eye = ParityMatrix.identity(3)
 
     def replay(pair):
@@ -160,7 +159,11 @@ def test_model_enumeration_matches_sequence_count():
             rows[t] ^= rows[c]
         return tuple(rows)
 
-    for target in (eye, apply_cnot(apply_cnot(eye, 0, 1), 1, 2)):
+    for cm, target in [(CouplingMap.line(3), eye),
+                       (CouplingMap.line(3), apply_cnot(apply_cnot(eye, 0, 1), 1, 2)),
+                       (CouplingMap(3, frozenset({(0, 1)})), eye),
+                       (CouplingMap(3, frozenset({(0, 1)})), apply_cnot(eye, 1, 0))]:
+        edges = cm.directed_edges()
         want = sum(1 for e1 in edges for e2 in edges
                    if replay((e1, e2)) == target.rows)
         inst, layout = encode_for(Mode.CNOT, 2, cm, eye, target, [])

@@ -91,6 +91,14 @@ def test_term_permutation_invariance(triangle_rep, line3):
     assert oracle_min_depth(triangle_rep, line3)[0] == oracle_min_depth(other, line3)[0]
 
 
+def test_disconnected_map_is_rejected():
+    eye = ParityMatrix.identity(3)
+    rep = PhasePolyRep(eye, eye, ParityTable(3, (4,), (0.5,)))
+    for oracle in (oracle_min_count, oracle_min_depth):
+        with pytest.raises(ValueError, match="must be connected"):
+            oracle(rep, CouplingMap(3, frozenset({(0, 1)})))
+
+
 def test_node_cap():
     eye = ParityMatrix.identity(2)
     rep = PhasePolyRep(eye, ParityMatrix((2, 1)), ParityTable(2, (), ()))

@@ -82,6 +82,16 @@ def test_comments_and_multiline_statements():
     assert c.gates == (Cnot(0, 1),)
 
 
+def test_line_break_separates_tokens():
+    c = parse_qasm("qreg\nq[2];\ncx\nq[0],q[1];\nrz(0.5)\nq[1];\n")
+    assert c.num_qubits == 2
+    assert c.gates == (Cnot(0, 1), Rz(0.5, 1))
+    # an error names the statement's first line
+    with pytest.raises(QasmError) as err:
+        parse_qasm(HEADER + "cx\nq[0],\nq[9];\n")
+    assert err.value.line == 4
+
+
 @given(st.integers(0, 2 ** 31 - 1))
 def test_write_parse_round_trip(seed):
     rng = random.Random(seed)

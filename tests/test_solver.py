@@ -405,6 +405,27 @@ def test_timeout_raises():
         solve(_pigeonhole(6), timeout_s=0.0)
 
 
+def test_timed_out_call_still_fills_its_stats():
+    stats = {}
+    with pytest.raises(SolverTimeout):
+        Solver(_pigeonhole(6)).solve(timeout_s=0.0, stats_out=stats)
+    assert set(stats) == {"decisions", "conflicts", "propagations", "learned",
+                          "restarts", "seconds"}
+    assert stats["seconds"] >= 0.0
+
+
+def test_timed_out_external_call_records_its_seconds(tmp_path):
+    sleeper = tmp_path / "sleeper.py"
+    sleeper.write_text(f"#!{sys.executable}\nimport time\ntime.sleep(30)\n")
+    sleeper.chmod(0o755)
+    inst = SatInstance()
+    inst.add_clause([inst.new_var()])
+    stats = {}
+    with pytest.raises(SolverTimeout):
+        ExternalSolver(str(sleeper)).solve(inst, timeout_s=0.2, stats_out=stats)
+    assert stats["seconds"] >= 0.2
+
+
 def test_stats_populated():
     inst = SatInstance()
     x, y = inst.new_vars(2)

@@ -202,9 +202,8 @@ def test_doubly_optimal_dominance_small():
 
 def record_solvers(monkeypatch):
     """Lists that fill with every ``Solver`` built and every (phase,
-    solver) SAT call that ``hopps`` makes.  Every call of a chain, in phase 1
-    and in the count-doubly descent, is made under one goal literal; the
-    depth-doubly descent resumes phase 1's solver under none."""
+    solver) SAT call that ``hopps`` makes.  Every call is made under exactly
+    one goal literal."""
     built = []
     calls = []
 
@@ -217,10 +216,8 @@ def record_solvers(monkeypatch):
 
     def recording(inst, timeout_s, *args, solver=None, **kwargs):
         assert solver is not None and solver.inst is inst
-        phase = kwargs["stats_out"]["phase"]
-        on_chain = phase == "primary" or solver is not built[0]
-        assert len(kwargs.get("assumptions", ())) == on_chain
-        calls.append((phase, solver))
+        assert len(kwargs["assumptions"]) == 1
+        calls.append((kwargs["stats_out"]["phase"], solver))
         return real_solve_instance(inst, timeout_s, *args, solver=solver, **kwargs)
 
     monkeypatch.setattr(synthesizer, "Solver", CountingSolver)
@@ -321,7 +318,9 @@ def test_phase2_timeout_keeps_the_phase1_circuit(mode, monkeypatch):
     rep = extract_rep(random_cnot_rz_circuit(random.Random(11), 4, 6, 3, cm))
     result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=True))
     assert len(timed_out) == 1 and not result.optimal
-    assert all(entry["phase"] != "descent" for entry in result.stats)
+    # the timed-out call keeps its record
+    assert [(entry["k"], entry["status"]) for entry in result.stats
+            if entry["phase"] == "descent"] == [(timed_out[0], "timeout")]
     if mode is Mode.CNOT:
         assert result.cnot_count == oracle_min_count(rep, cm)[0]
     else:
@@ -352,7 +351,7 @@ def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
     assert phases[0] == "bound" and set(phases[1:first]) <= {"primary"} and first > 1
     assert phases.count("descent") >= 2 and set(phases[first + 1:]) == {"descent"}
     # one synthesis grows one instance, so each call is handed more clauses
-    # than the last (a descent tightens the counter without new variables);
+    # than the last (a descent states its bound on one new goal variable);
     # the count-doubly descent grows a second chain, which starts smaller
     for mode, doubly in ALL_MODES:
         result = stats if (mode, doubly) == (Mode.DEPTH, True) else \
@@ -570,8 +569,9 @@ def test_external_backend_selected_by_env(triangle_rep, line3, monkeypatch):
 def test_tail_block_of_the_peephole_workload_stays_cheap():
     # a 4-qubit block of the peephole benchmark on a 2x2 grid: most of its
     # work is the descent's final UNSAT proof, which stacked counters made
-    # cost 2,235 conflicts (3,160 in all) where one tightened counter on the
-    # instance phase 1 grew needs far fewer
+    # cost 2,235 conflicts (3,160 in all) where one counter on the instance
+    # phase 1 grew, each lower count under its own goal literal, needs far
+    # fewer
     rep = PhasePolyRep(ParityMatrix.identity(4), ParityMatrix((4, 3, 2, 8)),
                        ParityTable(4, (4, 6, 2, 10), (0.1, 0.2, 0.3, 0.4)))
     cm = CouplingMap(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
