@@ -25,6 +25,13 @@ without a model, but the instance stays open; only a conflict at level
 budget with an activation literal and assumes it, so one solver serves
 every budget.
 
+The state is indexed by literal, in the MiniSat manner: one ``value``
+list holds +1, -1 or 0 for every literal, -v at the position that
+Python's negative index gives it, and ``watches`` holds the clauses that
+watch each literal.  Watch lists and the reason of each forced variable
+hold the clause lists themselves; ``db`` keeps every clause, given and
+learned.
+
 Decisions follow EVSIDS (Chaff, DAC 2001; MiniSat): every variable that
 conflict analysis touches has its activity bumped, the bump grows by
 1/0.95 per conflict, and a decision takes the unassigned variable of
@@ -99,10 +106,12 @@ class Solver:
         self.taken = 0                  # clauses of the instance taken in so far
         self.unsat = False              # the clauses taken in have no model
         self.db: list[list[int]] = []   # watched clauses, given and learned
-        self.watches: dict[int, list[int]] = {}
-        self.assign = [0]               # 0 unknown, 1 true, -1 false
+        # indexed by literal, -v at 2 * num_vars + 1 - v: the clauses that
+        # watch the literal, and its value (0 unknown, 1 true, -1 false)
+        self.watches: list[list[list[int]]] = [[]]
+        self.value = [0]
         self.level = [0]
-        self.reason = [-1]              # clause index forcing the var, -1 = decision/root
+        self.reason: list[list[int] | None] = [None]  # clause forcing the var; None = decision/root
         self.seen = [False]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []  # trail position where each decision level starts
@@ -135,18 +144,18 @@ class Solver:
         self.propagations = 0
         n_decisions = n_conflicts = n_learned = n_restarts = 0
         model = None
-        assign = self.assign
         activity = self.activity
         in_heap = self.in_heap
         heap = self.heap
         saved = self.saved
         trail_lim = self.trail_lim
         db = self.db
-        watches = self.watches
         n_assumed = len(assumptions)
         refuted = False
         try:
             self._take_in()
+            value = self.value      # both lists are rebuilt as the instance grows
+            watches = self.watches
             if any(abs(lit) > self.num_vars or lit == 0 for lit in assumptions):
                 raise ValueError("assumption on an unallocated variable")
             # each call starts at level 0, as a restart would: the conflict
@@ -156,7 +165,7 @@ class Solver:
                 if (n_decisions + n_conflicts) % 256 == 0 and time.monotonic() > deadline:
                     raise SolverTimeout(f"solve exceeded {timeout_s} s")
                 conflict = self._propagate()
-                if conflict < 0:
+                if conflict is None:
                     if conflicts_left <= 0:
                         self._backjump(0)
                         self.restarts += 1
@@ -166,10 +175,9 @@ class Solver:
                     # that level i + 1 always belongs to assumptions[i]
                     while len(trail_lim) < n_assumed:
                         lit = assumptions[len(trail_lim)]
-                        value = assign[lit] if lit > 0 else -assign[-lit]
-                        if value == 0:
+                        if value[lit] == 0:
                             break
-                        if value < 0:
+                        if value[lit] < 0:
                             refuted = True
                             break
                         trail_lim.append(len(self.trail))
@@ -178,23 +186,23 @@ class Solver:
                     if len(trail_lim) < n_assumed:
                         n_decisions += 1
                         trail_lim.append(len(self.trail))
-                        self._enqueue(assumptions[len(trail_lim) - 1], -1)
+                        self._enqueue(assumptions[len(trail_lim) - 1], None)
                         continue
                     var = 0
                     while heap:
                         neg_act, v = heappop(heap)
                         if neg_act == -activity[v]:
                             in_heap[v] = False
-                            if assign[v] == 0:
+                            if value[v] == 0:
                                 var = v
                                 break
                     if not var:
-                        model = SatModel(tuple([False] + [assign[v] == 1
+                        model = SatModel(tuple([False] + [value[v] == 1
                                                           for v in range(1, self.num_vars + 1)]))
                         break
                     n_decisions += 1
                     trail_lim.append(len(self.trail))
-                    self._enqueue(saved[var], -1)
+                    self._enqueue(saved[var], None)
                     continue
                 n_conflicts += 1
                 conflicts_left -= 1
@@ -204,14 +212,13 @@ class Solver:
                 learned, back_level = self._analyze(conflict)
                 self._backjump(back_level)
                 if len(learned) == 1:
-                    self._enqueue(learned[0], -1)  # root-level fact
+                    self._enqueue(learned[0], None)  # root-level fact
                     continue
-                ci = len(db)
                 db.append(learned)
-                watches[learned[0]].append(ci)
-                watches[learned[1]].append(ci)
+                watches[learned[0]].append(learned)
+                watches[learned[1]].append(learned)
                 n_learned += 1
-                self._enqueue(learned[0], ci)
+                self._enqueue(learned[0], learned)
         finally:
             self._backjump(0)
             if stats_out is not None:
@@ -227,19 +234,19 @@ class Solver:
         and so is a clause a root fact satisfies; root-false literals are
         removed before the two watches are chosen.  A clause left with one
         literal becomes a root fact, one left with none makes the solver
-        UNSAT for good.
+        UNSAT for good.  New variables rebuild the two literal-indexed
+        lists, whose negative half moves up; at level 0 the values they
+        carry over are the root facts.
         """
         inst = self.inst
         old, nv = self.num_vars, inst.num_vars
         if nv > old:
             grow = nv - old
-            watches = self.watches
-            for v in range(old + 1, nv + 1):
-                watches[v] = []
-                watches[-v] = []
-            self.assign.extend([0] * grow)
+            self.watches = (self.watches[:old + 1] + [[] for _ in range(2 * grow)]
+                            + self.watches[old + 1:])
+            self.value = self.value[:old + 1] + [0] * (2 * grow) + self.value[old + 1:]
             self.level.extend([0] * grow)
-            self.reason.extend([-1] * grow)
+            self.reason.extend([None] * grow)
             self.seen.extend([False] * grow)
             self.activity.extend([0.0] * grow)
             self.saved.extend(range(-old - 1, -nv - 1, -1))
@@ -271,99 +278,92 @@ class Solver:
             if len(lits) == 1:
                 units.append(lits[0])
             else:
-                ci = len(db)
                 db.append(lits)
-                watches[lits[0]].append(ci)
-                watches[lits[1]].append(ci)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
         self.taken = len(inst.clauses)
         for u in units:
-            if not self._enqueue(u, -1):
+            if not self._enqueue(u, None):
                 self.unsat = True
 
-    def _enqueue(self, lit: int, why: int) -> bool:
-        var = abs(lit)
-        val = 1 if lit > 0 else -1
-        cur = self.assign[var]
+    def _enqueue(self, lit: int, why: list[int] | None) -> bool:
+        value = self.value
+        cur = value[lit]
         if cur != 0:
-            return cur == val
-        self.assign[var] = val
+            return cur == 1
+        value[lit] = 1
+        value[-lit] = -1
+        var = abs(lit)
         self.level[var] = len(self.trail_lim)
         self.reason[var] = why
         self.trail.append(lit)
         return True
 
-    def _propagate(self) -> int:
-        """Exhaust unit propagation; returns a conflicting clause index or -1."""
-        assign = self.assign
+    def _propagate(self) -> list[int] | None:
+        """Exhaust unit propagation; returns a conflicting clause or None."""
+        value = self.value
         level = self.level
         reason = self.reason
         watches = self.watches
-        db = self.db
         trail = self.trail
         current = len(self.trail_lim)
         qhead = self.qhead
         n_props = 0
-        conflict = -1
-        while qhead < len(trail) and conflict < 0:
-            lit = trail[qhead]
+        conflict = None
+        while qhead < len(trail) and conflict is None:
+            falsified = -trail[qhead]
             qhead += 1
-            falsified = -lit
-            ws = watches[falsified]
-            new_ws: list[int] = []
-            i = 0
-            n_ws = len(ws)
-            while i < n_ws:
-                ci = ws[i]
-                i += 1
-                c = db[ci]
+            it = iter(watches[falsified])
+            new_ws: list[list[int]] = []
+            for c in it:
                 if c[0] == falsified:
-                    c[0], c[1] = c[1], c[0]
+                    c[0] = c[1]
+                    c[1] = falsified
                 first = c[0]
-                v0 = assign[first] if first > 0 else -assign[-first]
+                v0 = value[first]
                 if v0 == 1:
-                    new_ws.append(ci)
+                    new_ws.append(c)
                     continue
-                moved = False
-                for j in range(2, len(c)):
-                    lj = c[j]
-                    vj = assign[lj] if lj > 0 else -assign[-lj]
-                    if vj != -1:
-                        c[1], c[j] = c[j], c[1]
-                        watches[c[1]].append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                new_ws.append(ci)
+                n = len(c)
+                if n > 2:
+                    j = 2
+                    while j < n and value[c[j]] == -1:
+                        j += 1
+                    if j < n:
+                        lj = c[j]
+                        c[1] = lj
+                        c[j] = falsified
+                        watches[lj].append(c)
+                        continue
+                new_ws.append(c)
                 if v0 == -1:
-                    new_ws.extend(ws[i:])
-                    conflict = ci
+                    new_ws.extend(it)
+                    conflict = c
                     break
                 n_props += 1
+                value[first] = 1
+                value[-first] = -1
                 var = first if first > 0 else -first
-                assign[var] = 1 if first > 0 else -1
                 level[var] = current
-                reason[var] = ci
+                reason[var] = c
                 trail.append(first)
             watches[falsified] = new_ws
         self.qhead = qhead
         self.propagations += n_props
         return conflict
 
-    def _analyze(self, conflict_ci: int) -> tuple[list[int], int]:
+    def _analyze(self, clause: list[int]) -> tuple[list[int], int]:
         """First-UIP resolution: learned clause (asserting literal first)
         plus the level to backjump to.  Bumps every variable it marks."""
         seen = self.seen
         level = self.level
         reason = self.reason
         trail = self.trail
-        db = self.db
         current = len(self.trail_lim)
         learned: list[int] = []
         marked: list[int] = []
         pending = 0
         p = 0
-        clause = db[conflict_ci]
         idx = len(trail) - 1
         while True:
             for q in clause:
@@ -385,7 +385,7 @@ class Solver:
             pending -= 1
             if pending == 0:
                 break
-            clause = db[reason[abs(p)]]
+            clause = reason[abs(p)]
         activity = self.activity
         in_heap = self.in_heap
         inc = self.var_inc
@@ -416,14 +416,15 @@ class Solver:
         if len(self.trail_lim) <= to_level:
             return
         limit = self.trail_lim[to_level]
-        assign = self.assign
+        value = self.value
         saved = self.saved
         in_heap = self.in_heap
         activity = self.activity
         heap = self.heap
         for lit in self.trail[limit:]:
+            value[lit] = 0
+            value[-lit] = 0
             v = lit if lit > 0 else -lit
-            assign[v] = 0
             saved[v] = lit
             if not in_heap[v]:
                 in_heap[v] = True

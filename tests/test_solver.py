@@ -244,7 +244,7 @@ def _assert_heap_sound(solver):
     current = [v for neg_act, v in heap if neg_act == -solver.activity[v]]
     assert len(current) == len(set(current))
     assert set(current) == {v for v in range(1, solver.num_vars + 1) if solver.in_heap[v]}
-    assert all(solver.in_heap[v] for v in range(1, solver.num_vars + 1) if solver.assign[v] == 0)
+    assert all(solver.in_heap[v] for v in range(1, solver.num_vars + 1) if solver.value[v] == 0)
 
 
 @pytest.mark.parametrize("rounds", [
@@ -349,7 +349,7 @@ def test_solver_is_back_at_level_zero_after_a_timeout(make, satisfiable, monkeyp
         solver.solve(timeout_s=1.5)
     monkeypatch.undo()
     assert solver.trail_lim == [] and solver.qhead <= len(solver.trail)
-    assigned = [v for v in range(1, inst.num_vars + 1) if solver.assign[v] != 0]
+    assigned = [v for v in range(1, inst.num_vars + 1) if solver.value[v] != 0]
     assert assigned == sorted(abs(lit) for lit in solver.trail)
     assert all(solver.level[v] == 0 for v in assigned)
     model = solver.solve()
