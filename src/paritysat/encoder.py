@@ -14,6 +14,13 @@ There is one encoding, a chain: ``encode_chain`` and ``extend_chain`` grow
 one instance a step at a time, and ``add_goal`` states the goal of its
 current budget (final parities, term coverage) under an activation
 literal, so one solver can try every budget in turn.
+
+Each step's CNOT variables go to ``SatInstance.preferred``, in both
+modes, so the solver tries them True first: in count mode one decision
+picks the step's CNOT and the at-most-one clauses clear the rest, where
+False first would take one decision per edge until the at-least-one
+clause forces the last; in depth mode a layer fills greedily with
+disjoint CNOTs.
 """
 from __future__ import annotations
 
@@ -107,6 +114,7 @@ def _append_step(inst: SatInstance, layout: VarLayout) -> list[int]:
     edges = layout.cfg.directed_edges
     k = len(layout.cnot)
     step_vars = [inst.name_var("cnot", k, a, b) for a, b in edges]
+    inst.preferred.extend(step_vars)
     layout.cnot.append(step_vars)
     # auxiliary "row i is targeted at step k" indicators; with no edge into
     # row i the last clause is [-aux], and the row carries over

@@ -23,6 +23,10 @@ class SatInstance:
     num_vars: int = 0
     clauses: list[list[Lit]] = field(default_factory=list)
     named: dict[tuple[str, tuple[int, ...]], int] = field(default_factory=dict)
+    # literals the internal solver sets first on a variable that has never
+    # held a value (every other variable is tried False first); a search
+    # hint, not a constraint, so DIMACS export and external solvers ignore it
+    preferred: list[Lit] = field(default_factory=list)
 
     def new_var(self) -> int:
         self.num_vars += 1

@@ -36,13 +36,16 @@ Decisions follow EVSIDS (Chaff, DAC 2001; MiniSat): every variable that
 conflict analysis touches has its activity bumped, the bump grows by
 1/0.95 per conflict, and a decision takes the unassigned variable of
 highest activity, the lowest-numbered one on ties.  It is set to the
-value it last held (phase saving, Pipatsrisawat & Darwiche, SAT 2007),
-False for a variable that never held one.  The search restarts at level
-0 after 100 conflicts times the next term of the Luby sequence.  Nothing
-is randomized, so the search is deterministic; determinism is part of
-the synthesis contract (identical inputs reproduce identical circuits).
-Activities start at 0, so until its first conflict a fresh solve decides
-as the plain rule did: lowest-numbered variable, False first.  A fresh
+value it last held (phase saving, Pipatsrisawat & Darwiche, SAT 2007).
+A variable that never held one is tried as the instance prefers
+(``SatInstance.preferred``, MiniSat's ``setPolarity``), else False; a
+synthesis prefers each step's CNOT variables True, so one decision picks
+a step's CNOT.  The search restarts at level 0 after 100 conflicts times
+the next term of the Luby sequence.  Nothing is randomized, so the
+search is deterministic; determinism is part of the synthesis contract
+(identical inputs reproduce identical circuits).  Activities start at 0,
+so until its first conflict a fresh solve decides as the plain rule did:
+lowest-numbered variable, preferred value or False first.  A fresh
 ``Solver`` searches exactly as a one-shot ``solve``.
 """
 from __future__ import annotations
@@ -104,6 +107,7 @@ class Solver:
         self.inst = inst
         self.num_vars = 0
         self.taken = 0                  # clauses of the instance taken in so far
+        self.preferred_taken = 0        # and preferred literals
         self.unsat = False              # the clauses taken in have no model
         self.db: list[list[int]] = []   # watched clauses, given and learned
         # indexed by literal, -v at 2 * num_vars + 1 - v: the clauses that
@@ -250,11 +254,15 @@ class Solver:
             self.seen.extend([False] * grow)
             self.activity.extend([0.0] * grow)
             self.saved.extend(range(-old - 1, -nv - 1, -1))
+            for lit in inst.preferred[self.preferred_taken:]:
+                if abs(lit) > old:
+                    self.saved[abs(lit)] = lit
             self.in_heap.extend([True] * grow)
             # no entry sorts after (0.0, v) for a var v above every var in
             # the heap, so appending the new vars in order keeps it a heap
             self.heap.extend([(0.0, v) for v in range(old + 1, nv + 1)])
             self.num_vars = nv
+        self.preferred_taken = len(inst.preferred)
 
         watches = self.watches
         db = self.db

@@ -225,6 +225,17 @@ def test_depth_mode_qubit_disjoint_steps():
     assert sorted(step) == [(0, 1), (2, 3)]
 
 
+@pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])
+def test_each_step_prefers_its_cnot_variables_true(mode):
+    cm = CouplingMap.line(3)
+    inst, layout = encode_chain(ParityMatrix.identity(3), [0b011], make_cfg(mode, 2, cm))
+    extend_chain(inst, layout)
+    add_goal(inst, layout, ParityMatrix.identity(3))
+    cnots = [var for (family, _), var in inst.named.items() if family == "cnot"]
+    assert len(cnots) == 3 * len(cm.directed_edges())
+    assert inst.preferred == cnots == [var for step in layout.cnot for var in step]
+
+
 def test_cnot_budget():
     cm = CouplingMap.line(4)
     eye = ParityMatrix.identity(4)

@@ -227,6 +227,21 @@ def test_export_names_in_comments():
     assert "c named cnot(0,1,2) = 1" in text
 
 
+def test_export_ignores_preferences():
+    inst, (x1, x2, x3) = fresh(3)
+    inst.add_clause([x1, -x2, x3])
+    plain = export_dimacs(inst, (x3,))
+    inst.preferred.extend([x1, -x3])
+    assert export_dimacs(inst, (x3,)) == plain
+
+
+def test_parsed_instance_has_no_preferences():
+    inst, (x1, x2) = fresh(2)
+    inst.add_clause([x1, x2])
+    inst.preferred.append(x2)
+    assert parse_dimacs(export_dimacs(inst)).preferred == []
+
+
 def test_dimacs_round_trip():
     rng = random.Random(33)
     for _ in range(20):

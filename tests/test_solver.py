@@ -390,6 +390,20 @@ def test_first_solve_searches_as_before(make, counters, true_vars):
     assert got == true_vars
 
 
+def test_first_decisions_set_the_preferred_literals_and_the_rest_false():
+    inst = SatInstance()
+    a, b, c, d, e = inst.new_vars(5)
+    inst.preferred.extend([b, -c, e])
+    solver = Solver(inst)
+    model = solver.solve()
+    assert model.values == (False, False, True, False, False, True)
+    # a preference takes effect when the solver first takes its variable in
+    f, g = inst.new_vars(2)
+    inst.preferred.extend([g, a])
+    assert solver.solve().values[1:] == model.values[1:] + (False, True)
+    assert Solver(inst).solve().values == (False, True, True, False, False, True, False, True)
+
+
 def test_determinism():
     rng = random.Random(4)
     inst = random_instance(rng, max_vars=14, max_clauses=50)

@@ -342,20 +342,21 @@ def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
     assert [entry["phase"] for entry in runs[Mode.CNOT].stats] == ["bound", "primary"]
     # depth-doubly: every call, of phase 1 and of the descent, is handed the
     # one instance grown further; the triangle's model meets its count
-    # floor, so this instance descends
+    # floor, so this instance descends, twice
     cm = CouplingMap.line(4)
-    rep = extract_rep(random_cnot_rz_circuit(random.Random(11), 4, 6, 3, cm))
-    stats = hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True)).stats
+    descending = extract_rep(random_cnot_rz_circuit(random.Random(4), 4, 6, 3, cm))
+    stats = hopps(SynthesisRequest(descending, cm, mode=Mode.DEPTH, doubly=True)).stats
     phases = [entry["phase"] for entry in stats]
     first = phases.index("descent") - 1
     assert phases[0] == "bound" and set(phases[1:first]) <= {"primary"} and first > 1
     assert phases.count("descent") >= 2 and set(phases[first + 1:]) == {"descent"}
     # one synthesis grows one instance, so each call is handed more clauses
     # than the last (a descent states its bound on one new goal variable);
-    # the count-doubly descent grows a second chain, which starts smaller
+    # the count-doubly descent grows a second chain, which starts smaller.
+    # This instance makes more than two such calls in every mode.
+    rep = extract_rep(random_cnot_rz_circuit(random.Random(11), 4, 6, 3, cm))
     for mode, doubly in ALL_MODES:
-        result = stats if (mode, doubly) == (Mode.DEPTH, True) else \
-            hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly)).stats
+        result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly)).stats
         sizes = [(entry["vars"], entry["clauses"]) for entry in result
                  if entry["phase"] == "primary" or entry["phase"] == "descent"
                  and mode is Mode.DEPTH]
