@@ -7,7 +7,9 @@ optimal synthesis against the breadth-first oracle, reporting per-instance
 metrics and timing.  Each instance's count and depth floors
 (``lower_bound``) are printed next to the oracle optima; a floor above an
 optimum is a mismatch (verdict ``FLOOR>OPT``), and any mismatch makes the
-exit status nonzero.
+exit status nonzero.  The summary line also gives the SAT conflicts and
+decisions summed over the stats of every synthesis, a measure of search
+effort that does not depend on the machine.
 
     python scripts/random_suite.py --count 30 --seed 7 --max-qubits 4
 """
@@ -65,6 +67,7 @@ def main():
     print("-" * len(header))
     mismatches = 0
     total_synth = 0.0
+    conflicts = decisions = 0
     for index in range(args.count):
         n = rng.randint(2, args.max_qubits)
         topo = rng.choice(list(TOPOLOGIES))
@@ -84,6 +87,9 @@ def main():
                                           timeout_s=args.timeout))
         synth_s = time.monotonic() - t0
         total_synth += synth_s
+        for entry in by_count.stats + by_depth.stats:
+            conflicts += entry["conflicts"]
+            decisions += entry["decisions"]
 
         want_depth_at_count = min(cnot_depth(c) for c in count_circs)
         want_count_at_depth = min(cnot_count(c) for c in depth_circs)
@@ -107,7 +113,8 @@ def main():
               f"{best_count:>5} {count_floor:>4} {best_depth:>5} {depth_floor:>4} "
               f"{oracle_s:>8.2f} {synth_s:>8.2f} {verdict}")
     print(f"\n{args.count - mismatches}/{args.count} matched the oracle; "
-          f"synthesis time {total_synth:.1f} s")
+          f"synthesis time {total_synth:.1f} s; "
+          f"SAT conflicts {conflicts}, decisions {decisions}")
     return 1 if mismatches else 0
 
 

@@ -55,8 +55,10 @@ class BlockwiseConfig:
     doubly: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.iters_full, self.iters_sample) < 0 or self.jobs < 1:
-            raise ValueError("iteration and job counts must be nonnegative")
+        if min(self.iters_full, self.iters_sample) < 0:
+            raise ValueError("iteration counts must be nonnegative")
+        if self.jobs < 1:
+            raise ValueError("the job count must be at least 1")
         if self.max_block_qubits < 2 or self.max_block_depth < 1:
             raise ValueError("blocks must admit at least one CNOT "
                              "(>= 2 qubits, depth >= 1)")

@@ -107,7 +107,6 @@ class Solver:
         self.inst = inst
         self.num_vars = 0
         self.taken = 0                  # clauses of the instance taken in so far
-        self.preferred_taken = 0        # and preferred literals
         self.unsat = False              # the clauses taken in have no model
         self.db: list[list[int]] = []   # watched clauses, given and learned
         # indexed by literal, -v at 2 * num_vars + 1 - v: the clauses that
@@ -240,7 +239,9 @@ class Solver:
         literal becomes a root fact, one left with none makes the solver
         UNSAT for good.  New variables rebuild the two literal-indexed
         lists, whose negative half moves up; at level 0 the values they
-        carry over are the root facts.
+        carry over are the root facts.  A new variable's first decision
+        sets the literal the instance prefers for it, else False; a
+        preference for a variable already taken in is ignored.
         """
         inst = self.inst
         old, nv = self.num_vars, inst.num_vars
@@ -254,7 +255,7 @@ class Solver:
             self.seen.extend([False] * grow)
             self.activity.extend([0.0] * grow)
             self.saved.extend(range(-old - 1, -nv - 1, -1))
-            for lit in inst.preferred[self.preferred_taken:]:
+            for lit in inst.preferred:
                 if abs(lit) > old:
                     self.saved[abs(lit)] = lit
             self.in_heap.extend([True] * grow)
@@ -262,7 +263,6 @@ class Solver:
             # the heap, so appending the new vars in order keeps it a heap
             self.heap.extend([(0.0, v) for v in range(old + 1, nv + 1)])
             self.num_vars = nv
-        self.preferred_taken = len(inst.preferred)
 
         watches = self.watches
         db = self.db

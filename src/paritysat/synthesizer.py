@@ -77,7 +77,12 @@ class NoSolutionWithinKmax(RuntimeError):
 
 
 class SynthesisTimeout(RuntimeError):
-    """Solve budget exhausted before any model was found."""
+    """Solve budget exhausted before any model was found.  ``stats`` holds
+    the synthesis's records so far; the last is the call that timed out."""
+
+    def __init__(self, message: str, stats: list[dict] | None = None) -> None:
+        super().__init__(message)
+        self.stats = [] if stats is None else stats
 
 
 class InternalConsistencyError(RuntimeError):
@@ -276,7 +281,8 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         and the seconds spent encoding since ``encoded_at``.  The goal of a
         satisfiable call is kept as a unit, that of an unsatisfiable one
         dropped by its negation.  A timed-out call raises
-        ``SynthesisTimeout``, and its entry keeps status ``timeout``."""
+        ``SynthesisTimeout`` that carries the records, and its entry keeps
+        status ``timeout``."""
         inst = solver.inst
         entry: dict = {"phase": phase, "k": k, "vars": inst.num_vars,
                        "clauses": inst.num_clauses,
@@ -288,7 +294,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                                    assumptions=(goal,))
         except SolverTimeout as exc:
             raise SynthesisTimeout(
-                f"no {phase} model within {req.timeout_s} s at budget {k}") from exc
+                f"no {phase} model within {req.timeout_s} s at budget {k}", stats) from exc
         entry["status"] = "sat" if model is not None else "unsat"
         inst.add_clause([goal if model is not None else -goal])
         if model is not None and req.dimacs_path:

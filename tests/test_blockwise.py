@@ -51,8 +51,10 @@ def ring8_with_redundancy():
 def test_config_validation():
     with pytest.raises(ValueError):
         BlockwiseConfig(sample_fraction=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="iteration counts must be nonnegative"):
         BlockwiseConfig(iters_full=-1)
+    with pytest.raises(ValueError, match="job count must be at least 1"):
+        BlockwiseConfig(jobs=0)
 
 
 def test_partition_single_small_block():

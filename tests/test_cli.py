@@ -283,6 +283,14 @@ def test_off_map_circuit_exits_two(command, triangle_files, tmp_path, capsys):
     assert "violates the coupling map" in err
 
 
+def test_blockwise_with_no_jobs_exits_two(triangle_files, tmp_path, capsys):
+    qasm, _, cm_file = triangle_files
+    code, out, err = run_cli(capsys, "blockwise", str(qasm), "--coupling-map", str(cm_file),
+                             "-o", str(tmp_path / "out.qasm"), "--jobs", "0")
+    assert code == 2 and out == ""
+    assert "job count must be at least 1" in err
+
+
 def test_oracle_command(triangle_files, capsys):
     _, rep_file, cm_file = triangle_files
     code, out, _ = run_cli(capsys, "oracle", str(rep_file), "--coupling-map",

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ def test_random_suite_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "3/3 matched" in proc.stdout
+    summary = proc.stdout.strip().splitlines()[-1]
+    assert re.search(r"SAT conflicts \d+, decisions [1-9]\d*$", summary), summary
     assert "c_lb" in proc.stdout and "d_lb" in proc.stdout
 
 

@@ -417,6 +417,24 @@ def test_timeout_bounds_the_whole_synthesis(triangle_rep, line3, monkeypatch):
     assert time.monotonic() - start < 0.4
 
 
+def test_phase_1_timeout_carries_its_records(monkeypatch):
+    cm = CouplingMap.line(4)
+    rep = extract_rep(random_cnot_rz_circuit(random.Random(11), 4, 6, 3, cm))
+    real = synthesizer.solve_instance
+
+    def times_out_from_3_steps(inst, *args, **kwargs):
+        if len({index[0] for family, index in inst.named if family == "cnot"}) >= 3:
+            raise SolverTimeout("stub budget exhausted")
+        return real(inst, *args, **kwargs)
+
+    monkeypatch.setattr(synthesizer, "solve_instance", times_out_from_3_steps)
+    with pytest.raises(SynthesisTimeout) as caught:
+        hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT))
+    last = caught.value.stats[-1]
+    assert (last["phase"], last["k"], last["status"]) == ("primary", 4, "timeout")
+    assert [entry["phase"] for entry in caught.value.stats] == ["bound", "primary"]
+
+
 def test_disconnected_map_rejected(triangle_rep):
     broken = CouplingMap(3, frozenset({(0, 1)}))
     with pytest.raises(ValueError):
