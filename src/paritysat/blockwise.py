@@ -9,17 +9,30 @@ order, keeping the output bit-identical regardless of worker count.
 Blocks go through ``peephole.resynthesize`` with one cache for the whole
 ``iterate_optimize`` call, so each distinct block problem is synthesized
 once per call and only the first block of each uncached key goes to the
-workers.
+workers.  The call also keeps a memo of the judgments no later iteration
+can change (a block kept at its floors, skipped as disconnected, or
+judged on a skeleton proven optimal), keyed by the block's qubits and
+gates: a block met again, as most are from one iteration to the next,
+reuses its judgment without a floor, key or skeleton computed.
+
+Each ``iterate_optimize`` call opens at most one worker pool, at its
+first dispatch of two or more blocks, reuses it in every later iteration
+and shuts it down when it returns or raises.  A dispatch whose pool
+breaks (a worker process died) fails its own blocks only, and the next
+dispatch opens a fresh pool.
 """
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from math import ceil
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .encoder import Mode
 from .ir import (
@@ -105,36 +118,88 @@ def sample_blocks(circuit: Circuit, cfg: BlockwiseConfig,
     return [_make_block(circuit, groups[i][1]) for i in chosen]
 
 
+class _WorkerPool:
+    """``jobs`` worker processes, started at the first ``map`` and again
+    at the first ``map`` after one that broke them."""
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self._executor: ProcessPoolExecutor | None = None
+
+    def map(self, worker_fn: Callable[[Block], Block],
+            blocks: Sequence[Block]) -> list[Block]:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        futures = [_submit(self._executor, worker_fn, block) for block in blocks]
+        out = [_guarded(future.result, block) for block, future in zip(blocks, futures)]
+        if any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
+            self.close()
+        return out
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+
+# the pool of the ``iterate_optimize`` call in progress, if any: it reaches
+# ``run_parallel`` here because the call keeps the signature that callers,
+# and wrappers of the module attribute, rely on
+_call_pool: ContextVar[_WorkerPool | None] = ContextVar("_call_pool", default=None)
+
+
+@contextmanager
+def _one_pool(jobs: int) -> Iterator[_WorkerPool]:
+    """A pool of ``jobs`` workers for every ``run_parallel`` inside the
+    ``with`` statement, shut down on the way out."""
+    pool = _WorkerPool(jobs)
+    token = _call_pool.set(pool)
+    try:
+        yield pool
+    finally:
+        _call_pool.reset(token)
+        pool.close()
+
+
 def run_parallel(blocks: Sequence[Block], worker_fn: Callable[[Block], Block],
                  jobs: int) -> list[Block]:
     """Apply ``worker_fn`` over blocks with at most ``jobs`` concurrent tasks.
 
     Results come back strictly in block order; a worker failure falls back
-    to that block's original, with the exception type in ``error``.
+    to that block's original, with the exception type in ``error``.  One
+    block, or one job, runs in this process.  Otherwise the blocks go to
+    the pool of the ``iterate_optimize`` call in progress, which outlives
+    this dispatch; called on its own, ``run_parallel`` opens a pool for
+    this dispatch only.  When a worker process dies, every block of this
+    dispatch still pending fails with ``BrokenProcessPool``.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if jobs == 1 or len(blocks) <= 1:
-        out = []
-        for block in blocks:
-            try:
-                out.append(worker_fn(block))
-            except Exception as exc:
-                out.append(_failed(block, exc))
-        return out
-    results: list[Block] = list(blocks)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {i: pool.submit(worker_fn, block) for i, block in enumerate(blocks)}
-        for i, future in futures.items():
-            try:
-                results[i] = future.result()
-            except Exception as exc:
-                results[i] = _failed(blocks[i], exc)
-    return results
+        return [_guarded(partial(worker_fn, block), block) for block in blocks]
+    pool = _call_pool.get()
+    if pool is not None:
+        return pool.map(worker_fn, blocks)
+    with _one_pool(jobs) as pool:
+        return pool.map(worker_fn, blocks)
 
 
-def _failed(block: Block, exc: Exception) -> Block:
-    return replace(block, status="original", error=type(exc).__name__)
+def _submit(executor: ProcessPoolExecutor, worker_fn: Callable[[Block], Block],
+            block: Block) -> Future:
+    try:
+        return executor.submit(worker_fn, block)
+    except BrokenProcessPool as exc:  # a worker died while the batch went out
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
+def _guarded(result: Callable[[], Block], block: Block) -> Block:
+    """``result()``, or ``block`` with the exception type when it raises."""
+    try:
+        return result()
+    except Exception as exc:
+        return replace(block, status="original", error=type(exc).__name__)
 
 
 def iterate_optimize(circuit: Circuit, cm: CouplingMap,
@@ -152,6 +217,7 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
     worker = partial(resynth_block, cm=cm, mode=cfg.mode, doubly=cfg.doubly,
                      timeout_s=cfg.per_block_timeout)
     cache: dict[tuple, Skeleton] = {}
+    judged: dict[tuple, Block] = {}
     current = circuit
     trace: list[IterationRecord] = []
     iteration = 0
@@ -160,37 +226,38 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
     def ordered(c: Circuit) -> tuple[int, int]:
         return ordered_metrics(cfg.mode, cnot_count(c), cnot_depth(c))
 
-    for stage, iters in (("full", cfg.iters_full), ("sample", cfg.iters_sample)):
-        for _ in range(iters):
-            t0 = time.monotonic()
-            if stage == "full":
-                blocks = partition(current, cfg)
-            else:
-                blocks = sample_blocks(current, cfg, rng)
-            replaced, hits = resynthesize(
-                blocks, cm, cfg.mode, cache,
-                lambda todo: run_parallel(todo, worker, cfg.jobs))
-            improved = 0
-            for old, new in zip(blocks, replaced):
-                if new.status == "resynthesized":
-                    if ordered(new.circuit)[0] < ordered(old.circuit)[0]:
-                        improved += 1
-            candidate = splice_blocks(current, replaced)
-            # splice-order effects can regress global metrics even though no
-            # block got worse; reject such iterations to keep the trace monotone
-            rolled_back = ordered(candidate) > ordered(current)
-            if not rolled_back:
-                current = candidate
-            iteration += 1
-            metrics = (cnot_count(current), cnot_depth(current))
-            failed = sum(1 for block in replaced if block.error is not None)
-            trace.append(IterationRecord(iteration, stage, metrics[0], metrics[1],
-                                         len(blocks), improved, hits, failed,
-                                         time.monotonic() - t0, rolled_back))
-            converged = prev == metrics
-            prev = metrics
-            if stage == "full" and converged:
-                break
+    with _one_pool(cfg.jobs):
+        for stage, iters in (("full", cfg.iters_full), ("sample", cfg.iters_sample)):
+            for _ in range(iters):
+                t0 = time.monotonic()
+                if stage == "full":
+                    blocks = partition(current, cfg)
+                else:
+                    blocks = sample_blocks(current, cfg, rng)
+                replaced, hits = resynthesize(
+                    blocks, cm, cfg.mode, cache,
+                    lambda todo: run_parallel(todo, worker, cfg.jobs), judged)
+                improved = 0
+                for old, new in zip(blocks, replaced):
+                    if new.status == "resynthesized":
+                        if ordered(new.circuit)[0] < ordered(old.circuit)[0]:
+                            improved += 1
+                candidate = splice_blocks(current, replaced)
+                # splice-order effects can regress global metrics even though no
+                # block got worse; reject such iterations to keep the trace monotone
+                rolled_back = ordered(candidate) > ordered(current)
+                if not rolled_back:
+                    current = candidate
+                iteration += 1
+                metrics = (cnot_count(current), cnot_depth(current))
+                failed = sum(1 for block in replaced if block.error is not None)
+                trace.append(IterationRecord(iteration, stage, metrics[0], metrics[1],
+                                             len(blocks), improved, hits, failed,
+                                             time.monotonic() - t0, rolled_back))
+                converged = prev == metrics
+                prev = metrics
+                if stage == "full" and converged:
+                    break
     return current, trace
 
 

@@ -25,6 +25,9 @@ placing its own angles on the CNOT steps found, and judged against its
 own metrics.  Only syntheses proven optimal are cached.  The blocks of a
 key share the outcome of its first block: when that one hit its timeout
 (``failed_budget``, or a doubly optimal search cut short), so do they.
+A caller that runs ``resynthesize`` again on the same cache can also
+keep a memo of the judgments no later run can change, by block qubits
+and gates, so that a block met again is not judged again.
 """
 from __future__ import annotations
 
@@ -258,16 +261,17 @@ def ordered_metrics(mode: Mode, count: int, depth: int) -> tuple[int, int]:
 
 def apply_skeleton(block: Block, skeleton: Skeleton, mode: Mode) -> Block:
     """The block rebuilt on ``skeleton`` with its own angles, when that
-    strictly improves it; otherwise the block itself, flagged ``kept_original``."""
+    strictly improves it; otherwise the block itself, flagged ``kept_original``.
+    Either way the result carries ``skeleton``."""
     own = block.circuit
     if ordered_metrics(mode, *skeleton.metrics) >= \
             ordered_metrics(mode, cnot_count(own), cnot_depth(own)):
-        return replace(block, status="kept_original")
+        return replace(block, status="kept_original", skeleton=skeleton)
     rep = block.rep
     circuit = place_rotations(skeleton.steps,
                               PhasePolyRep(rep.initial, rep.final, merged_table(rep)))
     return Block(block.qubits, circuit.gates, block.span,
-                 extract_rep(circuit), status="resynthesized")
+                 extract_rep(circuit), status="resynthesized", skeleton=skeleton)
 
 
 def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
@@ -289,7 +293,7 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
         return replace(block, status="failed_budget")
     steps = tuple(tuple(step) for step in result.steps)
     skeleton = Skeleton(steps, (result.cnot_count, result.cnot_depth), result.optimal)
-    return replace(apply_skeleton(block, skeleton, mode), skeleton=skeleton)
+    return apply_skeleton(block, skeleton, mode)
 
 
 def at_floors(block: Block, table: ParityTable) -> bool:
@@ -311,9 +315,19 @@ def at_floors(block: Block, table: ParityTable) -> bool:
     return own == floors
 
 
+def _settled(block: Block) -> bool:
+    """Whether a replacement is final for its qubits and gates: kept at
+    its floors, skipped as disconnected, or judged on a skeleton proven
+    optimal.  Failures and judgments on an unproven skeleton are not."""
+    if block.skeleton is not None:
+        return block.skeleton.optimal
+    return block.status in ("kept_original", "skipped_disconnected")
+
+
 def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
                  cache: dict[tuple, Skeleton],
                  synthesize: Callable[[list[Block]], list[Block]],
+                 judged: dict[tuple, Block] | None = None,
                  ) -> tuple[list[Block], int]:
     """Resynthesize every block; returns the replacements and the number
     of blocks served without a synthesis of their own.
@@ -325,10 +339,20 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
     skeleton is cached when it is proven optimal.  Every other block of
     the key gets that skeleton, or inherits the first block's failure
     when there is none.
+
+    ``judged``, when given, maps ``(qubits, gates)`` to a replacement
+    that no later call with the same ``cache`` can change (``_settled``):
+    a block found there takes that judgment with its own span, and no
+    floor, key or skeleton is computed for it.  Each new settled
+    replacement is added to it.
     """
     out: list[Block] = list(blocks)
     keys: dict[int, tuple] = {}
     for i, block in enumerate(blocks):
+        seen = None if judged is None else judged.get((block.qubits, block.gates))
+        if seen is not None:
+            out[i] = replace(seen, span=block.span)
+            continue
         table = merged_table(block.rep)
         if at_floors(block, table):
             out[i] = replace(block, status="kept_original")
@@ -351,6 +375,10 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
             out[i] = apply_skeleton(blocks[i], skeleton, mode)
         else:
             out[i] = replace(blocks[i], status=fresh[key].status, error=fresh[key].error)
+    if judged is not None:
+        for block, new in zip(blocks, out):
+            if _settled(new):
+                judged.setdefault((block.qubits, block.gates), new)
     return out, len(blocks) - len(first)
 
 

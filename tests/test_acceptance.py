@@ -33,11 +33,11 @@ from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.peephole import peephole_with_report
 from paritysat.phasepoly import canonical_equal, canonicalize, equivalent, extract_rep
 from paritysat.qasm import write_qasm
-from paritysat.sat.brute import brute_is_sat, brute_projections
 from paritysat.sat.core import SatInstance, at_least_k, at_most_k, export_dimacs, parse_dimacs
 from paritysat.sat.solver import solve
 from paritysat.synthesizer import SynthesisRequest, hopps
 
+from brute import brute_is_sat, brute_projections
 from testkit import TOPOLOGIES, greedy_layers, random_instance, random_mixed_circuit
 
 GOLDEN = Path(__file__).parent / "golden" / "triangle_line3.json"

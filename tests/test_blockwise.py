@@ -1,5 +1,12 @@
 import dataclasses
+import json
+import multiprocessing
+import os
 import random
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +32,7 @@ from paritysat.ir import (
 )
 from paritysat.encoder import Mode
 from paritysat.peephole import (
+    Block,
     at_floors,
     find_blocks,
     peephole_with_report,
@@ -35,6 +43,14 @@ from paritysat.phasepoly import equivalent, merged_table
 from paritysat.synthesizer import SynthesisTimeout, synthesis_key
 
 from testkit import random_cnot_rz_circuit
+
+GOLDEN = Path(__file__).parent / "golden" / "blockwise_repeated_skeletons.json"
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_the_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def ring8_with_redundancy():
@@ -344,3 +360,165 @@ def test_single_block_timeout_leaves_it_unchanged():
     spliced = splice_blocks(c, results)
     assert cnot_count(spliced) == 2
     assert equivalent(spliced, c)
+
+
+def many_block_problems() -> tuple[Circuit, CouplingMap, BlockwiseConfig]:
+    """A run at jobs 2 that sends blocks to the workers in more than one
+    iteration."""
+    line = CouplingMap.line(6)
+    c = random_cnot_rz_circuit(random.Random(1), 6, 40, 15, line)
+    cfg = BlockwiseConfig(max_block_qubits=3, iters_full=2, iters_sample=2, seed=7,
+                          jobs=2, per_block_timeout=30)
+    return c, line, cfg
+
+
+def watch_dispatches(monkeypatch, after=None) -> list[list[Block]]:
+    """Record the blocks ``iterate_optimize`` hands ``run_parallel``, and
+    what comes back, per dispatch."""
+    seen = []
+    dispatch = paritysat.blockwise.run_parallel
+
+    def watched(blocks, worker_fn, jobs):
+        out = dispatch(blocks, worker_fn, jobs)
+        seen.append(out)
+        if after is not None:
+            after()
+        return out
+
+    monkeypatch.setattr(paritysat.blockwise, "run_parallel", watched)
+    return seen
+
+
+def count_pools(monkeypatch) -> list[int]:
+    opened = []
+    executor = paritysat.blockwise.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        opened.append(1)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(paritysat.blockwise, "ProcessPoolExecutor", counted)
+    return opened
+
+
+def test_one_call_opens_one_pool(monkeypatch):
+    opened = count_pools(monkeypatch)
+    seen = watch_dispatches(monkeypatch)
+    c, line, cfg = many_block_problems()
+    out, trace = iterate_optimize(c, line, cfg)
+    assert sum(len(blocks) >= 2 for blocks in seen) >= 2
+    assert len(opened) == 1
+    assert multiprocessing.active_children() == []
+    assert equivalent(out, c)
+
+
+def test_a_call_that_raises_shuts_its_pool_down(monkeypatch):
+    opened = count_pools(monkeypatch)
+    splices = []
+    splice = paritysat.blockwise.splice_blocks
+
+    def second_raises(*args):
+        splices.append(1)
+        if len(splices) == 2:
+            raise RuntimeError("splice exploded")
+        return splice(*args)
+
+    monkeypatch.setattr(paritysat.blockwise, "splice_blocks", second_raises)
+    c, line, cfg = many_block_problems()
+    with pytest.raises(RuntimeError, match="splice exploded"):
+        iterate_optimize(c, line, cfg)
+    assert len(opened) == 1
+    assert multiprocessing.active_children() == []
+
+
+def _exit_until(marker: Path, block, **kwargs):
+    if not marker.exists():
+        os._exit(1)
+    return resynth_block(block, **kwargs)
+
+
+def test_a_dead_worker_fails_its_own_dispatch_only(monkeypatch, tmp_path):
+    # every worker of the first dispatch dies; the marker, written when that
+    # dispatch comes back, lets the workers of every later one live
+    marker = tmp_path / "first-dispatch-done"
+    monkeypatch.setattr(paritysat.blockwise, "resynth_block", partial(_exit_until, marker))
+    opened = count_pools(monkeypatch)
+    seen = watch_dispatches(monkeypatch, after=marker.touch)
+    c, line, cfg = many_block_problems()
+    cfg = dataclasses.replace(cfg, iters_full=1)
+    out, trace = iterate_optimize(c, line, cfg)
+    assert len(seen[0]) >= 2
+    assert all((b.status, b.error) == ("original", "BrokenProcessPool") for b in seen[0])
+    assert trace[0].blocks_failed == len(seen[0])
+    later = [b for blocks in seen[1:] for b in blocks]
+    assert later and all(b.error is None for b in later)
+    assert any(b.status == "resynthesized" for b in later)
+    assert all(r.blocks_failed == 0 for r in trace[1:])
+    assert len(opened) == 2  # the broken pool, then a fresh one
+    assert equivalent(out, c)
+
+
+class BreaksAtSecondSubmit:
+    """An executor whose pool breaks while a dispatch is still going out."""
+
+    def __init__(self, max_workers):
+        self.submitted = 0
+
+    def submit(self, fn, block):
+        self.submitted += 1
+        if self.submitted > 1:
+            raise BrokenProcessPool("a worker died")
+        future = Future()
+        future.set_result(fn(block))
+        return future
+
+    def shutdown(self):
+        pass
+
+
+def test_a_pool_that_breaks_while_blocks_go_out_fails_the_rest(monkeypatch):
+    monkeypatch.setattr(paritysat.blockwise, "ProcessPoolExecutor", BreaksAtSecondSubmit)
+    c = random_cnot_rz_circuit(random.Random(4), 4, 8, 2)
+    blocks = partition(c, BlockwiseConfig(max_block_qubits=2))
+    assert len(blocks) >= 2
+    out = run_parallel(blocks, _double, 2)
+    assert out == list(blocks)
+    assert out[0].error is None
+    assert all((b.status, b.error) == ("original", "BrokenProcessPool") for b in out[1:])
+
+
+def test_a_block_met_again_in_the_call_is_not_judged_again(monkeypatch):
+    judged = []
+    floors = paritysat.peephole.at_floors
+
+    def counted(block, table):
+        judged.append((block.qubits, block.gates))
+        return floors(block, table)
+
+    monkeypatch.setattr(paritysat.peephole, "at_floors", counted)
+    c, line = repeated_skeletons(6, 3, seed=2)
+    cfg = BlockwiseConfig(max_block_qubits=3, iters_full=3, iters_sample=3,
+                          seed=4, per_block_timeout=30)
+    out, trace = iterate_optimize(c, line, cfg)
+    assert len(set(judged)) == len(judged)
+    assert len(judged) < sum(r.blocks_attempted for r in trace)
+    assert equivalent(out, c)
+
+
+@pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])
+@pytest.mark.parametrize("doubly", [False, True])
+def test_repeated_skeletons_give_the_pinned_run(mode, doubly):
+    # pinned from the code before blocks met again were served from the
+    # call's memo; the four settings give the same run here
+    golden = json.loads(GOLDEN.read_text())
+    c, line = repeated_skeletons(6, 3, seed=2)
+    for jobs in (1, 2):
+        cfg = BlockwiseConfig(**golden["config"], jobs=jobs, mode=mode, doubly=doubly,
+                              per_block_timeout=30)
+        out, trace = iterate_optimize(c, line, cfg)
+        gates = [["cx", g.control, g.target] if isinstance(g, Cnot) else
+                 ["rz", g.angle, g.qubit] for g in out.gates]
+        records = [{k: v for k, v in r.to_json().items() if k != "wall_time_s"}
+                   for r in trace]
+        assert gates == golden["gates"]
+        assert records == golden["records"]

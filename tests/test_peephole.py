@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -286,3 +287,31 @@ def test_a_floor_above_a_block_raises(monkeypatch):
     with pytest.raises(InternalConsistencyError, match="below its floors"):
         resynthesize(blocks, CouplingMap.line(4), Mode.CNOT, {},
                      lambda todo: [resynth_block(b, CouplingMap.line(4)) for b in todo])
+
+
+@pytest.mark.parametrize("optimal", [True, False])
+def test_a_memo_keeps_only_judgments_no_later_call_can_change(monkeypatch, optimal):
+    found = paritysat.peephole.hopps
+    monkeypatch.setattr(paritysat.peephole, "hopps",
+                        lambda req: dataclasses.replace(found(req), optimal=optimal))
+    line = CouplingMap.line(3)
+    # one block that improves to two CNOTs, then one already at its floors
+    c = Circuit(3, (Cnot(0, 1), Rz(0.3, 1), Cnot(0, 1), Cnot(1, 0), Cnot(1, 0),
+                    Opaque("h", (1,)), Cnot(1, 2), Rz(0.5, 2)))
+    improvable, floored = find_blocks(c)
+    sent = []
+
+    def synthesize(todo):
+        sent.append(len(todo))
+        return [resynth_block(b, line, Mode.CNOT, doubly=False) for b in todo]
+
+    cache, judged = {}, {}
+    first, _ = resynthesize([improvable, floored], line, Mode.CNOT, cache, synthesize, judged)
+    again, hits = resynthesize([improvable, floored], line, Mode.CNOT, cache, synthesize,
+                               judged)
+    assert [b.status for b in first] == ["resynthesized", "kept_original"]
+    assert again == first
+    assert sent == [1, 0 if optimal else 1]
+    assert hits == (2 if optimal else 1)
+    settled = [improvable, floored] if optimal else [floored]
+    assert list(judged) == [(b.qubits, b.gates) for b in settled]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from paritysat.sat.brute import brute_model_count, brute_projections, truth_table_mask
 from paritysat.sat.core import (
     CardinalityError,
     SatInstance,
@@ -16,6 +15,8 @@ from paritysat.sat.core import (
     sequential_at_most,
 )
 from paritysat.sat.solver import solve
+
+from brute import brute_model_count, brute_projections, truth_table_mask
 
 
 def fresh(n):

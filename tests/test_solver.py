@@ -7,10 +7,11 @@ from types import SimpleNamespace
 import pytest
 
 import paritysat.sat.solver as solver_module
-from paritysat.sat.brute import brute_is_sat
 from paritysat.sat.core import SatInstance, at_most_k, parse_dimacs
 from paritysat.sat.external import ExternalSolver, ExternalSolverError
 from paritysat.sat.solver import HEAP_SLACK, Solver, SolverTimeout, solve
+
+from brute import brute_is_sat
 
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
 GOLDEN = Path(__file__).parent / "golden"
