@@ -13,7 +13,13 @@ workers.  The call also keeps a memo of the judgments no later iteration
 can change (a block kept at its floors, skipped as disconnected, or
 judged on a skeleton proven optimal), keyed by the block's qubits and
 gates: a block met again, as most are from one iteration to the next,
-reuses its judgment without a floor, key or skeleton computed.
+reuses its judgment without a floor, key or skeleton computed, and
+without its phase polynomial extracted.  Blocks are built without one
+(``Block.rep`` is worked out at the first floor, key or synthesis that
+reads it), so a partition extracts nothing itself, and neither does
+splicing the replacements.  The metrics of the current circuit are
+carried from one iteration to the next, so each iteration measures only
+the circuit it spliced.
 
 Each ``iterate_optimize`` call opens at most one worker pool, at its
 first dispatch of two or more blocks, reuses it in every later iteration
@@ -109,7 +115,7 @@ def sample_blocks(circuit: Circuit, cfg: BlockwiseConfig,
                   rng: random.Random) -> list[Block]:
     """Offset-randomized partition, then a uniform sample of its blocks.
 
-    Only the sampled groups are built into blocks (and extracted)."""
+    Only the sampled groups are built into blocks."""
     offset = rng.randrange(len(circuit.gates)) if circuit.gates else 0
     groups = _scan_blocks(circuit, max_qubits=cfg.max_block_qubits,
                           max_depth=cfg.max_block_depth, flush_at=offset)
@@ -219,9 +225,9 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
     cache: dict[tuple, Skeleton] = {}
     judged: dict[tuple, Block] = {}
     current = circuit
+    metrics = (cnot_count(circuit), cnot_depth(circuit))
     trace: list[IterationRecord] = []
     iteration = 0
-    prev = (cnot_count(circuit), cnot_depth(circuit))
 
     def ordered(c: Circuit) -> tuple[int, int]:
         return ordered_metrics(cfg.mode, cnot_count(c), cnot_depth(c))
@@ -243,19 +249,19 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
                         if ordered(new.circuit)[0] < ordered(old.circuit)[0]:
                             improved += 1
                 candidate = splice_blocks(current, replaced)
+                found = (cnot_count(candidate), cnot_depth(candidate))
                 # splice-order effects can regress global metrics even though no
                 # block got worse; reject such iterations to keep the trace monotone
-                rolled_back = ordered(candidate) > ordered(current)
+                rolled_back = (ordered_metrics(cfg.mode, *found)
+                               > ordered_metrics(cfg.mode, *metrics))
+                converged = rolled_back or found == metrics
                 if not rolled_back:
-                    current = candidate
+                    current, metrics = candidate, found
                 iteration += 1
-                metrics = (cnot_count(current), cnot_depth(current))
                 failed = sum(1 for block in replaced if block.error is not None)
                 trace.append(IterationRecord(iteration, stage, metrics[0], metrics[1],
                                              len(blocks), improved, hits, failed,
                                              time.monotonic() - t0, rolled_back))
-                converged = prev == metrics
-                prev = metrics
                 if stage == "full" and converged:
                     break
     return current, trace

@@ -5,7 +5,14 @@ its open block; a CNOT or Rz joins (and may merge) the open blocks on its
 qubits, while an opaque gate seals every open block it touches -- a sealed
 block accepts no further gates, which guarantees that emitting each block
 contiguously at the position of its last gate only ever commutes gates
-across qubit-disjoint neighbors.
+across qubit-disjoint neighbors.  The common case, a gate whose qubits all
+point at one open block, joins it in constant time; only a gate that
+opens, merges or seals blocks takes the general path.
+
+A block's phase polynomial (``Block.rep``) is extracted at the first
+floor, key or synthesis that reads it, and kept with the block.  A block
+served from a memo of judgments, and a replacement that is only spliced,
+never extract one.
 
 A list of blocks is resynthesized by ``resynthesize``; a peephole pass
 runs it once over the maximal blocks, and ``blockwise.iterate_optimize``
@@ -32,6 +39,7 @@ and gates, so that a block met again is not judged again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .encoder import Mode
@@ -81,21 +89,29 @@ class Skeleton:
 
 @dataclass(frozen=True)
 class Block:
-    """A {CNOT, Rz} subcircuit, relabeled onto local qubit indices."""
+    """A {CNOT, Rz} subcircuit, relabeled onto local qubit indices.
+
+    ``circuit`` and ``rep`` are worked out on first read and kept, so a
+    block whose phase polynomial nothing reads never extracts it.
+    """
 
     qubits: tuple[int, ...]          # physical qubits in first-touch order
     gates: tuple[Gate, ...]          # local-index gates
     span: tuple[int, ...]            # positions in the parent circuit
-    rep: PhasePolyRep                # extracted locally from identity
     status: str = "original"
     # exception type name when the worker raised (status stays "original")
     error: str | None = field(default=None, compare=False)
     # the synthesis behind ``status``, when one was found
     skeleton: Skeleton | None = field(default=None, compare=False, repr=False)
 
-    @property
+    @cached_property
     def circuit(self) -> Circuit:
         return Circuit(len(self.qubits), self.gates)
+
+    @cached_property
+    def rep(self) -> PhasePolyRep:
+        """The phase polynomial, extracted locally from identity."""
+        return extract_rep(self.circuit)
 
 
 def _scan_blocks(circuit: Circuit, max_qubits: int | None = None,
@@ -105,8 +121,17 @@ def _scan_blocks(circuit: Circuit, max_qubits: int | None = None,
 
     ``max_qubits``/``max_depth`` seal an open block instead of letting a
     gate grow it past the cap; ``flush_at`` seals everything open before
-    the given position (used for offset-randomized partitioning).
+    the given position (used for offset-randomized partitioning).  The
+    caps must admit one CNOT, so no block is ever over them.
+
+    A gate whose qubits all map to one open block joins it in constant
+    time: the block already holds those qubits, so only a CNOT's new layer
+    can seal it.  Every other gate takes the general path, which opens,
+    merges or seals the open blocks on its qubits.
     """
+    if (max_qubits is not None and max_qubits < 2) or \
+       (max_depth is not None and max_depth < 1):
+        raise ValueError("caps must admit one CNOT (max_qubits >= 2, max_depth >= 1)")
     open_of: dict[int, int] = {}
     qubits_of: dict[int, set[int]] = {}
     indices_of: dict[int, list[int]] = {}
@@ -142,9 +167,29 @@ def _scan_blocks(circuit: Circuit, max_qubits: int | None = None,
                 depth_of[bid] = lv
 
     for index, gate in enumerate(circuit.gates):
-        if flush_at is not None and index == flush_at:
+        if index == flush_at:
             for bid in list(dict.fromkeys(open_of.values())):
                 seal(bid)
+        if isinstance(gate, Rz):
+            bid = open_of.get(gate.qubit)
+            if bid is not None:
+                indices_of[bid].append(index)
+                continue
+        elif isinstance(gate, Cnot):
+            bid = open_of.get(gate.control)
+            if bid is not None and open_of.get(gate.target) == bid:
+                lm = layer_of[bid]
+                lc, lt = lm.get(gate.control, 0), lm.get(gate.target, 0)
+                lv = 1 + (lc if lc > lt else lt)
+                if max_depth is not None and lv > max_depth:
+                    seal(bid)
+                    open_new((gate.control, gate.target), index, gate)
+                    continue
+                indices_of[bid].append(index)
+                lm[gate.control] = lm[gate.target] = lv
+                if lv > depth_of[bid]:
+                    depth_of[bid] = lv
+                continue
         qs = gate_qubits(gate)
         if isinstance(gate, Opaque):
             for bid in list(dict.fromkeys(open_of.get(q) for q in qs)):
@@ -210,9 +255,7 @@ def _make_block(circuit: Circuit, indices: list[int]) -> Block:
             gates.append(Rz(g.angle, local[g.qubit]))
         else:  # pragma: no cover - scan never places opaque gates in blocks
             raise ValueError("opaque gate inside a block")
-    block_circuit = Circuit(len(qubit_order), tuple(gates))
-    return Block(tuple(qubit_order), tuple(gates), tuple(indices),
-                 extract_rep(block_circuit))
+    return Block(tuple(qubit_order), tuple(gates), tuple(indices))
 
 
 def find_blocks(circuit: Circuit) -> list[Block]:
@@ -271,7 +314,7 @@ def apply_skeleton(block: Block, skeleton: Skeleton, mode: Mode) -> Block:
     circuit = place_rotations(skeleton.steps,
                               PhasePolyRep(rep.initial, rep.final, merged_table(rep)))
     return Block(block.qubits, circuit.gates, block.span,
-                 extract_rep(circuit), status="resynthesized", skeleton=skeleton)
+                 status="resynthesized", skeleton=skeleton)
 
 
 def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
@@ -348,8 +391,9 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
     """
     out: list[Block] = list(blocks)
     keys: dict[int, tuple] = {}
+    memo_keys = [(block.qubits, block.gates) for block in blocks]
     for i, block in enumerate(blocks):
-        seen = None if judged is None else judged.get((block.qubits, block.gates))
+        seen = None if judged is None else judged.get(memo_keys[i])
         if seen is not None:
             out[i] = replace(seen, span=block.span)
             continue
@@ -376,9 +420,9 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
         else:
             out[i] = replace(blocks[i], status=fresh[key].status, error=fresh[key].error)
     if judged is not None:
-        for block, new in zip(blocks, out):
+        for memo_key, new in zip(memo_keys, out):
             if _settled(new):
-                judged.setdefault((block.qubits, block.gates), new)
+                judged.setdefault(memo_key, new)
     return out, len(blocks) - len(first)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
 import random
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -37,9 +38,10 @@ from paritysat.peephole import (
     find_blocks,
     peephole_with_report,
     resynth_block,
+    resynthesize,
     splice_blocks,
 )
-from paritysat.phasepoly import equivalent, merged_table
+from paritysat.phasepoly import equivalent, extract_rep, merged_table
 from paritysat.synthesizer import SynthesisTimeout, synthesis_key
 
 from testkit import random_cnot_rz_circuit
@@ -522,3 +524,59 @@ def test_repeated_skeletons_give_the_pinned_run(mode, doubly):
                    for r in trace]
         assert gates == golden["gates"]
         assert records == golden["records"]
+
+
+def lazy_field_blocks() -> list[Block]:
+    """Blocks from the scan, both partitions and a skeleton."""
+    c, line = repeated_skeletons(6, 2, seed=2)
+    cfg = BlockwiseConfig(max_block_qubits=3, max_block_depth=4)
+    built = find_blocks(c) + partition(c, cfg) + sample_blocks(c, cfg, random.Random(3))
+    rebuilt = [resynth_block(b, line, timeout_s=30) for b in partition(c, cfg)]
+    assert any(b.status == "resynthesized" for b in rebuilt)
+    return built + rebuilt
+
+
+def test_block_fields_worked_out_on_first_read_match_the_gates():
+    for block in lazy_field_blocks():
+        assert block.circuit == Circuit(len(block.qubits), block.gates)
+        assert block.rep == extract_rep(block.circuit)
+
+
+def test_blocks_pickle_equal_before_and_after_their_rep_is_read():
+    for block in lazy_field_blocks():
+        fresh = dataclasses.replace(block)
+        before = pickle.loads(pickle.dumps(fresh))
+        rep = fresh.rep
+        after = pickle.loads(pickle.dumps(fresh))
+        assert before == fresh == after
+        assert before.rep == after.rep == rep
+
+
+def test_blocks_served_from_the_memo_and_spliced_extract_nothing(monkeypatch):
+    extracted = []
+    real = paritysat.peephole.extract_rep
+
+    def counted(circuit):
+        extracted.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(paritysat.peephole, "extract_rep", counted)
+    c, line = repeated_skeletons(6, 3, seed=2)
+    cfg = BlockwiseConfig(max_block_qubits=3)
+    blocks = partition(c, cfg)
+    assert extracted == []
+
+    def synthesize(todo):
+        return [resynth_block(b, line, timeout_s=30) for b in todo]
+
+    cache, judged = {}, {}
+    first, _ = resynthesize(blocks, line, Mode.CNOT, cache, synthesize, judged)
+    assert 0 < len(extracted) <= len(blocks)
+    assert all((b.qubits, b.gates) in judged for b in blocks)
+    extracted.clear()
+    splice_blocks(c, first)
+    again, hits = resynthesize(partition(c, cfg), line, Mode.CNOT, cache, synthesize, judged)
+    spliced = splice_blocks(c, again)
+    assert extracted == []
+    assert again == first and hits == len(blocks)
+    assert equivalent(spliced, c)

@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import paritysat.peephole
 from paritysat.encoder import Mode
@@ -19,6 +21,7 @@ from paritysat.ir import (
 )
 from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.peephole import (
+    _scan_blocks,
     at_floors,
     find_blocks,
     ordered_metrics,
@@ -36,7 +39,12 @@ from paritysat.synthesizer import (
     place_rotations,
 )
 
-from testkit import TOPOLOGIES, random_cnot_rz_circuit, random_mixed_circuit
+from testkit import (
+    TOPOLOGIES,
+    random_cnot_rz_circuit,
+    random_mixed_circuit,
+    reference_scan_blocks,
+)
 
 
 def test_pure_circuit_is_one_block():
@@ -75,6 +83,36 @@ def test_merged_then_split_preserves_semantics():
 
     for q in range(4):
         assert on_qubit(spliced.gates, q) == on_qubit(c.gates, q)
+
+
+@st.composite
+def scan_circuits(draw) -> Circuit:
+    """Up to 24 CNOT, Rz and opaque gates (``barrier`` among them) on at
+    most 6 qubits, CNOTs drawn most often so that blocks grow and merge."""
+    n = draw(st.integers(1, 6))
+    qubit = st.integers(0, n - 1)
+    options = [st.builds(Rz, st.just(0.5), qubit),
+               st.builds(Opaque, st.sampled_from(("h", "cz", "barrier")),
+                         st.lists(qubit, unique=True, max_size=n).map(tuple))]
+    if n >= 2:
+        cnot = st.lists(qubit, min_size=2, max_size=2, unique=True).map(lambda p: Cnot(*p))
+        options += [cnot, cnot]
+    return Circuit(n, tuple(draw(st.lists(st.one_of(options), max_size=24))))
+
+
+@given(scan_circuits())
+def test_scan_groups_as_the_reference_scan(circuit):
+    for max_qubits in (None, 2, 3, 4):
+        for max_depth in (None, 1, 2, 3, 4, 5):
+            for flush_at in (None, *range(len(circuit.gates) + 1)):
+                assert _scan_blocks(circuit, max_qubits, max_depth, flush_at) == \
+                    reference_scan_blocks(circuit, max_qubits, max_depth, flush_at)
+
+
+@pytest.mark.parametrize("caps", [{"max_qubits": 1}, {"max_depth": 0}])
+def test_scan_caps_must_admit_one_cnot(caps):
+    with pytest.raises(ValueError, match="admit one CNOT"):
+        _scan_blocks(Circuit(2, (Cnot(0, 1),)), **caps)
 
 
 def test_block_rep_extracted_locally():
