@@ -9,7 +9,8 @@ metrics and timing.  Each instance's count and depth floors
 optimum is a mismatch (verdict ``FLOOR>OPT``), and any mismatch makes the
 exit status nonzero.  The summary line also gives the SAT conflicts and
 decisions summed over the stats of every synthesis, a measure of search
-effort that does not depend on the machine.
+effort that does not depend on the machine; the conflicts are split into
+phase 1 (the primary metric) and the phase-2 descent.
 
     python scripts/random_suite.py --count 30 --seed 7 --max-qubits 4
 """
@@ -67,7 +68,8 @@ def main():
     print("-" * len(header))
     mismatches = 0
     total_synth = 0.0
-    conflicts = decisions = 0
+    conflicts = {"primary": 0, "descent": 0}
+    decisions = 0
     for index in range(args.count):
         n = rng.randint(2, args.max_qubits)
         topo = rng.choice(list(TOPOLOGIES))
@@ -88,7 +90,8 @@ def main():
         synth_s = time.monotonic() - t0
         total_synth += synth_s
         for entry in by_count.stats + by_depth.stats:
-            conflicts += entry["conflicts"]
+            if entry["phase"] in conflicts:  # a floor's cut makes no call
+                conflicts[entry["phase"]] += entry["conflicts"]
             decisions += entry["decisions"]
 
         want_depth_at_count = min(cnot_depth(c) for c in count_circs)
@@ -114,7 +117,8 @@ def main():
               f"{oracle_s:>8.2f} {synth_s:>8.2f} {verdict}")
     print(f"\n{args.count - mismatches}/{args.count} matched the oracle; "
           f"synthesis time {total_synth:.1f} s; "
-          f"SAT conflicts {conflicts}, decisions {decisions}")
+          f"SAT conflicts {sum(conflicts.values())} (phase 1 {conflicts['primary']}, "
+          f"descent {conflicts['descent']}), decisions {decisions}")
     return 1 if mismatches else 0
 
 

@@ -58,6 +58,7 @@ from .peephole import (
     resynthesize,
     splice_blocks,
 )
+from .synthesizer import check_timeout
 
 
 @dataclass
@@ -83,6 +84,7 @@ class BlockwiseConfig:
                              "(>= 2 qubits, depth >= 1)")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
+        check_timeout(self.per_block_timeout)
 
 
 @dataclass

@@ -10,6 +10,16 @@ the CNOT count.  In depth mode each step is a nonempty layer of
 qubit-disjoint CNOTs, so the step budget equals the CNOT depth; a CNOT
 budget on top of it bounds the count, which serves both doubly searches.
 
+Every layer holds at least one CNOT, so the count of ``s`` steps is ``s``
+plus the excess ``sum_k (|layer k| - 1)``.  ``add_cnot_budget`` gives each
+step ``excess[k][m - 1]`` literals, for ``m = 1 .. n // 2 - 1``, each
+forced true by every set of ``m + 1`` qubit-disjoint CNOT variables of the
+step, and caps their number: a budget of ``c`` CNOTs is at most ``c - s``
+excess literals, on one counter over ``s * (n // 2 - 1)`` literals rather
+than over every CNOT variable.  On 4 and 5 qubits that is one literal per
+step, implied by each pair of disjoint CNOTs; on 3 or fewer a layer holds
+one CNOT and there is none.
+
 There is one encoding, a chain: ``encode_chain`` and ``extend_chain`` grow
 one instance a step at a time, and ``add_goal`` states the goal of its
 current budget (final parities, term coverage) under an activation
@@ -67,6 +77,8 @@ class VarLayout:
     # term coverage: per term, one indicator per (slice, row) encoded so far
     terms: tuple[int, ...] = ()
     matches: list[list[int]] = field(default_factory=list)
+    # depth mode: per step, the literals that a CNOT budget counts
+    excess: list[list[int]] = field(default_factory=list)
 
 
 def _value_lit(var: int, bit: int) -> int:
@@ -211,25 +223,70 @@ def add_goal(inst: SatInstance, layout: VarLayout, final: ParityMatrix) -> int:
     return goal
 
 
+def _disjoint_sets(edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Index tuples of two or more pairwise qubit-disjoint edges."""
+    found: list[tuple[int, ...]] = []
+
+    def grow(start: int, used: frozenset, chosen: tuple[int, ...]) -> None:
+        if len(chosen) >= 2:
+            found.append(chosen)
+        for e in range(start, len(edges)):
+            a, b = edges[e]
+            if a not in used and b not in used:
+                grow(e + 1, used | {a, b}, chosen + (e,))
+
+    grow(0, frozenset(), ())
+    return found
+
+
+def _add_excess(inst: SatInstance, layout: VarLayout) -> None:
+    """Give every step of a depth-mode chain that has none its excess
+    literals: ``excess[k][m - 1]``, for ``m = 1 .. n // 2 - 1``, is forced
+    true by each set of ``m + 1`` qubit-disjoint CNOT variables of step
+    ``k``, so whenever layer ``k`` holds at least ``m + 1`` CNOTs."""
+    sets = _disjoint_sets(layout.cfg.directed_edges)
+    for step_vars in layout.cnot[len(layout.excess):]:
+        excess = inst.new_vars(layout.cfg.num_qubits // 2 - 1)
+        for chosen in sets:
+            inst.add_clause([-step_vars[e] for e in chosen] + [excess[len(chosen) - 2]])
+        layout.excess.append(excess)
+
+
 def add_cnot_budget(inst: SatInstance, layout: VarLayout,
                     budget: int) -> SequentialCounter | None:
-    """Cap the total CNOT count across all steps of a depth-mode instance.
+    """Cap the total CNOT count across all steps of a depth-mode instance,
+    for good.
 
-    For ``1 <= budget <`` the number of CNOT variables the cap is a
-    sequential counter, and its handle is returned: ``at_most`` states each
-    lower cap under a fresh goal literal, and ``extend`` carries the cap
-    over the CNOTs of steps that ``extend_chain`` appends later.  Otherwise
-    None is returned.
+    Every layer is nonempty, so ``budget`` CNOTs over ``s`` steps is at most
+    ``budget - s`` excess literals (see the module notes), which the steps
+    get here if they have none.  The cap is exact: a model can set each
+    step's excess literals to its layer's size.  A budget below ``s`` is
+    refused, since every chain of ``s`` steps holds ``s`` CNOTs.
+
+    When ``1 <= budget - s <=`` the number of excess literals, the cap is a
+    sequential counter and its handle is returned: ``at_most(inst, c - s)``
+    states a lower count ``c`` under a fresh goal literal.  Otherwise the
+    cap is all excess literals false, or nothing, and None is returned.
+    Caps stated at fewer steps stay sound as the chain grows: the excess of
+    the first steps is at most that of all.
     """
-    if budget < 0:
-        raise ValueError("CNOT budget must be nonnegative")
     if layout.cfg.mode is not Mode.DEPTH:
         raise ValueError("CNOT budget applies to depth-mode instances only")
-    everything = [v for step_vars in layout.cnot for v in step_vars]
-    if 1 <= budget < len(everything):
-        return sequential_at_most(inst, everything, budget)
-    at_most_k(inst, everything, budget)
-    return None
+    room = budget - len(layout.cnot)
+    if room < 0:
+        raise ValueError(f"a CNOT budget of {budget} is below the {len(layout.cnot)} "
+                         "nonempty layers of the chain")
+    _add_excess(inst, layout)
+    excess = [lit for step in layout.excess for lit in step]
+    if not 1 <= room <= len(excess):
+        at_most_k(inst, excess, room)
+        return None
+    # the counter's last literal is fixed false, so that its registers cover
+    # every excess literal: a cap that every full layer meets, or that one
+    # literal meets, still states each lower one
+    pad = inst.new_var()
+    inst.add_clause([-pad])
+    return sequential_at_most(inst, excess + [pad], room)
 
 
 __all__ = [

@@ -64,6 +64,7 @@ from .synthesizer import (
     NoSolutionWithinKmax,
     SynthesisRequest,
     SynthesisTimeout,
+    check_timeout,
     depth_floor,
     hopps,
     lower_bound,
@@ -431,6 +432,8 @@ def peephole_with_report(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CN
                          ) -> tuple[Circuit, list[tuple[Block, Block]]]:
     """One pass of ``resynthesize`` over the maximal blocks, spliced back;
     returns the new circuit and the (original, replacement) block pairs."""
+    # here, not in a worker, where the error would read as a failed block
+    check_timeout(timeout_s)
     if not validate_topology(circuit, cm):
         raise ValueError("input circuit violates the coupling map")
     blocks = find_blocks(circuit)

@@ -70,8 +70,7 @@ class SequentialCounter:
 
     ``last`` is the last literal and ``row`` the registers after all the
     others: ``row[j]`` is forced true once ``j + 1`` of them are true.
-    ``at_most`` states a lower bound under a goal literal, and ``extend``
-    carries the counter over more literals.
+    ``at_most`` states a lower bound under a goal literal.
     """
 
     last: Lit
@@ -88,29 +87,10 @@ class SequentialCounter:
         inst.add_clause([-goal, -self.last, -self.row[k - 1]] if k else [-goal, -self.last])
         return goal
 
-    def extend(self, inst: SatInstance, lits: Sequence[Lit]) -> None:
-        """Append ``lits`` in place, at the bound: one row of registers per
-        literal, over the literal that was last, as ``sequential_at_most``
-        builds its inner rows."""
-        k = len(self.row)
-        for lit in lits:
-            prev, last = self.row, self.last
-            row = inst.new_vars(k)
-            inst.add_clause([-last, row[0]])
-            inst.add_clause([-prev[0], row[0]])
-            for j in range(1, k):
-                inst.add_clause([-last, -prev[j - 1], row[j]])
-                inst.add_clause([-prev[j], row[j]])
-            # at most k of the others with ``last``: already stated
-            inst.add_clause([-lit, -row[k - 1]])
-            self.row = tuple(row)
-            self.last = lit
-
 
 def sequential_at_most(inst: SatInstance, lits: Sequence[Lit], k: int) -> SequentialCounter:
     """Sinz sequential-counter encoding of AtMost-k (adds auxiliary vars),
-    for ``1 <= k < len(lits)``; returns the handle that states lower bounds
-    and extends it."""
+    for ``1 <= k < len(lits)``; returns the handle that states lower bounds."""
     if not 1 <= k < len(lits):
         raise ValueError(f"a sequential counter needs 1 <= k < {len(lits)}, got {k}")
     n = len(lits)

@@ -19,13 +19,16 @@ secondary metric:
 * depth mode puts one sequential counter on the CNOT count of phase 1's
   instance, at the first model's count, and states each lower count as a
   fresh goal literal on it, so each descent resumes the same ``Solver``;
-  the last satisfiable model wins.  It stops once the model meets the
-  count floor, below which every budget is unsatisfiable;
-* count mode grows a second chain, in depth mode, with a cap of the
-  optimal count c* on its CNOTs that one counter carries along as steps
-  are appended.  It starts at the floor ``ceil(c* / (n // 2))``, since a
-  layer holds at most ``n // 2`` CNOTs, and stops below the depth of
-  phase 1's circuit; its first satisfiable depth is the least, and if
+  the last satisfiable model wins.  The counter counts excess literals
+  (``encoder.add_cnot_budget``): at depth d, c CNOTs are d plus at most
+  c - d excess.  It stops once the model meets the count floor, the
+  larger of ``lower_bound`` and d (every layer holds a CNOT), below which
+  every budget is unsatisfiable;
+* count mode grows a second chain, in depth mode, and at each depth d
+  caps its CNOT count at the optimal count c*, for good, as at most
+  c* - d excess literals.  It starts at the floor ``ceil(c* / (n // 2))``,
+  since a layer holds at most ``n // 2`` CNOTs, and stops below the depth
+  of phase 1's circuit; its first satisfiable depth is the least, and if
   there is none, phase 1's circuit has it.  On 2 and 3 qubits the floor
   equals the count, so no call is made.
 
@@ -98,6 +101,18 @@ class SynthesisRequest:
     k_max: int | None = None
     timeout_s: float = 600.0  # one deadline for the whole synthesis
     dimacs_path: str | None = None
+
+    def __post_init__(self) -> None:
+        check_timeout(self.timeout_s)
+        if self.k_max is not None and self.k_max < 0:
+            raise ValueError(f"k_max must be nonnegative, got {self.k_max}")
+
+
+def check_timeout(timeout_s: float) -> None:
+    """Refuse a timeout that is NaN or negative: a NaN deadline never
+    passes, and a negative one is no budget at all."""
+    if not timeout_s >= 0:
+        raise ValueError(f"timeout must be a nonnegative number of seconds, got {timeout_s}")
 
 
 @dataclass
@@ -323,20 +338,18 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         and solve each budget under its goal literal: the first satisfiable
         budget up to ``hi``, with its model, layout and solver (whose
         ``inst`` is the instance), or None.  ``cap`` bounds the CNOT count
-        of every budget with one counter that grows with the chain."""
+        of every budget: at ``k`` steps, by at most ``cap - k`` excess
+        literals, stated for good."""
         for k in range(lo, hi + 1):
             encoded_at = time.monotonic()
             if k == lo:
                 inst, layout = encode_chain(rep.initial, unique_terms,
                                             EncodingConfig(mode, k, n, edges))
-                # a cap of c >= 1 CNOTs starts on ceil(c / (n // 2)) steps of
-                # more than n // 2 edges each, so it always gets a counter
-                counter = None if cap is None else add_cnot_budget(inst, layout, cap)
                 solver = Solver(inst)
             else:
                 extend_chain(inst, layout)
-                if cap is not None:
-                    counter.extend(inst, layout.cnot[-1])
+            if cap is not None:
+                add_cnot_budget(inst, layout, cap)
             model = attempt(solver, phase, k, encoded_at, add_goal(inst, layout, rep.final))
             if model is not None:
                 return k, model, layout, solver
@@ -357,28 +370,32 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         inst = solver.inst
         optimal = True
         count = _count_gates(model, layout)
-        count_floor = lower_bound(bound_rep, Mode.CNOT)
+        # every one of the k layers holds a CNOT
+        count_floor = max(lower_bound(bound_rep, Mode.CNOT), k)
         encoded_at = time.monotonic()
         if count > count_floor:
-            # one counter at phase 1's count: a step sets at most n // 2 of
-            # its 2 (n - 1) or more CNOT variables, so the count is below
-            # their number and the cap is always a counter
+            # one counter at phase 1's count: a layer holds at most n // 2
+            # CNOTs, so 1 <= count - k <= k * (n // 2 - 1), the number of
+            # excess literals, and the cap is always a counter
             counter = add_cnot_budget(inst, layout, count)
         while count > count_floor:
             try:
                 nxt = attempt(solver, "descent", count - 1, encoded_at,
-                              counter.at_most(inst, count - 1))
+                              counter.at_most(inst, count - 1 - k))
             except SynthesisTimeout:
                 optimal = False
                 break
             if nxt is None:
                 break
-            model = nxt
-            count = _count_gates(model, layout)
+            fewer = _count_gates(nxt, layout)
+            if fewer >= count:
+                # a cap that does not bind would make the descent loop forever
+                raise InternalConsistencyError(
+                    f"a model of {fewer} CNOTs under a cap of {count - 1}")
+            model, count = nxt, fewer
             encoded_at = time.monotonic()
         else:  # the model meets the count floor: every lower budget is UNSAT
-            if count_floor:
-                ruled_out(count_floor - 1)
+            ruled_out(count_floor - 1)
         return finish(model, layout, optimal)
 
     # count mode: the least depth of a depth-mode chain capped at k CNOTs,
@@ -399,6 +416,6 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
 __all__ = [
     "Mode", "SynthesisRequest", "SynthesisResult",
     "NoSolutionWithinKmax", "SynthesisTimeout", "InternalConsistencyError",
-    "lower_bound", "depth_floor", "default_k_max", "synthesis_key", "hopps",
+    "check_timeout", "lower_bound", "depth_floor", "default_k_max", "synthesis_key", "hopps",
     "decode_circuit", "place_rotations",
 ]

@@ -73,6 +73,18 @@ def test_config_validation():
         BlockwiseConfig(iters_full=-1)
     with pytest.raises(ValueError, match="job count must be at least 1"):
         BlockwiseConfig(jobs=0)
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="timeout must be a nonnegative"):
+            BlockwiseConfig(per_block_timeout=bad)
+
+
+def test_peephole_refuses_a_bad_timeout_before_any_block(monkeypatch):
+    # raised up front, where no worker can turn it into an unchanged block
+    monkeypatch.setattr(paritysat.peephole, "find_blocks", None)
+    circuit = random_cnot_rz_circuit(random.Random(0), 3, 5, 2)
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="timeout must be a nonnegative"):
+            peephole_with_report(circuit, CouplingMap.complete(3), timeout_s=bad)
 
 
 def test_partition_single_small_block():

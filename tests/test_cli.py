@@ -134,6 +134,27 @@ def test_synth_timeout_exit_code(triangle_files, tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command, flag, message", [
+    ("synth", "--timeout=nan", "timeout must be a nonnegative"),
+    ("synth", "--timeout=-1", "timeout must be a nonnegative"),
+    ("synth", "--kmax=-2", "k_max must be nonnegative"),
+    ("peephole", "--timeout=nan", "timeout must be a nonnegative"),
+    ("peephole", "--timeout=-1", "timeout must be a nonnegative"),
+    ("blockwise", "--timeout=nan", "timeout must be a nonnegative"),
+])
+def test_bad_timeout_or_kmax_exits_two(command, flag, message, triangle_files, tmp_path,
+                                       capsys):
+    # a NaN deadline never passes, and a negative budget is bad input, not a
+    # timeout (exit 4) or an infeasible instance (exit 3)
+    qasm, rep_file, cm_file = triangle_files
+    source = rep_file if command == "synth" else qasm
+    code, out, err = run_cli(capsys, command, str(source), "--coupling-map", str(cm_file),
+                             flag, "-o", str(tmp_path / "out.qasm"))
+    assert code == 2 and out == ""
+    assert message in err
+    assert not (tmp_path / "out.qasm").exists()
+
+
 def test_synth_dimacs_differential(triangle_files, tmp_path, capsys):
     _, rep_file, cm_file = triangle_files
     cnf = tmp_path / "dump.cnf"

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -247,3 +249,52 @@ def test_cnot_budget():
     assert solve(inst) is None
     with pytest.raises(ValueError):
         add_cnot_budget(inst, layout, -1)
+
+
+def _layer_sizes(cm, steps):
+    """How many step assignments of nonempty qubit-disjoint layers hold
+    each total CNOT count."""
+    edges = cm.directed_edges()
+    layers = [layer for size in range(1, cm.num_qubits // 2 + 1)
+              for layer in itertools.combinations(edges, size)
+              if len({q for edge in layer for q in edge}) == 2 * size]
+    return Counter(sum(map(len, chosen)) for chosen in itertools.product(layers, repeat=steps))
+
+
+def _count_models(inst, layout, goal=None):
+    """Models of ``inst`` (under ``goal``, if given) told apart by their CNOT
+    variables; blocks each one in ``inst``."""
+    cnots = [v for step in layout.cnot for v in step]
+    solver = Solver(inst)
+    found = 0
+    while (model := solver.solve(assumptions=() if goal is None else (goal,))) is not None:
+        found += 1
+        inst.add_clause([-v if model[v] else v for v in cnots])
+    return found
+
+
+@pytest.mark.parametrize("cm, steps", [
+    (CouplingMap.line(3), 2),
+    (CouplingMap.ring(4), 2),
+    (CouplingMap.line(6), 1),
+    # three CNOTs fit in one layer only from 6 qubits on
+    (CouplingMap(6, frozenset({(0, 1), (2, 3), (4, 5)})), 2),
+])
+def test_cnot_budget_admits_exactly_the_layers_within_it(cm, steps):
+    # with no goal, every sequence of nonempty qubit-disjoint layers is a
+    # model; a cap, stated for good or by the counter under a goal, keeps
+    # exactly those of at most that many CNOTs
+    sizes = _layer_sizes(cm, steps)
+    within = lambda cap: sum(count for size, count in sizes.items() if size <= cap)
+    eye = ParityMatrix.identity(cm.num_qubits)
+    top = steps * (cm.num_qubits // 2)
+    for budget in range(steps, top + 1):
+        inst, layout = encode_chain(eye, [], make_cfg(Mode.DEPTH, steps, cm))
+        add_cnot_budget(inst, layout, budget)
+        assert _count_models(inst, layout) == within(budget)
+    for lower in range(steps, top):
+        inst, layout = encode_chain(eye, [], make_cfg(Mode.DEPTH, steps, cm))
+        counter = add_cnot_budget(inst, layout, top)
+        assert _count_models(inst, layout, counter.at_most(inst, lower - steps)) == within(lower)
+    with pytest.raises(ValueError):
+        add_cnot_budget(inst, layout, steps - 1)

@@ -167,35 +167,23 @@ def _extendable(inst, lits):
     return allowed
 
 
-def _counters(n, k):
-    """Counters of bound ``k`` over ``n`` fresh literals, each with its
-    instance and literals: one built whole, and one built on the shortest
-    prefix it takes, then extended one literal at a time."""
-    whole, lits = fresh(n)
-    yield whole, lits, sequential_at_most(whole, lits, k)
-    grown, lits = fresh(n)
-    counter = sequential_at_most(grown, lits[:k + 1], k)
-    for lit in lits[k + 1:]:
-        counter.extend(grown, [lit])
-    yield grown, lits, counter
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_counter_states_each_lower_bound_under_its_goal(n):
     everything = set(itertools.product([False, True], repeat=n))
     for k in range(1, n):
-        for inst, lits, counter in _counters(n, k):
-            # each bound below k on one counter, in the order of a descent;
-            # without its goal as a unit, a bound leaves the counter's own
-            for tight in range(k - 1, -1, -1):
-                goal = counter.at_most(inst, tight)
-                assert _extendable(inst, lits) == {p for p in everything if sum(p) <= k}
-                goal_held = SatInstance(inst.num_vars, [*inst.clauses, [goal]])
-                assert _extendable(goal_held, lits) == {p for p in everything
-                                                        if sum(p) <= tight}
-            for bad in (k, k + 1, -1):
-                with pytest.raises(ValueError):
-                    counter.at_most(inst, bad)
+        inst, lits = fresh(n)
+        counter = sequential_at_most(inst, lits, k)
+        # each bound below k on one counter, in the order of a descent;
+        # without its goal as a unit, a bound leaves the counter's own
+        for tight in range(k - 1, -1, -1):
+            goal = counter.at_most(inst, tight)
+            assert _extendable(inst, lits) == {p for p in everything if sum(p) <= k}
+            goal_held = SatInstance(inst.num_vars, [*inst.clauses, [goal]])
+            assert _extendable(goal_held, lits) == {p for p in everything
+                                                    if sum(p) <= tight}
+        for bad in (k, k + 1, -1):
+            with pytest.raises(ValueError):
+                counter.at_most(inst, bad)
     with pytest.raises(ValueError):
         sequential_at_most(*fresh(n), n)
 

@@ -14,7 +14,11 @@ def test_random_suite_runs():
     assert proc.returncode == 0, proc.stderr
     assert "3/3 matched" in proc.stdout
     summary = proc.stdout.strip().splitlines()[-1]
-    assert re.search(r"SAT conflicts \d+, decisions [1-9]\d*$", summary), summary
+    found = re.search(r"SAT conflicts (\d+) \(phase 1 (\d+), descent (\d+)\), "
+                      r"decisions [1-9]\d*$", summary)
+    assert found, summary
+    total, primary, descent = map(int, found.groups())
+    assert total == primary + descent
     assert "c_lb" in proc.stdout and "d_lb" in proc.stdout
 
 

@@ -200,6 +200,39 @@ def test_doubly_optimal_dominance_small():
         assert got_d.cnot_count == min(cnot_count(c) for c in depth_circs)
 
 
+def test_doubly_optima_on_six_qubits_match_the_oracle():
+    # a 6-qubit layer holds up to three CNOTs, so each step has two excess
+    # literals; the first three circuits have layers of three
+    line6 = CouplingMap.line(6)
+    three = (Cnot(0, 1), Cnot(2, 3), Cnot(4, 5))
+    cases = [
+        (line6, Circuit(6, three + (Rz(0.1, 1), Rz(0.2, 3), Rz(0.3, 5)))),
+        (line6, Circuit(6, three + (Rz(0.1, 1), Rz(0.2, 3), Cnot(1, 2), Cnot(3, 4),
+                                    Rz(0.3, 2)))),
+        (line6, Circuit(6, (Cnot(1, 0), Cnot(3, 2), Cnot(5, 4), Rz(0.1, 0), Cnot(1, 2),
+                            Cnot(3, 4), Rz(0.3, 4), Cnot(1, 0), Cnot(3, 2), Cnot(5, 4)))),
+        (line6, random_cnot_rz_circuit(random.Random(0), 6, 4, 2, line6)),
+        (CouplingMap.ring(6), random_cnot_rz_circuit(random.Random(0), 6, 3, 2,
+                                                     CouplingMap.ring(6))),
+    ]
+    descents = 0
+    for cm, circuit in cases:
+        rep = extract_rep(circuit)
+        best_count, count_circs = oracle_min_count(rep, cm)
+        best_depth, depth_circs = oracle_min_depth(rep, cm)
+        by_count = hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
+        by_depth = hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
+        assert (by_count.cnot_count, by_count.cnot_depth) == \
+            (best_count, min(cnot_depth(c) for c in count_circs))
+        assert (by_depth.cnot_depth, by_depth.cnot_count) == \
+            (best_depth, min(cnot_count(c) for c in depth_circs))
+        for result in (by_count, by_depth):
+            assert result.optimal and validate_topology(result.circuit, cm)
+            assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
+            descents += sum(entry["phase"] == "descent" for entry in result.stats)
+    assert descents > 0
+
+
 def record_solvers(monkeypatch):
     """Lists that fill with every ``Solver`` built and every (phase,
     solver) SAT call that ``hopps`` makes.  Every call is made under exactly
@@ -230,11 +263,17 @@ def record_solvers(monkeypatch):
 def test_each_synthesis_builds_one_solver_that_every_call_resumes(mode, doubly, monkeypatch):
     built, calls = record_solvers(monkeypatch)
     rng = random.Random(2718)
-    phase2_calls = unsat_budgets = 0
+    cases = []
     for _ in range(5):
         n = rng.choice([2, 3])
         cm = TOPOLOGIES[rng.choice(list(TOPOLOGIES))](n)
-        rep = random_instance(rng, n, cm, rng.randint(2, 4), rng.randint(1, 2))
+        cases.append((cm, random_instance(rng, n, cm, rng.randint(2, 4), rng.randint(1, 2))))
+    # pinned last: on 2 and 3 qubits a layer holds one CNOT, so the count is
+    # the depth and the depth-doubly descent makes no call; this one does
+    line4 = CouplingMap.line(4)
+    cases.append((line4, extract_rep(random_cnot_rz_circuit(random.Random(9), 4, 6, 3, line4))))
+    phase2_calls = unsat_budgets = 0
+    for cm, rep in cases:
         built.clear()
         calls.clear()
         result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
@@ -342,9 +381,10 @@ def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
     assert [entry["phase"] for entry in runs[Mode.CNOT].stats] == ["bound", "primary"]
     # depth-doubly: every call, of phase 1 and of the descent, is handed the
     # one instance grown further; the triangle's model meets its count
-    # floor, so this instance descends, twice
+    # floor, so this instance descends, twice, and ends on an UNSAT count
+    # above the floor of one CNOT per layer
     cm = CouplingMap.line(4)
-    descending = extract_rep(random_cnot_rz_circuit(random.Random(4), 4, 6, 3, cm))
+    descending = extract_rep(random_cnot_rz_circuit(random.Random(9), 4, 6, 3, cm))
     stats = hopps(SynthesisRequest(descending, cm, mode=Mode.DEPTH, doubly=True)).stats
     phases = [entry["phase"] for entry in stats]
     first = phases.index("descent") - 1
@@ -398,6 +438,14 @@ def test_no_solution_within_kmax(triangle_rep, line3):
 def test_timeout_without_model_raises(triangle_rep, line3):
     with pytest.raises(SynthesisTimeout):
         hopps(SynthesisRequest(triangle_rep, line3, timeout_s=0.0))
+
+
+def test_bad_timeout_or_k_max_is_refused(triangle_rep, line3):
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="timeout must be a nonnegative"):
+            SynthesisRequest(triangle_rep, line3, timeout_s=bad)
+    with pytest.raises(ValueError, match="k_max must be nonnegative"):
+        SynthesisRequest(triangle_rep, line3, k_max=-2)
 
 
 def test_timeout_bounds_the_whole_synthesis(triangle_rep, line3, monkeypatch):
@@ -484,6 +532,30 @@ def test_depth_doubly_descent_stops_at_the_count_floor(triangle_rep, line3, monk
     assert [phase for phase, _ in calls] == ["primary"]
     assert [(s["phase"], s["k"]) for s in result.stats] == \
         [("bound", 4), ("primary", 5), ("bound", 4)]
+    # on 3 qubits a layer holds one CNOT: the 3-cycle's model, 6 CNOTs at
+    # depth 6, is far above the count floor of 3 but meets the floor of one
+    # CNOT per layer
+    calls.clear()
+    cycle = permutation_rep((2, 4, 1))
+    result = hopps(SynthesisRequest(cycle, line3, mode=Mode.DEPTH, doubly=True))
+    assert lower_bound(cycle, Mode.CNOT) == 3
+    assert (result.cnot_count, result.cnot_depth) == (6, 6)
+    assert "descent" not in [phase for phase, _ in calls]
+    assert [(s["phase"], s["k"]) for s in result.stats][-2:] == [("primary", 6), ("bound", 5)]
+
+
+def test_a_descent_cap_that_does_not_bind_raises(monkeypatch):
+    # a model at or above the count it was capped below is an encoder bug,
+    # and the descent would otherwise ask for the same count forever
+    class Unbound:
+        def at_most(self, inst, k):
+            return inst.new_var()
+
+    monkeypatch.setattr(synthesizer, "add_cnot_budget", lambda inst, layout, budget: Unbound())
+    cm = CouplingMap.line(4)
+    rep = extract_rep(random_cnot_rz_circuit(random.Random(9), 4, 6, 3, cm))
+    with pytest.raises(synthesizer.InternalConsistencyError, match="under a cap of"):
+        hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
 
 
 def test_place_rotations_slot_zero():
@@ -586,11 +658,12 @@ def test_external_backend_selected_by_env(triangle_rep, line3, monkeypatch):
 
 
 def test_tail_block_of_the_peephole_workload_stays_cheap():
-    # a 4-qubit block of the peephole benchmark on a 2x2 grid: most of its
-    # work is the descent's final UNSAT proof, which stacked counters made
-    # cost 2,235 conflicts (3,160 in all) where one counter on the instance
-    # phase 1 grew, each lower count under its own goal literal, needs far
-    # fewer
+    # a 4-qubit block of the peephole benchmark on a 2x2 grid (a 4-ring),
+    # its slowest at seed 1: most of its work is the descent's one UNSAT
+    # proof, that count 6 is impossible at depth 6.  Stacked counters made
+    # it cost 2,235 conflicts (3,160 in all); one counter over every CNOT
+    # variable, 735; one counter over the excess of each layer beyond its
+    # first CNOT, 300
     rep = PhasePolyRep(ParityMatrix.identity(4), ParityMatrix((4, 3, 2, 8)),
                        ParityTable(4, (4, 6, 2, 10), (0.1, 0.2, 0.3, 0.4)))
     cm = CouplingMap(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
@@ -602,3 +675,6 @@ def test_tail_block_of_the_peephole_workload_stays_cheap():
     assert validate_topology(result.circuit, cm)
     assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
     assert sum(entry["conflicts"] for entry in result.stats) < 3160
+    descent = [entry for entry in result.stats if entry["phase"] == "descent"]
+    assert [(entry["k"], entry["status"]) for entry in descent] == [(6, "unsat")]
+    assert descent[0]["conflicts"] < 400
