@@ -1,0 +1,10 @@
+import pytest
+
+import paritysat.peephole
+
+
+@pytest.fixture(autouse=True)
+def empty_skeleton_store():
+    """Each test starts on an empty process store of skeletons, as each
+    benchmark round does in its fresh interpreter."""
+    paritysat.peephole._stores.clear()

@@ -6,10 +6,12 @@ from offset-randomized partitions.  Blocks are independent, so each
 iteration fans out over a worker pool and merges results back in block
 order, keeping the output bit-identical regardless of worker count.
 
-Blocks go through ``peephole.resynthesize`` with one cache for the whole
-``iterate_optimize`` call, so each distinct block problem is synthesized
-once per call and only the first block of each uncached key goes to the
-workers.  The call also keeps a memo of the judgments no later iteration
+Blocks go through ``peephole.resynthesize`` with the process's store of
+proven-optimal skeletons (``peephole.skeleton_cache``), which outlives
+the call: each distinct block problem is synthesized once per process,
+and only the first block of each key not yet stored goes to the
+workers.  Only this process reads and fills the store; the workers
+never do.  The call also keeps a memo of the judgments no later iteration
 can change (a block kept at its floors, skipped as disconnected, or
 judged on a skeleton proven optimal), keyed by the block's qubits and
 gates: a block met again, as most are from one iteration to the next,
@@ -50,12 +52,12 @@ from .ir import (
 )
 from .peephole import (
     Block,
-    Skeleton,
     _make_block,
     _scan_blocks,
     ordered_metrics,
     resynth_block,
     resynthesize,
+    skeleton_cache,
     splice_blocks,
 )
 from .synthesizer import check_timeout
@@ -96,7 +98,8 @@ class IterationRecord:
     blocks_attempted: int
     blocks_improved: int
     # blocks served without a synthesis of their own: those of a key already
-    # cached or synthesized for an earlier block, and those at their floors
+    # stored (by this call or an earlier one in the process) or synthesized
+    # for an earlier block, and those at their floors
     cache_hits: int
     blocks_failed: int   # blocks left unchanged: the worker for their key raised
     wall_time_s: float
@@ -224,7 +227,7 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
     rng = random.Random(cfg.seed)
     worker = partial(resynth_block, cm=cm, mode=cfg.mode, doubly=cfg.doubly,
                      timeout_s=cfg.per_block_timeout)
-    cache: dict[tuple, Skeleton] = {}
+    cache = skeleton_cache(cfg.mode, cfg.doubly)
     judged: dict[tuple, Block] = {}
     current = circuit
     metrics = (cnot_count(circuit), cnot_depth(circuit))

@@ -232,6 +232,14 @@ def cnot_depth(circuit: Circuit) -> int:
 # ---------------------------------------------------------------------------
 
 
+def count_from_json(value, name: str) -> int:
+    """``value`` read as a qubit count: a nonnegative JSON integer, not a
+    fraction, a negative number, a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CouplingMap:
     """Undirected qubit-connectivity graph over physical qubits."""
@@ -308,7 +316,8 @@ class CouplingMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CouplingMap":
-        return cls(int(obj["num_qubits"]), frozenset(tuple(e) for e in obj["edges"]))
+        n = count_from_json(obj["num_qubits"], "num_qubits")
+        return cls(n, frozenset(tuple(e) for e in obj["edges"]))
 
     def to_json(self) -> dict:
         return {"num_qubits": self.num_qubits, "edges": sorted(list(e) for e in self.edges)}
@@ -351,5 +360,5 @@ __all__ = [
     "Cnot", "Rz", "Opaque", "Gate", "Circuit",
     "gf2_rank", "bits_to_mask", "mask_to_bits", "gate_qubits",
     "apply_cnot", "bind_angles", "cnot_count", "cnot_depth",
-    "CouplingMap", "induced_coupling", "validate_topology",
+    "CouplingMap", "count_from_json", "induced_coupling", "validate_topology",
 ]

@@ -16,14 +16,17 @@ never extract one.
 
 A list of blocks is resynthesized by ``resynthesize``; a peephole pass
 runs it once over the maximal blocks, and ``blockwise.iterate_optimize``
-runs it on every partition with a cache that lives for the whole call.
+runs it on every partition.  Both read and fill one store of skeletons
+that lives as long as the process (``skeleton_cache``), one dict per
+mode, ``doubly`` and solver backend.
 A block whose own CNOT count and depth equal its provable floors
 (``synthesizer.lower_bound`` and ``synthesizer.depth_floor``) is kept
 without a synthesis: no circuit for its rep is smaller in either metric,
 so none can replace it in any mode.  A block below a floor proves the
 floor wrong and raises ``InternalConsistencyError``.
 Angles play no part in synthesis, so each distinct block problem is
-synthesized once per cache.  The problem key is
+synthesized once per cache: with the store, once per process.  The
+problem key is
 ``synthesizer.synthesis_key``: the initial rows, the final rows, the
 merged table's unique terms in order (the encoder numbers its variables
 in term order) and the induced local edge set.  Only the first block of
@@ -32,6 +35,18 @@ placing its own angles on the CNOT steps found, and judged against its
 own metrics.  Only syntheses proven optimal are cached.  The blocks of a
 key share the outcome of its first block: when that one hit its timeout
 (``failed_budget``, or a doubly optimal search cut short), so do they.
+
+``hopps`` is deterministic for a given key, mode, ``doubly`` and
+backend, so a stored skeleton is exactly what a fresh synthesis would
+return, and no circuit depends on what the process did earlier; only the
+hit counts do.  The backend is part of the store's key because an
+external solver may pick another optimal skeleton among ties.  Timeouts
+are not: a deadline never changes an optimal skeleton.  So a later call
+with a shorter timeout may be served a skeleton it could not have found
+itself: a timeout bounds the search, and a stored optimum needs no
+search.  Each store dict keeps at most ``STORE_LIMIT`` skeletons and
+drops the oldest first.  Worker processes never read it.
+
 A caller that runs ``resynthesize`` again on the same cache can also
 keep a memo of the judgments no later run can change, by block qubits
 and gates, so that a block met again is not judged again.
@@ -59,6 +74,7 @@ from .ir import (
     validate_topology,
 )
 from .phasepoly import extract_rep, merged_table
+from .sat.solver import solver_backend
 from .synthesizer import (
     InternalConsistencyError,
     NoSolutionWithinKmax,
@@ -86,6 +102,19 @@ class Skeleton:
     steps: tuple[tuple[tuple[int, int], ...], ...]
     metrics: tuple[int, int]         # (CNOT count, CNOT depth)
     optimal: bool                    # False when phase 2 hit the deadline
+
+
+# the most skeletons one store dict keeps; past it the oldest is dropped
+STORE_LIMIT = 4096
+
+# the process's proven-optimal skeletons, by (mode, doubly, backend)
+_stores: dict[tuple[Mode, bool, str], dict[tuple, Skeleton]] = {}
+
+
+def skeleton_cache(mode: Mode, doubly: bool) -> dict[tuple, Skeleton]:
+    """The process's store of proven-optimal skeletons, by synthesis key,
+    for ``mode``, ``doubly`` and the backend ``solve_instance`` uses now."""
+    return _stores.setdefault((mode, doubly, solver_backend()), {})
 
 
 @dataclass(frozen=True)
@@ -382,7 +411,8 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
     those blocks to their replacements (as ``resynth_block`` does); its
     skeleton is cached when it is proven optimal.  Every other block of
     the key gets that skeleton, or inherits the first block's failure
-    when there is none.
+    when there is none.  The call ends by dropping the oldest skeletons
+    of ``cache`` past ``STORE_LIMIT``.
 
     ``judged``, when given, maps ``(qubits, gates)`` to a replacement
     that no later call with the same ``cache`` can change (``_settled``):
@@ -420,6 +450,9 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
             out[i] = apply_skeleton(blocks[i], skeleton, mode)
         else:
             out[i] = replace(blocks[i], status=fresh[key].status, error=fresh[key].error)
+    # trimmed only now, so that every key this call read is still there
+    while len(cache) > STORE_LIMIT:
+        del cache[next(iter(cache))]
     if judged is not None:
         for memo_key, new in zip(memo_keys, out):
             if _settled(new):
@@ -431,14 +464,16 @@ def peephole_with_report(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CN
                          doubly: bool = True, timeout_s: float = 600.0,
                          ) -> tuple[Circuit, list[tuple[Block, Block]]]:
     """One pass of ``resynthesize`` over the maximal blocks, spliced back;
-    returns the new circuit and the (original, replacement) block pairs."""
+    returns the new circuit and the (original, replacement) block pairs.
+
+    The pass reads and fills the process's store (``skeleton_cache``)."""
     # here, not in a worker, where the error would read as a failed block
     check_timeout(timeout_s)
     if not validate_topology(circuit, cm):
         raise ValueError("input circuit violates the coupling map")
     blocks = find_blocks(circuit)
     replaced, _ = resynthesize(
-        blocks, cm, mode, {},
+        blocks, cm, mode, skeleton_cache(mode, doubly),
         lambda todo: [resynth_block(b, cm, mode, doubly, timeout_s) for b in todo])
     return splice_blocks(circuit, replaced), list(zip(blocks, replaced))
 
@@ -446,4 +481,5 @@ def peephole_with_report(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CN
 __all__ = [
     "Block", "Skeleton", "find_blocks", "block_to_physical", "splice_blocks",
     "apply_skeleton", "resynth_block", "at_floors", "resynthesize", "peephole_with_report",
+    "skeleton_cache",
 ]

@@ -15,6 +15,7 @@ from .ir import (
     Rz,
     mask_to_bits,
     bits_to_mask,
+    count_from_json,
 )
 
 EPS_ANGLE = 1e-9
@@ -169,12 +170,23 @@ def rep_to_json(rep: PhasePolyRep) -> dict:
     }
 
 
+def _angle_from_json(a) -> Angle:
+    """A label, or a finite number: a NaN or infinite angle is refused."""
+    if isinstance(a, str):
+        return a
+    if isinstance(a, bool) or not isinstance(a, (int, float)):
+        raise ValueError(f"angle {a!r} is neither a number nor a label")
+    if not math.isfinite(a):
+        raise ValueError(f"angle {a!r} is not finite")
+    return float(a)
+
+
 def rep_from_json(obj: dict) -> PhasePolyRep:
-    n = int(obj["n"])
+    n = count_from_json(obj["n"], "n")
     initial = ParityMatrix.from_bits(obj["initial"])
     final = ParityMatrix.from_bits(obj["final"])
     terms = tuple(bits_to_mask(t) for t in obj["terms"])
-    angles = tuple(a if isinstance(a, str) else float(a) for a in obj["angles"])
+    angles = tuple(_angle_from_json(a) for a in obj["angles"])
     return PhasePolyRep(initial, final, ParityTable(n, terms, angles))
 
 

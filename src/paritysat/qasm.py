@@ -6,6 +6,7 @@ synthesized circuit can be re-bound to new angles without resynthesis.
 """
 from __future__ import annotations
 
+import math
 import re
 
 from .ir import Angle, Circuit, Cnot, Gate, Opaque, Rz
@@ -97,7 +98,6 @@ class _ExprParser:
             return float(text)
         if kind == "id":
             if text == "pi":
-                import math
                 return math.pi
             raise QasmError(f"unknown identifier {text!r} in expression", self.line)
         if (kind, text) == ("op", "("):
@@ -109,13 +109,19 @@ class _ExprParser:
 
 
 def parse_param(text: str, line: int | None = None) -> Angle:
-    """Numeric expression -> float; bare identifier (not pi) -> label."""
+    """Numeric expression -> float; bare identifier (not pi) -> label.
+
+    An expression whose value is not finite (``1e999``, ``1e999-1e999``)
+    is refused."""
     tokens = _tokenize_expr(text.strip(), line or 0)
     if not tokens:
         raise QasmError("empty parameter expression", line)
     if len(tokens) == 1 and tokens[0][0] == "id" and tokens[0][1] != "pi":
         return tokens[0][1]
-    return _ExprParser(tokens, line or 0).parse()
+    value = _ExprParser(tokens, line or 0).parse()
+    if not math.isfinite(value):
+        raise QasmError(f"angle {text.strip()!r} is not finite", line)
+    return value
 
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")

@@ -462,18 +462,24 @@ def solve(inst: SatInstance, timeout_s: float = 600.0,
     return Solver(inst).solve(timeout_s, stats_out)
 
 
+def solver_backend() -> str:
+    """The backend ``solve_instance`` uses now: ``internal``, or the
+    external DIMACS executable that HOPPS_SOLVER names (unset, empty or
+    ``internal`` selects the internal one)."""
+    return os.environ.get("HOPPS_SOLVER", "").strip() or "internal"
+
+
 def solve_instance(inst: SatInstance, timeout_s: float = 600.0,
                    stats_out: dict | None = None, solver: Solver | None = None,
                    assumptions: Sequence[int] = ()) -> SatModel | None:
-    """Dispatch to the internal solver or to the external DIMACS executable
-    named by HOPPS_SOLVER (unset or ``internal`` selects the internal one).
+    """Dispatch to the backend that ``solver_backend`` names.
 
     The internal search resumes ``solver`` (built on ``inst``) when one is
     given; an external backend is handed the whole instance every call,
     with the ``assumptions`` as extra unit clauses.
     """
-    backend = os.environ.get("HOPPS_SOLVER", "").strip()
-    if not backend or backend == "internal":
+    backend = solver_backend()
+    if backend == "internal":
         return (solver if solver is not None else Solver(inst)).solve(
             timeout_s, stats_out, assumptions)
     from .external import ExternalSolver
@@ -481,4 +487,4 @@ def solve_instance(inst: SatInstance, timeout_s: float = 600.0,
     return ExternalSolver(backend).solve(inst, timeout_s, stats_out, assumptions)
 
 
-__all__ = ["SatModel", "SolverTimeout", "Solver", "solve", "solve_instance"]
+__all__ = ["SatModel", "SolverTimeout", "Solver", "solve", "solve_instance", "solver_backend"]

@@ -39,6 +39,7 @@ from paritysat.peephole import (
     peephole_with_report,
     resynth_block,
     resynthesize,
+    skeleton_cache,
     splice_blocks,
 )
 from paritysat.phasepoly import equivalent, extract_rep, merged_table
@@ -526,7 +527,8 @@ def test_repeated_skeletons_give_the_pinned_run(mode, doubly):
     # call's memo; the four settings give the same run here
     golden = json.loads(GOLDEN.read_text())
     c, line = repeated_skeletons(6, 3, seed=2)
-    for jobs in (1, 2):
+
+    def run(jobs):
         cfg = BlockwiseConfig(**golden["config"], jobs=jobs, mode=mode, doubly=doubly,
                               per_block_timeout=30)
         out, trace = iterate_optimize(c, line, cfg)
@@ -534,8 +536,17 @@ def test_repeated_skeletons_give_the_pinned_run(mode, doubly):
                  ["rz", g.angle, g.qubit] for g in out.gates]
         records = [{k: v for k, v in r.to_json().items() if k != "wall_time_s"}
                    for r in trace]
+        return gates, records
+
+    for jobs in (1, 2):
+        skeleton_cache(mode, doubly).clear()
+        gates, records = run(jobs)
         assert gates == golden["gates"]
         assert records == golden["records"]
+    # on the store the last run filled, every block is served from it
+    gates, records = run(2)
+    assert gates == golden["gates"]
+    assert records == [dict(r, cache_hits=r["blocks_attempted"]) for r in golden["records"]]
 
 
 def lazy_field_blocks() -> list[Block]:
@@ -592,3 +603,46 @@ def test_blocks_served_from_the_memo_and_spliced_extract_nothing(monkeypatch):
     assert extracted == []
     assert again == first and hits == len(blocks)
     assert equivalent(spliced, c)
+
+
+def without_hits(trace: list) -> list:
+    """The records with the fields that may depend on earlier calls zeroed."""
+    return [dataclasses.replace(r, cache_hits=0, wall_time_s=0) for r in trace]
+
+
+def test_a_second_run_on_the_same_circuit_synthesizes_nothing(monkeypatch):
+    keys = []
+    hopps = paritysat.peephole.hopps
+
+    def counted(req):
+        keys.append(synthesis_key(req.rep, req.coupling))
+        return hopps(req)
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", counted)
+    c, line = repeated_skeletons(6, 3, seed=2)
+    cfg = BlockwiseConfig(max_block_qubits=3, iters_full=3, iters_sample=3,
+                          seed=4, per_block_timeout=30)
+    first, first_trace = iterate_optimize(c, line, cfg)
+    assert keys
+    synthesized = len(keys)
+    again, trace = iterate_optimize(c, line, cfg)
+    assert len(keys) == synthesized
+    assert again.gates == first.gates
+    assert all(r.cache_hits == r.blocks_attempted for r in trace)
+    assert without_hits(trace) == without_hits(first_trace)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_circuit_optimized_after_another_equals_it_optimized_alone(jobs):
+    earlier, line = repeated_skeletons(6, 2, seed=5)
+    circuit, _ = repeated_skeletons(6, 3, seed=2)
+    cfg = BlockwiseConfig(max_block_qubits=3, iters_full=3, iters_sample=3,
+                          seed=4, jobs=jobs, per_block_timeout=30)
+    alone, alone_trace = iterate_optimize(circuit, line, cfg)
+    skeleton_cache(cfg.mode, cfg.doubly).clear()
+    iterate_optimize(earlier, line, cfg)
+    after, after_trace = iterate_optimize(circuit, line, cfg)
+    assert after.gates == alone.gates
+    assert without_hits(after_trace) == without_hits(alone_trace)
+    # the earlier circuit's skeletons served some of this one's blocks
+    assert sum(r.cache_hits for r in after_trace) > sum(r.cache_hits for r in alone_trace)

@@ -189,6 +189,39 @@ def test_bad_json_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("angle", ["1e999", "1e999-1e999"])
+def test_peephole_refuses_a_non_finite_angle(angle, triangle_files, tmp_path, capsys):
+    _, _, cm_file = triangle_files
+    src = tmp_path / "in.qasm"
+    src.write_text(TRIANGLE_QASM.replace("rz(0.2)", f"rz({angle})"))
+    out_file = tmp_path / "out.qasm"
+    code, _, err = run_cli(capsys, "peephole", str(src), "--coupling-map", str(cm_file),
+                           "-o", str(out_file))
+    assert code == 2 and "not finite" in err
+    assert not out_file.exists()
+
+
+def test_synth_refuses_a_non_finite_angle(triangle_files, tmp_path, capsys):
+    _, rep_file, cm_file = triangle_files
+    # the json module reads and writes NaN, as Python does
+    rep_file.write_text(rep_file.read_text().replace("0.2", "NaN"))
+    out_file = tmp_path / "out.qasm"
+    code, _, err = run_cli(capsys, "synth", str(rep_file), "--coupling-map", str(cm_file),
+                           "-o", str(out_file))
+    assert code == 2 and "not finite" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("num_qubits", [2.5, -1, "3", True])
+def test_a_coupling_map_with_a_bad_qubit_count_exits_two(num_qubits, triangle_files,
+                                                         tmp_path, capsys):
+    _, rep_file, cm_file = triangle_files
+    cm_file.write_text(json.dumps({"num_qubits": num_qubits, "edges": []}))
+    code, _, err = run_cli(capsys, "synth", str(rep_file), "--coupling-map", str(cm_file),
+                           "-o", str(tmp_path / "out.qasm"))
+    assert code == 2 and "num_qubits must be a nonnegative integer" in err
+
+
 def test_verify_equivalent_and_not(triangle_files, tmp_path, capsys):
     qasm, _, _ = triangle_files
     code, out, _ = run_cli(capsys, "verify", str(qasm), str(qasm))

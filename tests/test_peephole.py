@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,7 @@ from paritysat.peephole import (
     peephole_with_report,
     resynth_block,
     resynthesize,
+    skeleton_cache,
     splice_blocks,
 )
 from paritysat.phasepoly import canonical_equal, canonicalize, equivalent, merged_table
@@ -37,6 +39,7 @@ from paritysat.synthesizer import (
     hopps,
     lower_bound,
     place_rotations,
+    synthesis_key,
 )
 
 from testkit import (
@@ -45,6 +48,8 @@ from testkit import (
     random_mixed_circuit,
     reference_scan_blocks,
 )
+
+REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
 
 
 def test_pure_circuit_is_one_block():
@@ -353,3 +358,116 @@ def test_a_memo_keeps_only_judgments_no_later_call_can_change(monkeypatch, optim
     assert hits == (2 if optimal else 1)
     settled = [improvable, floored] if optimal else [floored]
     assert list(judged) == [(b.qubits, b.gates) for b in settled]
+
+
+def count_syntheses(monkeypatch) -> list[tuple]:
+    """The key of every ``hopps`` call the peephole engine makes."""
+    keys = []
+    real = paritysat.peephole.hopps
+
+    def counted(req):
+        keys.append(synthesis_key(req.rep, req.coupling))
+        return real(req)
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", counted)
+    return keys
+
+
+def three_keys_circuit() -> Circuit:
+    """Three blocks on line(3), none at its floors, each of its own key."""
+    h = (Opaque("h", (0,)), Opaque("h", (1,)))
+    return Circuit(3, (
+        Cnot(0, 1), Rz(0.3, 1), Cnot(0, 1), Cnot(0, 1), Cnot(0, 1), *h,
+        Cnot(0, 1), Rz(0.4, 1), Cnot(1, 0), Cnot(1, 0), *h,
+        Cnot(1, 2), Rz(0.5, 2), Cnot(1, 2), Cnot(2, 1), Cnot(2, 1), Cnot(2, 1),
+    ))
+
+
+def test_a_second_pass_is_served_from_the_store(monkeypatch):
+    keys = count_syntheses(monkeypatch)
+    c, line = three_keys_circuit(), CouplingMap.line(3)
+    first = peephole_with_report(c, line, Mode.DEPTH, doubly=True, timeout_s=30)
+    assert len(keys) == len(set(keys)) == 3
+    assert list(skeleton_cache(Mode.DEPTH, True)) == [
+        synthesis_key(old.rep, induced_coupling(line, old.qubits)) for old, _ in first[1]]
+    again = peephole_with_report(c, line, Mode.DEPTH, doubly=True, timeout_s=30)
+    assert len(keys) == 3
+    assert again == first
+
+
+def test_each_mode_and_doubly_setting_has_a_store_of_its_own(monkeypatch):
+    keys = count_syntheses(monkeypatch)
+    c, line = three_keys_circuit(), CouplingMap.line(3)
+    outs = {}
+    for mode, doubly in ALL_MODES:
+        before = len(keys)
+        outs[mode, doubly] = peephole_with_report(c, line, mode, doubly, timeout_s=30)[0]
+        assert len(keys) - before == 3
+    for mode, doubly in ALL_MODES:
+        assert peephole_with_report(c, line, mode, doubly, timeout_s=30)[0] == \
+            outs[mode, doubly]
+    assert len(keys) == 3 * len(ALL_MODES)
+
+
+@pytest.mark.skipif(not REF_SOLVER.exists(), reason="reference solver not found")
+def test_a_key_one_backend_stored_is_synthesized_again_on_another(monkeypatch):
+    keys = count_syntheses(monkeypatch)
+    c, line = three_keys_circuit(), CouplingMap.line(3)
+    monkeypatch.delenv("HOPPS_SOLVER", raising=False)
+    internal = peephole_with_report(c, line, Mode.CNOT, doubly=True, timeout_s=30)
+    # "internal" names the backend that an unset variable selects
+    monkeypatch.setenv("HOPPS_SOLVER", "internal")
+    assert peephole_with_report(c, line, Mode.CNOT, doubly=True, timeout_s=30) == internal
+    assert len(keys) == 3
+    monkeypatch.setenv("HOPPS_SOLVER", str(REF_SOLVER))
+    external, pairs = peephole_with_report(c, line, Mode.CNOT, doubly=True, timeout_s=30)
+    assert len(keys) == 6 and keys[3:] == keys[:3]
+    assert validate_topology(external, line)
+    for old, new in pairs:
+        assert canonical_equal(canonicalize(new.rep), canonicalize(old.rep))
+    assert [(cnot_count(new.circuit), cnot_depth(new.circuit)) for _, new in pairs] == \
+        [(cnot_count(new.circuit), cnot_depth(new.circuit)) for _, new in internal[1]]
+    monkeypatch.delenv("HOPPS_SOLVER")
+    assert peephole_with_report(c, line, Mode.CNOT, doubly=True, timeout_s=30) == internal
+    assert len(keys) == 6
+
+
+def test_an_unproven_skeleton_is_synthesized_again_by_the_next_call(monkeypatch):
+    calls = []
+    real = paritysat.peephole.hopps
+
+    def cut_short(req):  # as a doubly optimal search that hit its deadline
+        calls.append(req)
+        return dataclasses.replace(real(req), optimal=False)
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", cut_short)
+    c, line = three_keys_circuit(), CouplingMap.line(3)
+    first = peephole_with_report(c, line, Mode.CNOT, doubly=True, timeout_s=30)
+    again = peephole_with_report(c, line, Mode.CNOT, doubly=True, timeout_s=30)
+    assert len(calls) == 6
+    assert again == first
+    assert skeleton_cache(Mode.CNOT, True) == {}
+
+
+def test_the_store_drops_its_oldest_skeleton_past_its_limit(monkeypatch):
+    monkeypatch.setattr(paritysat.peephole, "STORE_LIMIT", 2)
+    line = CouplingMap.line(3)
+    blocks = find_blocks(three_keys_circuit())
+    keys = [synthesis_key(b.rep, induced_coupling(line, b.qubits)) for b in blocks]
+    sent = []
+
+    def synthesize(todo):
+        sent.extend(todo)
+        return [resynth_block(b, line, timeout_s=30) for b in todo]
+
+    cache = {}
+    first, _ = resynthesize(blocks[:1], line, Mode.CNOT, cache, synthesize)
+    assert list(cache) == keys[:1]
+    # the call's own insertions drop the first key, which it still serves
+    out, hits = resynthesize(blocks, line, Mode.CNOT, cache, synthesize)
+    assert (hits, sent) == (1, blocks)
+    assert list(cache) == keys[1:]
+    assert out[0] == first[0]
+    out, hits = resynthesize(blocks[2:] + blocks[:1], line, Mode.CNOT, cache, synthesize)
+    assert (hits, len(sent)) == (1, 4)
+    assert list(cache) == keys[2:] + keys[:1]

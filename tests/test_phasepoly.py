@@ -150,3 +150,27 @@ def test_rep_json_round_trip(triangle_rep):
     assert back.table.terms == triangle_rep.table.terms
     assert back.table.angles == triangle_rep.table.angles
     assert obj["terms"][0] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_rep_json_refuses_a_non_finite_angle(triangle_rep, angle):
+    obj = rep_to_json(triangle_rep)
+    obj["angles"][1] = angle
+    with pytest.raises(ValueError, match="not finite"):
+        rep_from_json(obj)
+    # a label is kept as it is, whatever it reads
+    obj["angles"][1] = "nan"
+    assert rep_from_json(obj).table.angles[1] == "nan"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 3.7, "n must be a nonnegative integer"),
+    ("n", "3", "n must be a nonnegative integer"),
+    ("angles", [0.1, True, 0.3], "neither a number nor a label"),
+    ("angles", [0.1, None, 0.3], "neither a number nor a label"),
+])
+def test_rep_json_refuses_a_bad_qubit_count_or_angle(triangle_rep, field, value, message):
+    obj = rep_to_json(triangle_rep)
+    obj[field] = value
+    with pytest.raises(ValueError, match=message):
+        rep_from_json(obj)

@@ -34,6 +34,14 @@ def test_parse_symbolic_label():
     assert c.gates == (Rz("gamma0", 1),)
 
 
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "1e999-1e999", "1e200*1e200"])
+def test_a_non_finite_angle_is_refused(text):
+    with pytest.raises(QasmError, match="not finite"):
+        parse_param(text)
+    with pytest.raises(QasmError, match=r"not finite .*\(line 4\)"):
+        parse_qasm(HEADER + f"rz({text}) q[0];")
+
+
 def test_parse_param_rejects_garbage():
     with pytest.raises(QasmError):
         parse_param("2*unknown")
