@@ -12,11 +12,11 @@ the call: each distinct block problem is synthesized once per process,
 and only the first block of each key not yet stored goes to the
 workers.  Only this process reads and fills the store; the workers
 never do.  The call also keeps a memo of the judgments no later iteration
-can change (a block kept at its floors, skipped as disconnected, or
-judged on a skeleton proven optimal), keyed by the block's qubits and
-gates: a block met again, as most are from one iteration to the next,
-reuses its judgment without a floor, key or skeleton computed, and
-without its phase polynomial extracted.  Blocks are built without one
+can change (a block kept at its floors or judged on a skeleton proven
+optimal), keyed by the block's qubits and gates: a block met again, as
+most are from one iteration to the next, reuses its judgment without a
+floor, key or skeleton computed, and without its phase polynomial
+extracted.  Blocks are built without one
 (``Block.rep`` is worked out at the first floor, key or synthesis that
 reads it), so a partition extracts nothing itself, and neither does
 splicing the replacements.  The metrics of the current circuit are
@@ -25,17 +25,20 @@ the circuit it spliced.
 
 Each ``iterate_optimize`` call opens at most one worker pool, at its
 first dispatch of two or more blocks, reuses it in every later iteration
-and shuts it down when it returns or raises.  A dispatch whose pool
-breaks (a worker process died) fails its own blocks only, and the next
-dispatch opens a fresh pool.
+and shuts it down when it returns or raises.  Every block runs under one
+failure rule (``_guarded``), in this process or inside the worker: a
+block whose worker raises comes back unchanged, with the exception type
+in ``error``.  A dispatch whose pool breaks (a worker process died)
+fails every one of its own blocks with ``BrokenProcessPool``, and the
+next dispatch opens a fresh pool.
 """
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -129,88 +132,69 @@ def sample_blocks(circuit: Circuit, cfg: BlockwiseConfig,
     return [_make_block(circuit, groups[i][1]) for i in chosen]
 
 
-class _WorkerPool:
-    """``jobs`` worker processes, started at the first ``map`` and again
-    at the first ``map`` after one that broke them."""
-
-    def __init__(self, jobs: int) -> None:
-        self.jobs = jobs
-        self._executor: ProcessPoolExecutor | None = None
-
-    def map(self, worker_fn: Callable[[Block], Block],
-            blocks: Sequence[Block]) -> list[Block]:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        futures = [_submit(self._executor, worker_fn, block) for block in blocks]
-        out = [_guarded(future.result, block) for block, future in zip(blocks, futures)]
-        if any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
-            self.close()
-        return out
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-
-# the pool of the ``iterate_optimize`` call in progress, if any: it reaches
-# ``run_parallel`` here because the call keeps the signature that callers,
-# and wrappers of the module attribute, rely on
-_call_pool: ContextVar[_WorkerPool | None] = ContextVar("_call_pool", default=None)
+# the executor slot of the ``iterate_optimize`` call in progress, if any:
+# it reaches ``run_parallel`` here because the call keeps the signature
+# that callers, and wrappers of the module attribute, rely on
+_call_pool: ContextVar[list[ProcessPoolExecutor] | None] = ContextVar(
+    "_call_pool", default=None)
 
 
 @contextmanager
-def _one_pool(jobs: int) -> Iterator[_WorkerPool]:
-    """A pool of ``jobs`` workers for every ``run_parallel`` inside the
-    ``with`` statement, shut down on the way out."""
-    pool = _WorkerPool(jobs)
-    token = _call_pool.set(pool)
+def _one_pool() -> Iterator[list[ProcessPoolExecutor]]:
+    """One executor slot for every ``run_parallel`` inside the ``with``
+    statement: empty until a dispatch of two or more blocks fills it,
+    emptied when its pool breaks, and shut down on the way out."""
+    slot: list[ProcessPoolExecutor] = []
+    token = _call_pool.set(slot)
     try:
-        yield pool
+        yield slot
     finally:
         _call_pool.reset(token)
-        pool.close()
+        for executor in slot:
+            executor.shutdown()
 
 
 def run_parallel(blocks: Sequence[Block], worker_fn: Callable[[Block], Block],
                  jobs: int) -> list[Block]:
     """Apply ``worker_fn`` over blocks with at most ``jobs`` concurrent tasks.
 
-    Results come back strictly in block order; a worker failure falls back
-    to that block's original, with the exception type in ``error``.  One
-    block, or one job, runs in this process.  Otherwise the blocks go to
-    the pool of the ``iterate_optimize`` call in progress, which outlives
-    this dispatch; called on its own, ``run_parallel`` opens a pool for
-    this dispatch only.  When a worker process dies, every block of this
-    dispatch still pending fails with ``BrokenProcessPool``.
+    Results come back strictly in block order.  Each block runs under
+    ``_guarded``: a worker that raises falls back to that block's
+    original, with the exception type in ``error``.  One block, or one
+    job, runs in this process.  Otherwise the blocks go to the executor of
+    the ``iterate_optimize`` call in progress, which outlives this
+    dispatch; called on its own, ``run_parallel`` opens one for this
+    dispatch only.  An exception out of the executor fails every block of
+    this dispatch with its type: ``BrokenProcessPool`` when a worker
+    process died, and then the next dispatch opens a fresh pool.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    guarded = partial(_guarded, worker_fn)
     if jobs == 1 or len(blocks) <= 1:
-        return [_guarded(partial(worker_fn, block), block) for block in blocks]
-    pool = _call_pool.get()
-    if pool is not None:
-        return pool.map(worker_fn, blocks)
-    with _one_pool(jobs) as pool:
-        return pool.map(worker_fn, blocks)
+        return [guarded(block) for block in blocks]
+    call_slot = _call_pool.get()
+    with _one_pool() if call_slot is None else nullcontext(call_slot) as slot:
+        if not slot:
+            slot.append(ProcessPoolExecutor(max_workers=jobs))
+        try:
+            return list(slot[0].map(guarded, blocks))
+        except Exception as exc:
+            if isinstance(exc, BrokenProcessPool):
+                slot.pop().shutdown()
+            return [_failed(block, exc) for block in blocks]
 
 
-def _submit(executor: ProcessPoolExecutor, worker_fn: Callable[[Block], Block],
-            block: Block) -> Future:
+def _guarded(worker_fn: Callable[[Block], Block], block: Block) -> Block:
+    """``worker_fn(block)``, or ``block`` failed with the exception it raised."""
     try:
-        return executor.submit(worker_fn, block)
-    except BrokenProcessPool as exc:  # a worker died while the batch went out
-        future: Future = Future()
-        future.set_exception(exc)
-        return future
-
-
-def _guarded(result: Callable[[], Block], block: Block) -> Block:
-    """``result()``, or ``block`` with the exception type when it raises."""
-    try:
-        return result()
+        return worker_fn(block)
     except Exception as exc:
-        return replace(block, status="original", error=type(exc).__name__)
+        return _failed(block, exc)
+
+
+def _failed(block: Block, exc: Exception) -> Block:
+    return replace(block, status="original", error=type(exc).__name__)
 
 
 def iterate_optimize(circuit: Circuit, cm: CouplingMap,
@@ -237,7 +221,7 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
     def ordered(c: Circuit) -> tuple[int, int]:
         return ordered_metrics(cfg.mode, cnot_count(c), cnot_depth(c))
 
-    with _one_pool(cfg.jobs):
+    with _one_pool():
         for stage, iters in (("full", cfg.iters_full), ("sample", cfg.iters_sample)):
             for _ in range(iters):
                 t0 = time.monotonic()

@@ -180,7 +180,7 @@ def _cmd_peephole(args) -> int:
     report = _metrics_report(circuit, out)
     report["blocks"] = len(pairs)
     statuses = Counter(new.status for _, new in pairs)
-    for status in ("resynthesized", "kept_original", "failed_budget", "skipped_disconnected"):
+    for status in ("resynthesized", "kept_original", "failed_budget"):
         report[f"blocks_{status}"] = statuses[status]
     _emit(report)
     _say(f"peephole: {report['baseline_cnot_count']} -> {report['cnot_count']} CNOTs, "

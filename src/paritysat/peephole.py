@@ -18,7 +18,9 @@ A list of blocks is resynthesized by ``resynthesize``; a peephole pass
 runs it once over the maximal blocks, and ``blockwise.iterate_optimize``
 runs it on every partition.  Both read and fill one store of skeletons
 that lives as long as the process (``skeleton_cache``), one dict per
-mode, ``doubly`` and solver backend.
+mode, ``doubly`` and solver backend.  Both refuse a circuit with a CNOT
+off the coupling map up front, so every block they scan induces a
+connected map: its qubits are joined by its own CNOTs, each on an edge.
 A block whose own CNOT count and depth equal its provable floors
 (``synthesizer.lower_bound`` and ``synthesizer.depth_floor``) is kept
 without a synthesis: no circuit for its rep is smaller in either metric,
@@ -351,17 +353,16 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
                   doubly: bool = True, timeout_s: float = 600.0) -> Block:
     """Optimal resynthesis of one block on its induced topology.
 
-    Falls back to the original block (flagged in ``status``) when the
-    induced topology is disconnected or the solve does not finish.  The
+    Falls back to the original block, flagged ``failed_budget``, when the
+    solve does not finish.  A scanned block of a circuit that respects
+    ``cm`` always induces a connected map (its qubits are joined by its
+    own CNOTs); on any other map ``hopps`` raises ``ValueError``.  The
     result carries the skeleton found, so that a caller can rebuild other
     blocks of the same problem with ``apply_skeleton``.
     """
-    local_map = induced_coupling(cm, block.qubits)
-    if not local_map.is_connected():
-        return replace(block, status="skipped_disconnected")
     try:
-        result = hopps(SynthesisRequest(block.rep, local_map, mode=mode, doubly=doubly,
-                                        timeout_s=timeout_s))
+        result = hopps(SynthesisRequest(block.rep, induced_coupling(cm, block.qubits),
+                                        mode=mode, doubly=doubly, timeout_s=timeout_s))
     except (SynthesisTimeout, NoSolutionWithinKmax):
         return replace(block, status="failed_budget")
     steps = tuple(tuple(step) for step in result.steps)
@@ -389,12 +390,12 @@ def at_floors(block: Block, table: ParityTable) -> bool:
 
 
 def _settled(block: Block) -> bool:
-    """Whether a replacement is final for its qubits and gates: kept at
-    its floors, skipped as disconnected, or judged on a skeleton proven
-    optimal.  Failures and judgments on an unproven skeleton are not."""
+    """Whether a replacement is final for its qubits and gates: judged on
+    a skeleton proven optimal, or kept at its floors.  Failures and
+    judgments on an unproven skeleton are not."""
     if block.skeleton is not None:
         return block.skeleton.optimal
-    return block.status in ("kept_original", "skipped_disconnected")
+    return block.status == "kept_original"
 
 
 def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
@@ -411,6 +412,7 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
     those blocks to their replacements (as ``resynth_block`` does); its
     skeleton is cached when it is proven optimal.  Every other block of
     the key gets that skeleton, or inherits the first block's failure
+    (``failed_budget``, or the ``error`` that ``synthesize`` recorded)
     when there is none.  The call ends by dropping the oldest skeletons
     of ``cache`` past ``STORE_LIMIT``.
 

@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import pickle
 import random
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from pathlib import Path
@@ -473,33 +472,33 @@ def test_a_dead_worker_fails_its_own_dispatch_only(monkeypatch, tmp_path):
     assert equivalent(out, c)
 
 
-class BreaksAtSecondSubmit:
-    """An executor whose pool breaks while a dispatch is still going out."""
+def test_a_pool_that_breaks_fails_its_whole_dispatch(monkeypatch):
+    opened, shut = [], []
 
-    def __init__(self, max_workers):
-        self.submitted = 0
+    class BrokenAtMap:
+        """An executor whose pool breaks while a dispatch runs."""
 
-    def submit(self, fn, block):
-        self.submitted += 1
-        if self.submitted > 1:
+        def __init__(self, max_workers):
+            opened.append(self)
+
+        def map(self, fn, blocks):
             raise BrokenProcessPool("a worker died")
-        future = Future()
-        future.set_result(fn(block))
-        return future
 
-    def shutdown(self):
-        pass
+        def shutdown(self):
+            shut.append(self)
 
-
-def test_a_pool_that_breaks_while_blocks_go_out_fails_the_rest(monkeypatch):
-    monkeypatch.setattr(paritysat.blockwise, "ProcessPoolExecutor", BreaksAtSecondSubmit)
+    monkeypatch.setattr(paritysat.blockwise, "ProcessPoolExecutor", BrokenAtMap)
     c = random_cnot_rz_circuit(random.Random(4), 4, 8, 2)
     blocks = partition(c, BlockwiseConfig(max_block_qubits=2))
     assert len(blocks) >= 2
-    out = run_parallel(blocks, _double, 2)
-    assert out == list(blocks)
-    assert out[0].error is None
-    assert all((b.status, b.error) == ("original", "BrokenProcessPool") for b in out[1:])
+    with paritysat.blockwise._one_pool():
+        for dispatch in (1, 2):
+            out = run_parallel(blocks, _double, 2)
+            assert out == list(blocks)
+            assert all((b.status, b.error) == ("original", "BrokenProcessPool")
+                       for b in out)
+            # the broken executor is shut down, and the next dispatch opens another
+            assert len(opened) == dispatch and shut == opened
 
 
 def test_a_block_met_again_in_the_call_is_not_judged_again(monkeypatch):

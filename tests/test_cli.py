@@ -283,7 +283,7 @@ def test_peephole_report_counts_each_block_status(triangle_files, tmp_path, caps
     counts = {key: value for key, value in report.items()
               if key.startswith("blocks_")}
     assert counts == {"blocks_resynthesized": 1, "blocks_kept_original": 1,
-                      "blocks_failed_budget": 0, "blocks_skipped_disconnected": 0}
+                      "blocks_failed_budget": 0}
     assert sum(counts.values()) == report["blocks"] == 2
 
 

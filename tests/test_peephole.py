@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import paritysat.peephole
+from paritysat.blockwise import BlockwiseConfig, partition, sample_blocks
 from paritysat.encoder import Mode
 from paritysat.ir import (
     Circuit,
@@ -137,16 +138,28 @@ def test_resynth_removes_redundant_pair(line3):
     assert cnot_count(new.circuit) == 0
 
 
-def test_resynth_skips_disconnected_block():
-    cm = CouplingMap(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+def test_resynth_on_a_map_that_splits_the_block_raises():
     c = Circuit(4, (Cnot(0, 1), Cnot(2, 3), Cnot(1, 2)))
-    blocks = find_blocks(c)
-    sub = CouplingMap(4, frozenset({(0, 1), (2, 3)}))  # disconnect the middle
-    results = [resynth_block(b, sub, Mode.CNOT, doubly=True, timeout_s=30)
-               for b in blocks]
-    assert any(r.status == "skipped_disconnected" for r in results)
-    assert all(r.gates == b.gates for r, b in zip(results, blocks)
-               if r.status == "skipped_disconnected")
+    (block,) = find_blocks(c)
+    split = CouplingMap(4, frozenset({(0, 1), (2, 3)}))  # no middle edge
+    with pytest.raises(ValueError, match="connected"):
+        resynth_block(block, split, Mode.CNOT, doubly=True, timeout_s=30)
+
+
+CONNECTED_MAPS = (CouplingMap.line(5), CouplingMap.ring(5), CouplingMap.grid(2, 3))
+
+
+@given(st.sampled_from(CONNECTED_MAPS), st.randoms(use_true_random=False),
+       st.integers(0, 30), st.integers(2, 4), st.integers(1, 5))
+def test_every_scanned_block_induces_a_connected_map(cm, rng, n_gates,
+                                                     max_qubits, max_depth):
+    circuit = random_mixed_circuit(rng, cm.num_qubits, n_gates, cm)
+    assert validate_topology(circuit, cm)
+    cfg = BlockwiseConfig(max_block_qubits=max_qubits, max_block_depth=max_depth)
+    blocks = find_blocks(circuit) + partition(circuit, cfg) + \
+        sample_blocks(circuit, cfg, rng)
+    for block in blocks:
+        assert induced_coupling(cm, block.qubits).is_connected()
 
 
 @pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])

@@ -35,23 +35,29 @@ def random_cnot_rz_circuit(rng: random.Random, n: int, n_cnots: int, n_rz: int,
     return Circuit(n, tuple(gates))
 
 
-def random_mixed_circuit(rng: random.Random, n: int, n_gates: int) -> Circuit:
-    """Random circuit with opaque gates sprinkled between CNOTs and Rz's."""
+def random_mixed_circuit(rng: random.Random, n: int, n_gates: int,
+                         cm: CouplingMap | None = None) -> Circuit:
+    """Random circuit with opaque gates sprinkled between CNOTs and Rz's;
+    two-qubit gates restricted to ``cm`` edges if given."""
+
+    def pair() -> tuple[int, int]:
+        if cm is not None:
+            return rng.choice(cm.directed_edges())
+        a = rng.randrange(n)
+        b = rng.randrange(n - 1)
+        return a, b if b < a else b + 1
+
     gates = []
     for _ in range(n_gates):
         roll = rng.random()
         if roll < 0.45 and n >= 2:
-            a = rng.randrange(n)
-            b = rng.randrange(n - 1)
-            gates.append(Cnot(a, b if b < a else b + 1))
+            gates.append(Cnot(*pair()))
         elif roll < 0.75:
             gates.append(Rz(rng.uniform(0.05, 3.0), rng.randrange(n)))
         elif roll < 0.9 or n < 2:
             gates.append(Opaque("h", (rng.randrange(n),)))
         else:
-            a = rng.randrange(n)
-            b = rng.randrange(n - 1)
-            gates.append(Opaque("cz", (a, b if b < a else b + 1)))
+            gates.append(Opaque("cz", pair()))
     return Circuit(n, tuple(gates))
 
 
