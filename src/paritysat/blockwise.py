@@ -40,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from math import ceil
 from typing import Callable, Iterator, Sequence
@@ -108,15 +108,12 @@ class IterationRecord:
     wall_time_s: float
     rolled_back: bool = False
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def partition(circuit: Circuit, cfg: BlockwiseConfig) -> list[Block]:
     """Greedy scan-line partition under qubit-count and depth caps."""
     groups = _scan_blocks(circuit, max_qubits=cfg.max_block_qubits,
                           max_depth=cfg.max_block_depth)
-    return [_make_block(circuit, indices) for _, indices in groups]
+    return [_make_block(circuit, indices) for indices in groups]
 
 
 def sample_blocks(circuit: Circuit, cfg: BlockwiseConfig,
@@ -129,7 +126,7 @@ def sample_blocks(circuit: Circuit, cfg: BlockwiseConfig,
                           max_depth=cfg.max_block_depth, flush_at=offset)
     want = ceil(cfg.sample_fraction * len(groups))
     chosen = sorted(rng.sample(range(len(groups)), want)) if groups else []
-    return [_make_block(circuit, groups[i][1]) for i in chosen]
+    return [_make_block(circuit, groups[i]) for i in chosen]
 
 
 # the executor slot of the ``iterate_optimize`` call in progress, if any:

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .blockwise import BlockwiseConfig, IterationRecord, iterate_optimize
@@ -189,7 +189,7 @@ def _cmd_peephole(args) -> int:
 
 
 def _write_trace(path: str, trace) -> None:
-    records = [r.to_json() for r in trace]
+    records = [asdict(r) for r in trace]
     if path.endswith(".csv"):
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(IterationRecord)])

@@ -67,10 +67,6 @@ class ParityMatrix:
     def identity(cls, n: int) -> "ParityMatrix":
         return cls(tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[Sequence[int]]) -> "ParityMatrix":
-        return cls(tuple(bits_to_mask(row) for row in bits))
-
     def to_bits(self) -> list[list[int]]:
         return [mask_to_bits(r, self.n) for r in self.rows]
 
@@ -240,6 +236,21 @@ def count_from_json(value, name: str) -> int:
     return value
 
 
+def field_from_json(obj, name: str):
+    """Field ``name`` of a JSON object, refused by name when missing."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"expected a JSON object with field {name!r}")
+    return obj[name]
+
+
+def list_from_json(value, name: str, length: int | None = None) -> list:
+    """``value`` read as a JSON list, of exactly ``length`` entries when given."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = "" if length is None else f" of {length} entries"
+        raise ValueError(f"{name} must be a list{size}, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CouplingMap:
     """Undirected qubit-connectivity graph over physical qubits."""
@@ -316,8 +327,11 @@ class CouplingMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CouplingMap":
-        n = count_from_json(obj["num_qubits"], "num_qubits")
-        return cls(n, frozenset(tuple(e) for e in obj["edges"]))
+        n = count_from_json(field_from_json(obj, "num_qubits"), "num_qubits")
+        edges = list_from_json(field_from_json(obj, "edges"), "edges")
+        return cls(n, frozenset(tuple(count_from_json(q, f"edges[{i}] endpoint")
+                                      for q in list_from_json(edge, f"edges[{i}]", 2))
+                                for i, edge in enumerate(edges)))
 
     def to_json(self) -> dict:
         return {"num_qubits": self.num_qubits, "edges": sorted(list(e) for e in self.edges)}
@@ -360,5 +374,6 @@ __all__ = [
     "Cnot", "Rz", "Opaque", "Gate", "Circuit",
     "gf2_rank", "bits_to_mask", "mask_to_bits", "gate_qubits",
     "apply_cnot", "bind_angles", "cnot_count", "cnot_depth",
-    "CouplingMap", "count_from_json", "induced_coupling", "validate_topology",
+    "CouplingMap", "count_from_json", "field_from_json", "list_from_json",
+    "induced_coupling", "validate_topology",
 ]

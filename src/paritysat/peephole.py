@@ -49,9 +49,9 @@ itself: a timeout bounds the search, and a stored optimum needs no
 search.  Each store dict keeps at most ``STORE_LIMIT`` skeletons and
 drops the oldest first.  Worker processes never read it.
 
-A caller that runs ``resynthesize`` again on the same cache can also
-keep a memo of the judgments no later run can change, by block qubits
-and gates, so that a block met again is not judged again.
+``resynthesize`` reads and fills a memo of the judgments no later run on
+the same cache can change, by block qubits and gates, so that a block
+met again under the same memo is not judged again.
 """
 from __future__ import annotations
 
@@ -148,8 +148,8 @@ class Block:
 
 def _scan_blocks(circuit: Circuit, max_qubits: int | None = None,
                  max_depth: int | None = None,
-                 flush_at: int | None = None) -> list[tuple[list[int], list[int]]]:
-    """Greedy scan-line grouping; returns (qubit set, gate indices) per block.
+                 flush_at: int | None = None) -> list[list[int]]:
+    """Greedy scan-line grouping; returns the sorted gate indices per block.
 
     ``max_qubits``/``max_depth`` seal an open block instead of letting a
     gate grow it past the cap; ``flush_at`` seals everything open before
@@ -263,11 +263,8 @@ def _scan_blocks(circuit: Circuit, max_qubits: int | None = None,
             open_of[q] = home
 
     emitted = sealed + list(dict.fromkeys(open_of.values()))
-    out = []
-    for bid in emitted:
-        indices = sorted(indices_of[bid])
-        out.append((sorted(qubits_of[bid]), indices))
-    out.sort(key=lambda pair: pair[1][-1])
+    out = [sorted(indices_of[bid]) for bid in emitted]
+    out.sort(key=lambda indices: indices[-1])
     return out
 
 
@@ -292,7 +289,7 @@ def _make_block(circuit: Circuit, indices: list[int]) -> Block:
 
 def find_blocks(circuit: Circuit) -> list[Block]:
     """Maximal disjoint {CNOT, Rz} blocks in dependency-preserving order."""
-    return [_make_block(circuit, indices) for _, indices in _scan_blocks(circuit)]
+    return [_make_block(circuit, indices) for indices in _scan_blocks(circuit)]
 
 
 def block_to_physical(block: Block) -> list[Gate]:
@@ -401,8 +398,7 @@ def _settled(block: Block) -> bool:
 def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
                  cache: dict[tuple, Skeleton],
                  synthesize: Callable[[list[Block]], list[Block]],
-                 judged: dict[tuple, Block] | None = None,
-                 ) -> tuple[list[Block], int]:
+                 judged: dict[tuple, Block]) -> tuple[list[Block], int]:
     """Resynthesize every block; returns the replacements and the number
     of blocks served without a synthesis of their own.
 
@@ -416,17 +412,17 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
     when there is none.  The call ends by dropping the oldest skeletons
     of ``cache`` past ``STORE_LIMIT``.
 
-    ``judged``, when given, maps ``(qubits, gates)`` to a replacement
-    that no later call with the same ``cache`` can change (``_settled``):
-    a block found there takes that judgment with its own span, and no
-    floor, key or skeleton is computed for it.  Each new settled
-    replacement is added to it.
+    ``judged`` maps ``(qubits, gates)`` to a replacement that no later
+    call with the same ``cache`` can change (``_settled``): a block found
+    there takes that judgment with its own span, and no floor, key or
+    skeleton is computed for it.  Each new settled replacement is added
+    to it.
     """
     out: list[Block] = list(blocks)
     keys: dict[int, tuple] = {}
     memo_keys = [(block.qubits, block.gates) for block in blocks]
     for i, block in enumerate(blocks):
-        seen = None if judged is None else judged.get(memo_keys[i])
+        seen = judged.get(memo_keys[i])
         if seen is not None:
             out[i] = replace(seen, span=block.span)
             continue
@@ -455,10 +451,9 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
     # trimmed only now, so that every key this call read is still there
     while len(cache) > STORE_LIMIT:
         del cache[next(iter(cache))]
-    if judged is not None:
-        for memo_key, new in zip(memo_keys, out):
-            if _settled(new):
-                judged.setdefault(memo_key, new)
+    for memo_key, new in zip(memo_keys, out):
+        if _settled(new):
+            judged.setdefault(memo_key, new)
     return out, len(blocks) - len(first)
 
 
@@ -476,7 +471,7 @@ def peephole_with_report(circuit: Circuit, cm: CouplingMap, mode: Mode = Mode.CN
     blocks = find_blocks(circuit)
     replaced, _ = resynthesize(
         blocks, cm, mode, skeleton_cache(mode, doubly),
-        lambda todo: [resynth_block(b, cm, mode, doubly, timeout_s) for b in todo])
+        lambda todo: [resynth_block(b, cm, mode, doubly, timeout_s) for b in todo], {})
     return splice_blocks(circuit, replaced), list(zip(blocks, replaced))
 
 

@@ -16,6 +16,8 @@ from .ir import (
     mask_to_bits,
     bits_to_mask,
     count_from_json,
+    field_from_json,
+    list_from_json,
 )
 
 EPS_ANGLE = 1e-9
@@ -181,13 +183,25 @@ def _angle_from_json(a) -> Angle:
     return float(a)
 
 
+def _rows_from_json(obj: dict, name: str, n: int,
+                    length: int | None = None) -> tuple[int, ...]:
+    """Field ``name``: rows of exactly ``n`` bits, each the JSON integer 0 or 1."""
+    rows = list_from_json(field_from_json(obj, name), name, length)
+    for i, row in enumerate(rows):
+        where = f"{name}[{i}]"
+        if any(type(b) is not int or b not in (0, 1) for b in list_from_json(row, where, n)):
+            raise ValueError(f"{where} entries must be the integer 0 or 1, not {row!r}")
+    return tuple(map(bits_to_mask, rows))
+
+
 def rep_from_json(obj: dict) -> PhasePolyRep:
-    n = count_from_json(obj["n"], "n")
-    initial = ParityMatrix.from_bits(obj["initial"])
-    final = ParityMatrix.from_bits(obj["final"])
-    terms = tuple(bits_to_mask(t) for t in obj["terms"])
-    angles = tuple(_angle_from_json(a) for a in obj["angles"])
-    return PhasePolyRep(initial, final, ParityTable(n, terms, angles))
+    """The rep ``rep_to_json`` wrote; a malformed field is refused by name."""
+    n = count_from_json(field_from_json(obj, "n"), "n")
+    initial = ParityMatrix(_rows_from_json(obj, "initial", n, n))
+    final = ParityMatrix(_rows_from_json(obj, "final", n, n))
+    angles = list_from_json(field_from_json(obj, "angles"), "angles")
+    return PhasePolyRep(initial, final, ParityTable(
+        n, _rows_from_json(obj, "terms", n), tuple(map(_angle_from_json, angles))))
 
 
 __all__ = [

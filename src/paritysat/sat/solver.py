@@ -9,8 +9,8 @@ MiniSat (Een & Sorensson, SAT 2003).  A ``Solver`` is built on one
 ``SatInstance``; each ``solve`` call first takes in the variables and
 clauses added to the instance since the previous call, then searches,
 and returns to decision level 0 whatever the outcome: SAT, UNSAT or
-timeout.  Between calls it keeps its clause database, its learned
-clauses, its watch lists, its root-level facts and its heuristic state
+timeout.  Between calls it keeps its clauses, given and learned, in
+its watch lists, with its root-level facts and its heuristic state
 (activities, saved phases, the position in the restart sequence), so a
 later call resumes from what earlier calls proved.  Clauses are only
 ever added, so everything learned stays implied.  The instance itself is
@@ -29,8 +29,7 @@ The state is indexed by literal, in the MiniSat manner: one ``value``
 list holds +1, -1 or 0 for every literal, -v at the position that
 Python's negative index gives it, and ``watches`` holds the clauses that
 watch each literal.  Watch lists and the reason of each forced variable
-hold the clause lists themselves; ``db`` keeps every clause, given and
-learned.
+hold the clause lists themselves, given and learned.
 
 Decisions follow EVSIDS (Chaff, DAC 2001; MiniSat): every variable that
 conflict analysis touches has its activity bumped, the bump grows by
@@ -44,9 +43,8 @@ a step's CNOT.  The search restarts at level 0 after 100 conflicts times
 the next term of the Luby sequence.  Nothing is randomized, so the
 search is deterministic; determinism is part of the synthesis contract
 (identical inputs reproduce identical circuits).  Activities start at 0,
-so until its first conflict a fresh solve decides as the plain rule did:
-lowest-numbered variable, preferred value or False first.  A fresh
-``Solver`` searches exactly as a one-shot ``solve``.
+so until its first conflict a fresh ``Solver`` decides as the plain rule
+did: lowest-numbered variable, preferred value or False first.
 """
 from __future__ import annotations
 
@@ -82,10 +80,6 @@ class SatModel:
         value = self.values[abs(lit)]
         return value if lit > 0 else not value
 
-    @property
-    def assignment(self) -> dict[int, bool]:
-        return {v: self.values[v] for v in range(1, len(self.values))}
-
 
 def _luby(i: int) -> int:
     """Term ``i`` (from 0) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
@@ -108,7 +102,6 @@ class Solver:
         self.num_vars = 0
         self.taken = 0                  # clauses of the instance taken in so far
         self.unsat = False              # the clauses taken in have no model
-        self.db: list[list[int]] = []   # watched clauses, given and learned
         # indexed by literal, -v at 2 * num_vars + 1 - v: the clauses that
         # watch the literal, and its value (0 unknown, 1 true, -1 false)
         self.watches: list[list[list[int]]] = [[]]
@@ -152,7 +145,6 @@ class Solver:
         heap = self.heap
         saved = self.saved
         trail_lim = self.trail_lim
-        db = self.db
         n_assumed = len(assumptions)
         refuted = False
         try:
@@ -217,7 +209,6 @@ class Solver:
                 if len(learned) == 1:
                     self._enqueue(learned[0], None)  # root-level fact
                     continue
-                db.append(learned)
                 watches[learned[0]].append(learned)
                 watches[learned[1]].append(learned)
                 n_learned += 1
@@ -265,7 +256,6 @@ class Solver:
             self.num_vars = nv
 
         watches = self.watches
-        db = self.db
         # at level 0 the trail holds exactly the root facts
         root_true = set(self.trail)
         root_false = set(map(neg, root_true))
@@ -286,7 +276,6 @@ class Solver:
             if len(lits) == 1:
                 units.append(lits[0])
             else:
-                db.append(lits)
                 watches[lits[0]].append(lits)
                 watches[lits[1]].append(lits)
         self.taken = len(inst.clauses)
@@ -451,17 +440,6 @@ class Solver:
         heapify(self.heap)
 
 
-def solve(inst: SatInstance, timeout_s: float = 600.0,
-          stats_out: dict | None = None) -> SatModel | None:
-    """Solve the instance once; returns a model or None (UNSAT).
-
-    The same as ``Solver(inst).solve(timeout_s, stats_out)``.  To solve
-    again after adding clauses, keep the ``Solver``: its next call takes
-    in only what was added and resumes from what it learned.
-    """
-    return Solver(inst).solve(timeout_s, stats_out)
-
-
 def solver_backend() -> str:
     """The backend ``solve_instance`` uses now: ``internal``, or the
     external DIMACS executable that HOPPS_SOLVER names (unset, empty or
@@ -470,21 +448,20 @@ def solver_backend() -> str:
 
 
 def solve_instance(inst: SatInstance, timeout_s: float = 600.0,
-                   stats_out: dict | None = None, solver: Solver | None = None,
+                   stats_out: dict | None = None, *, solver: Solver,
                    assumptions: Sequence[int] = ()) -> SatModel | None:
     """Dispatch to the backend that ``solver_backend`` names.
 
-    The internal search resumes ``solver`` (built on ``inst``) when one is
-    given; an external backend is handed the whole instance every call,
-    with the ``assumptions`` as extra unit clauses.
+    The internal search resumes ``solver``, built on ``inst``; an external
+    backend is handed the whole instance every call, with the
+    ``assumptions`` as extra unit clauses.
     """
     backend = solver_backend()
     if backend == "internal":
-        return (solver if solver is not None else Solver(inst)).solve(
-            timeout_s, stats_out, assumptions)
+        return solver.solve(timeout_s, stats_out, assumptions)
     from .external import ExternalSolver
 
     return ExternalSolver(backend).solve(inst, timeout_s, stats_out, assumptions)
 
 
-__all__ = ["SatModel", "SolverTimeout", "Solver", "solve", "solve_instance", "solver_backend"]
+__all__ = ["SatModel", "SolverTimeout", "Solver", "solve_instance", "solver_backend"]

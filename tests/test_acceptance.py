@@ -34,7 +34,7 @@ from paritysat.peephole import peephole_with_report
 from paritysat.phasepoly import canonical_equal, canonicalize, equivalent, extract_rep
 from paritysat.qasm import write_qasm
 from paritysat.sat.core import SatInstance, at_least_k, at_most_k, export_dimacs, parse_dimacs
-from paritysat.sat.solver import solve
+from paritysat.sat.solver import Solver
 from paritysat.synthesizer import SynthesisRequest, hopps
 
 from brute import brute_is_sat, brute_projections
@@ -165,7 +165,7 @@ def _gadget_projection_check(rng) -> None:
                                 clauses=[list(c) for c in inst.clauses])
             for lit, bit in zip(lits, bits):
                 probe.add_clause([lit if bit else -lit])
-            assert (solve(probe) is not None) == predicate(sum(bits))
+            assert (Solver(probe).solve() is not None) == predicate(sum(bits))
 
 
 @mark
@@ -182,7 +182,7 @@ def test_criterion_5_encoding_and_solver_soundness():
             width = rng.randint(1, min(4, n))
             inst.add_clause([rng.choice(lits) * rng.choice([-1, 1])
                              for _ in range(width)])
-        assert (solve(inst) is not None) == brute_is_sat(inst.num_vars, inst.clauses)
+        assert (Solver(inst).solve() is not None) == brute_is_sat(inst.num_vars, inst.clauses)
 
     agreements = 0
     for _ in range(20):
@@ -193,7 +193,7 @@ def test_criterion_5_encoding_and_solver_soundness():
             width = rng.randint(1, min(4, n))
             inst.add_clause([rng.choice(lits) * rng.choice([-1, 1])
                              for _ in range(width)])
-        internal = solve(inst) is not None
+        internal = Solver(inst).solve() is not None
         cnf = export_dimacs(inst)
         reparsed = parse_dimacs(cnf)
         assert sorted(map(tuple, reparsed.clauses)) == sorted(map(tuple, inst.clauses))

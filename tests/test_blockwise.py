@@ -533,7 +533,7 @@ def test_repeated_skeletons_give_the_pinned_run(mode, doubly):
         out, trace = iterate_optimize(c, line, cfg)
         gates = [["cx", g.control, g.target] if isinstance(g, Cnot) else
                  ["rz", g.angle, g.qubit] for g in out.gates]
-        records = [{k: v for k, v in r.to_json().items() if k != "wall_time_s"}
+        records = [{k: v for k, v in dataclasses.asdict(r).items() if k != "wall_time_s"}
                    for r in trace]
         return gates, records
 

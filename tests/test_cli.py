@@ -163,10 +163,10 @@ def test_synth_dimacs_differential(triangle_files, tmp_path, capsys):
                          "-o", str(tmp_path / "out.qasm"))
     assert code == 0
     from paritysat.sat.core import parse_dimacs
-    from paritysat.sat.solver import solve
+    from paritysat.sat.solver import Solver
 
     inst = parse_dimacs(cnf.read_text())
-    internal = solve(inst) is not None
+    internal = Solver(inst).solve() is not None
     proc = subprocess.run([sys.executable, str(REF_SOLVER), str(cnf)],
                           capture_output=True, text=True, timeout=300)
     external = proc.stdout.splitlines()[0] == "s SATISFIABLE"
@@ -220,6 +220,40 @@ def test_a_coupling_map_with_a_bad_qubit_count_exits_two(num_qubits, triangle_fi
     code, _, err = run_cli(capsys, "synth", str(rep_file), "--coupling-map", str(cm_file),
                            "-o", str(tmp_path / "out.qasm"))
     assert code == 2 and "num_qubits must be a nonnegative integer" in err
+
+
+@pytest.mark.parametrize("target, malform, message", [
+    ("cm", lambda cm: {**cm, "edges": [[0.5, 2]]},
+     "edges[0] endpoint must be a nonnegative integer, not 0.5"),
+    ("cm", lambda cm: {**cm, "edges": [["1", 2]]},
+     "edges[0] endpoint must be a nonnegative integer, not '1'"),
+    ("cm", lambda cm: {**cm, "edges": [[0, 1, 2]]}, "edges[0] must be a list of 2 entries"),
+    ("cm", lambda cm: {**cm, "edges": 5}, "edges must be a list, not 5"),
+    ("cm", lambda cm: {"num_qubits": 3}, "expected a JSON object with field 'edges'"),
+    ("cm", lambda cm: [cm], "expected a JSON object with field 'num_qubits'"),
+    ("rep", lambda rep: [rep], "expected a JSON object with field 'n'"),
+    ("rep", lambda rep: {k: v for k, v in rep.items() if k != "angles"},
+     "expected a JSON object with field 'angles'"),
+    ("rep", lambda rep: {**rep, "terms": [[1, 0, 1, 0], *rep["terms"][1:]]},
+     "terms[0] must be a list of 3 entries"),
+    ("rep", lambda rep: {**rep, "initial": [[1, 0], [0, 1], [0, 0, 1]]},
+     "initial[0] must be a list of 3 entries"),
+    ("rep", lambda rep: {**rep, "final": rep["final"][:2]}, "final must be a list of 3 entries"),
+    ("rep", lambda rep: {**rep, "terms": [[True, False, True], *rep["terms"][1:]]},
+     "terms[0] entries must be the integer 0 or 1, not [True, False, True]"),
+    ("rep", lambda rep: {**rep, "terms": [[1.0, 0, 1], *rep["terms"][1:]]},
+     "terms[0] entries must be the integer 0 or 1, not [1.0, 0, 1]"),
+])
+def test_a_malformed_input_file_exits_two_naming_the_field(target, malform, message,
+                                                          triangle_files, tmp_path, capsys):
+    _, rep_file, cm_file = triangle_files
+    bad = rep_file if target == "rep" else cm_file
+    bad.write_text(json.dumps(malform(json.loads(bad.read_text()))))
+    out_file = tmp_path / "out.qasm"
+    code, _, err = run_cli(capsys, "synth", str(rep_file), "--coupling-map", str(cm_file),
+                           "-o", str(out_file))
+    assert code == 2 and message in err
+    assert not out_file.exists()
 
 
 def test_verify_equivalent_and_not(triangle_files, tmp_path, capsys):

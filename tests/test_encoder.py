@@ -14,7 +14,7 @@ from paritysat.encoder import (
 )
 from paritysat.ir import CouplingMap, ParityMatrix, apply_cnot
 from paritysat.oracle import oracle_min_count, oracle_min_depth
-from paritysat.sat.solver import Solver, solve
+from paritysat.sat.solver import Solver
 
 from testkit import random_instance
 
@@ -39,14 +39,14 @@ def test_zero_steps_identity_sat():
     cm = CouplingMap.line(2)
     eye = ParityMatrix.identity(2)
     inst, _ = encode_for(Mode.CNOT, 0, cm, eye, eye, [])
-    assert solve(inst) is not None
+    assert Solver(inst).solve() is not None
 
 
 def test_zero_steps_unreachable_term_unsat():
     cm = CouplingMap.line(2)
     eye = ParityMatrix.identity(2)
     inst, _ = encode_for(Mode.CNOT, 0, cm, eye, eye, [0b11])
-    assert solve(inst) is None
+    assert Solver(inst).solve() is None
 
 
 def test_config_validation():
@@ -71,7 +71,7 @@ def test_cnot_mode_forces_exactly_k_gates():
     eye = ParityMatrix.identity(3)
     target = apply_cnot(apply_cnot(eye, 0, 1), 1, 2)
     inst, layout = encode_for(Mode.CNOT, 2, cm, eye, target, [])
-    model = solve(inst)
+    model = Solver(inst).solve()
     assert model is not None
     steps = selected_steps(model, layout)
     assert all(len(step) == 1 for step in steps)
@@ -108,7 +108,7 @@ def test_model_replay_reproduces_parity_and_terms():
         for mode in (Mode.CNOT, Mode.DEPTH):
             for k in range(0, 5):
                 inst, layout = encode_for(mode, k, cm, rep.initial, rep.final, terms)
-                model = solve(inst)
+                model = Solver(inst).solve()
                 if model is None:
                     continue
                 rows, matched = _replay_and_check(model, layout, rep.initial, terms)
@@ -137,7 +137,7 @@ def test_grown_chain_answers_each_budget_as_a_fresh_encoding():
                 goal = add_goal(inst, layout, rep.final)
                 model = solver.solve(assumptions=[goal])
                 fresh, _ = encode_for(mode, k, cm, rep.initial, rep.final, terms)
-                assert (model is None) == (solve(fresh) is None)
+                assert (model is None) == (Solver(fresh).solve() is None)
                 if model is None:
                     inst.add_clause([-goal])
                     unsat_budgets += 1
@@ -171,7 +171,7 @@ def test_model_enumeration_matches_sequence_count():
         inst, layout = encode_for(Mode.CNOT, 2, cm, eye, target, [])
         got = 0
         while True:
-            model = solve(inst)
+            model = Solver(inst).solve()
             if model is None:
                 break
             got += 1
@@ -190,7 +190,7 @@ def test_monotone_unsat_in_cnot_mode():
         statuses = []
         for k in range(0, 6):
             inst, _ = encode_for(Mode.CNOT, k, cm, rep.initial, rep.final, terms)
-            statuses.append(solve(inst) is not None)
+            statuses.append(Solver(inst).solve() is not None)
         first_sat = statuses.index(True) if True in statuses else len(statuses)
         assert all(not s for s in statuses[:first_sat])
 
@@ -201,7 +201,7 @@ def test_disjoint_gates_reach_depth_one():
     target = apply_cnot(apply_cnot(eye, 0, 1), 2, 3)
     inst, layout = encode_for(Mode.DEPTH, 1, cm, eye, target, [])
     add_cnot_budget(inst, layout, 2)
-    assert solve(inst) is not None
+    assert Solver(inst).solve() is not None
 
 
 def test_shared_qubit_gates_need_depth_two():
@@ -210,10 +210,10 @@ def test_shared_qubit_gates_need_depth_two():
     target = apply_cnot(apply_cnot(eye, 0, 1), 1, 2)
     inst, layout = encode_for(Mode.DEPTH, 2, cm, eye, target, [])
     add_cnot_budget(inst, layout, 2)
-    assert solve(inst) is not None
+    assert Solver(inst).solve() is not None
     inst, layout = encode_for(Mode.DEPTH, 1, cm, eye, target, [])
     add_cnot_budget(inst, layout, 2)
-    assert solve(inst) is None
+    assert Solver(inst).solve() is None
 
 
 def test_depth_mode_qubit_disjoint_steps():
@@ -221,7 +221,7 @@ def test_depth_mode_qubit_disjoint_steps():
     eye = ParityMatrix.identity(4)
     target = apply_cnot(apply_cnot(eye, 0, 1), 2, 3)
     inst, layout = encode_for(Mode.DEPTH, 1, cm, eye, target, [])
-    model = solve(inst)
+    model = Solver(inst).solve()
     assert model is not None
     (step,) = selected_steps(model, layout)
     assert sorted(step) == [(0, 1), (2, 3)]
@@ -244,9 +244,9 @@ def test_cnot_budget():
     target = apply_cnot(apply_cnot(eye, 0, 1), 2, 3)
     inst, layout = encode_for(Mode.DEPTH, 1, cm, eye, target, [])
     add_cnot_budget(inst, layout, 2)
-    assert solve(inst) is not None
+    assert Solver(inst).solve() is not None
     add_cnot_budget(inst, layout, 1)
-    assert solve(inst) is None
+    assert Solver(inst).solve() is None
     with pytest.raises(ValueError):
         add_cnot_budget(inst, layout, -1)
 

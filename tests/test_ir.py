@@ -71,7 +71,7 @@ def test_singular_matrix_rejected():
     with pytest.raises(ValueError):
         ParityMatrix((1, 1))
     with pytest.raises(ValueError):
-        ParityMatrix.from_bits([[1, 1], [1, 1]])
+        ParityMatrix((3, 3))
 
 
 def test_parity_table_validation():

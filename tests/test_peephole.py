@@ -111,8 +111,9 @@ def test_scan_groups_as_the_reference_scan(circuit):
     for max_qubits in (None, 2, 3, 4):
         for max_depth in (None, 1, 2, 3, 4, 5):
             for flush_at in (None, *range(len(circuit.gates) + 1)):
+                reference = reference_scan_blocks(circuit, max_qubits, max_depth, flush_at)
                 assert _scan_blocks(circuit, max_qubits, max_depth, flush_at) == \
-                    reference_scan_blocks(circuit, max_qubits, max_depth, flush_at)
+                    [indices for _, indices in reference]
 
 
 @pytest.mark.parametrize("caps", [{"max_qubits": 1}, {"max_depth": 0}])
@@ -342,7 +343,7 @@ def test_a_floor_above_a_block_raises(monkeypatch):
     blocks = find_blocks(floor_blocks_circuit())
     with pytest.raises(InternalConsistencyError, match="below its floors"):
         resynthesize(blocks, CouplingMap.line(4), Mode.CNOT, {},
-                     lambda todo: [resynth_block(b, CouplingMap.line(4)) for b in todo])
+                     lambda todo: [resynth_block(b, CouplingMap.line(4)) for b in todo], {})
 
 
 @pytest.mark.parametrize("optimal", [True, False])
@@ -474,13 +475,13 @@ def test_the_store_drops_its_oldest_skeleton_past_its_limit(monkeypatch):
         return [resynth_block(b, line, timeout_s=30) for b in todo]
 
     cache = {}
-    first, _ = resynthesize(blocks[:1], line, Mode.CNOT, cache, synthesize)
+    first, _ = resynthesize(blocks[:1], line, Mode.CNOT, cache, synthesize, {})
     assert list(cache) == keys[:1]
     # the call's own insertions drop the first key, which it still serves
-    out, hits = resynthesize(blocks, line, Mode.CNOT, cache, synthesize)
+    out, hits = resynthesize(blocks, line, Mode.CNOT, cache, synthesize, {})
     assert (hits, sent) == (1, blocks)
     assert list(cache) == keys[1:]
     assert out[0] == first[0]
-    out, hits = resynthesize(blocks[2:] + blocks[:1], line, Mode.CNOT, cache, synthesize)
+    out, hits = resynthesize(blocks[2:] + blocks[:1], line, Mode.CNOT, cache, synthesize, {})
     assert (hits, len(sent)) == (1, 4)
     assert list(cache) == keys[2:] + keys[:1]

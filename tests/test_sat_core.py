@@ -14,7 +14,7 @@ from paritysat.sat.core import (
     parse_dimacs,
     sequential_at_most,
 )
-from paritysat.sat.solver import solve
+from paritysat.sat.solver import Solver
 
 from brute import brute_model_count, brute_projections, truth_table_mask
 
@@ -51,7 +51,7 @@ def test_named_families_injective():
 def test_unit_clause_forces_value():
     inst, (x,) = fresh(1)
     inst.add_clause([x])
-    model = solve(inst)
+    model = Solver(inst).solve()
     assert model is not None and model[x]
 
 
@@ -59,7 +59,7 @@ def test_contradiction_unsat():
     inst, (x,) = fresh(1)
     inst.add_clause([x])
     inst.add_clause([-x])
-    assert solve(inst) is None
+    assert Solver(inst).solve() is None
 
 
 def test_xor_gadget_models():
@@ -151,7 +151,7 @@ def test_cardinality_projections_with_many_auxiliaries():
                                 clauses=[list(c) for c in inst.clauses])
             for lit, bit in zip(lits, bits):
                 probe.add_clause([lit if bit else -lit])
-            extendable = solve(probe) is not None
+            extendable = Solver(probe).solve() is not None
             expected = sum(bits) <= k if most else sum(bits) >= k
             assert extendable == expected
 
@@ -162,7 +162,7 @@ def _extendable(inst, lits):
     allowed = set()
     for bits in itertools.product([False, True], repeat=len(lits)):
         units = [[lit if bit else -lit] for lit, bit in zip(lits, bits)]
-        if solve(SatInstance(inst.num_vars, [*inst.clauses, *units])) is not None:
+        if Solver(SatInstance(inst.num_vars, [*inst.clauses, *units])).solve() is not None:
             allowed.add(bits)
     return allowed
 
@@ -194,7 +194,7 @@ def test_export_appends_units_without_changing_the_instance():
     lines = export_dimacs(inst, (x2, -x1)).strip().splitlines()
     assert lines == ["p cnf 2 3", "1 -2 0", "2 0", "-1 0"]
     assert inst.clauses == [[x1, -x2]]
-    assert solve(parse_dimacs("\n".join(lines))) is None
+    assert Solver(parse_dimacs("\n".join(lines))).solve() is None
 
 
 def test_export_empty_instance():

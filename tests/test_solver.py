@@ -9,7 +9,7 @@ import pytest
 import paritysat.sat.solver as solver_module
 from paritysat.sat.core import SatInstance, at_most_k, parse_dimacs
 from paritysat.sat.external import ExternalSolver, ExternalSolverError
-from paritysat.sat.solver import HEAP_SLACK, Solver, SolverTimeout, solve
+from paritysat.sat.solver import HEAP_SLACK, Solver, SolverTimeout
 
 from brute import brute_is_sat
 
@@ -48,17 +48,17 @@ def random_instance(rng, max_vars=12, max_clauses=40):
 
 
 def test_empty_instance_sat():
-    model = solve(SatInstance())
+    model = Solver(SatInstance()).solve()
     assert model is not None
-    assert model.assignment == {}
+    assert model.values == (False,)  # index 0 unused
 
 
 def test_model_is_total():
     inst = SatInstance()
     x, y, z = inst.new_vars(3)
     inst.add_clause([x, y])
-    model = solve(inst)
-    assert set(model.assignment) == {x, y, z}
+    model = Solver(inst).solve()
+    assert len(model.values) - 1 == inst.num_vars == 3  # index 0 unused
     assert model.truth(x) or model.truth(y)
 
 
@@ -70,7 +70,7 @@ def test_pigeonhole_3_in_2_unsat():
         inst.add_clause(row)
     for h in range(holes):
         at_most_k(inst, [pigeon[p][h] for p in range(3)], 1)
-    assert solve(inst) is None
+    assert Solver(inst).solve() is None
 
 
 def test_agrees_with_truth_table_enumeration():
@@ -78,7 +78,7 @@ def test_agrees_with_truth_table_enumeration():
     for _ in range(120):
         inst = random_instance(rng)
         expected = brute_is_sat(inst.num_vars, inst.clauses)
-        model = solve(inst)
+        model = Solver(inst).solve()
         assert (model is not None) == expected
         if model is not None:
             for clause in inst.clauses:
@@ -89,7 +89,7 @@ def test_agrees_with_truth_tables_on_wider_instances():
     rng = random.Random(310)
     for _ in range(150):
         inst = random_instance(rng, max_vars=14, max_clauses=60)
-        model = solve(inst)
+        model = Solver(inst).solve()
         assert (model is not None) == brute_is_sat(inst.num_vars, inst.clauses)
         if model is not None:
             for clause in inst.clauses:
@@ -98,7 +98,7 @@ def test_agrees_with_truth_tables_on_wider_instances():
 
 def test_cdcl_handles_pigeonhole_quickly():
     stats = {}
-    assert solve(_pigeonhole(5), timeout_s=60, stats_out=stats) is None
+    assert Solver(_pigeonhole(5)).solve(timeout_s=60, stats_out=stats) is None
     assert stats["learned"] > 0
 
 
@@ -106,7 +106,7 @@ def test_monotone_resolve_after_adding_clauses():
     for resumed in (False, True):
         inst = SatInstance()
         solver = Solver(inst)
-        again = solver.solve if resumed else (lambda: solve(inst))
+        again = solver.solve if resumed else (lambda: Solver(inst).solve())
         x, y = inst.new_vars(2)
         inst.add_clause([x, y])
         first = again()
@@ -130,7 +130,7 @@ def test_resumed_solver_agrees_with_fresh_solves_and_truth_tables():
                 inst.add_clause([rng.randint(1, inst.num_vars) * rng.choice([-1, 1])
                                  for _ in range(width)])
             resumed = solver.solve()
-            fresh = solve(inst)
+            fresh = Solver(inst).solve()
             expected = brute_is_sat(inst.num_vars, inst.clauses)
             assert (resumed is not None) == (fresh is not None) == expected
             for model in (resumed, fresh):
@@ -311,7 +311,12 @@ def test_clause_contradicting_a_root_fact_is_unsat_for_good():
     assert stats["decisions"] == 0
     inst.add_clause([z])
     assert solver.solve() is None
-    assert solve(inst) is None
+    assert Solver(inst).solve() is None
+
+
+def _watched(solver: Solver) -> dict[int, list[int]]:
+    """Every clause the watch lists hold, once, by identity."""
+    return {id(clause): clause for ws in solver.watches for clause in ws}
 
 
 def test_root_satisfied_and_root_false_literals_on_take_in():
@@ -323,10 +328,11 @@ def test_root_satisfied_and_root_false_literals_on_take_in():
     inst.add_clause([a, b])          # satisfied by a root fact: dropped
     inst.add_clause([-a, c])         # one literal left: a root fact
     inst.add_clause([-a, b, d])      # watched on b and d
-    before = len(solver.db)
+    before = _watched(solver)
     model = solver.solve()
     assert model is not None and model[c] and (model[b] or model[d])
-    assert [sorted(clause) for clause in solver.db[before:]] == [[b, d]]
+    assert [sorted(clause) for key, clause in _watched(solver).items()
+            if key not in before] == [[b, d]]
     assert c in solver.trail and solver.trail_lim == []
     assert inst.clauses == [[a], [a, b], [-a, c], [-a, b, d]]
 
@@ -338,7 +344,7 @@ def test_root_satisfied_and_root_false_literals_on_take_in():
 def test_solver_is_back_at_level_zero_after_a_timeout(make, satisfiable, monkeypatch):
     inst = make()
     stats = {}
-    solve(inst, stats_out=stats)
+    Solver(inst).solve(stats_out=stats)
     # the instance must still be searching at the second clock check below
     assert stats["decisions"] + stats["conflicts"] > 512
     solver = Solver(inst)
@@ -354,7 +360,7 @@ def test_solver_is_back_at_level_zero_after_a_timeout(make, satisfiable, monkeyp
     assert assigned == sorted(abs(lit) for lit in solver.trail)
     assert all(solver.level[v] == 0 for v in assigned)
     model = solver.solve()
-    assert (model is not None) == satisfiable == (solve(inst) is not None)
+    assert (model is not None) == satisfiable == (Solver(inst).solve() is not None)
     if model is not None:
         assert all(any(model.truth(lit) for lit in clause) for clause in inst.clauses)
 
@@ -408,8 +414,8 @@ def test_first_decisions_set_the_preferred_literals_and_the_rest_false():
 def test_determinism():
     rng = random.Random(4)
     inst = random_instance(rng, max_vars=14, max_clauses=50)
-    a = solve(inst)
-    b = solve(inst)
+    a = Solver(inst).solve()
+    b = Solver(inst).solve()
     assert (a is None) == (b is None)
     if a is not None:
         assert a.values == b.values
@@ -417,7 +423,7 @@ def test_determinism():
 
 def test_timeout_raises():
     with pytest.raises(SolverTimeout):
-        solve(_pigeonhole(6), timeout_s=0.0)
+        Solver(_pigeonhole(6)).solve(timeout_s=0.0)
 
 
 def test_timed_out_call_still_fills_its_stats():
@@ -446,7 +452,7 @@ def test_stats_populated():
     x, y = inst.new_vars(2)
     inst.add_clause([x, y])
     stats = {}
-    solve(inst, stats_out=stats)
+    Solver(inst).solve(stats_out=stats)
     assert "seconds" in stats and "decisions" in stats
 
 
@@ -456,7 +462,7 @@ def test_external_backend_differential():
     backend = str(REF_SOLVER)
     for _ in range(10):
         inst = random_instance(rng, max_vars=10, max_clauses=30)
-        internal = solve(inst)
+        internal = Solver(inst).solve()
         external = ExternalSolver(backend).solve(inst)
         assert (internal is None) == (external is None)
         if external is not None:

@@ -22,7 +22,7 @@ from paritysat.ir import (
 from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep, merged_table
 from paritysat.sat.core import parse_dimacs
-from paritysat.sat.solver import SolverTimeout, solve
+from paritysat.sat.solver import Solver, SolverTimeout
 from paritysat.synthesizer import (
     NoSolutionWithinKmax,
     SynthesisRequest,
@@ -576,7 +576,7 @@ def test_dimacs_dump_written(tmp_path, triangle_rep, line3):
             assert text.splitlines()[-1].endswith(" 0")
             assert "p cnf" in text
             # the dump is the instance whose model was returned
-            assert solve(parse_dimacs(text)) is not None, (mode, doubly)
+            assert Solver(parse_dimacs(text)).solve() is not None, (mode, doubly)
 
 
 def test_non_identity_initial_parity():
