@@ -34,7 +34,7 @@ disjoint CNOTs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -50,13 +50,10 @@ class Mode(str, Enum):
 @dataclass(frozen=True)
 class EncodingConfig:
     mode: Mode
-    steps: int
     num_qubits: int
     directed_edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.steps < 0:
-            raise ValueError("step count must be nonnegative")
         edge_set = set(self.directed_edges)
         if len(edge_set) != len(self.directed_edges):
             raise ValueError("duplicate directed edge")
@@ -179,21 +176,24 @@ def _check_size(matrix: ParityMatrix, cfg: EncodingConfig) -> None:
         raise ValueError("matrix size does not match the encoding config")
 
 
-def encode_chain(initial: ParityMatrix, terms: Sequence[int],
-                 cfg: EncodingConfig) -> tuple[SatInstance, VarLayout]:
-    """Parity slice 0 pinned to ``initial``, then ``cfg.steps`` steps, each
+def encode_chain(initial: ParityMatrix, terms: Sequence[int], cfg: EncodingConfig,
+                 steps: int) -> tuple[SatInstance, VarLayout]:
+    """Parity slice 0 pinned to ``initial``, then ``steps`` steps, each
     with its transition and mode constraints and the coverage indicators
     of its slice, but no goal: ``extend_chain`` grows it by one step, and
-    ``add_goal`` states the goal of its current budget."""
+    ``add_goal`` states the goal of its current budget.  The chain's
+    budget is ``len(layout.cnot)``."""
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
     n = cfg.num_qubits
     _check_size(initial, cfg)
     _check_terms(terms, n)
     inst = SatInstance()
     parity = [[[inst.name_var("P", 0, i, j) for j in range(n)] for i in range(n)]]
     _pin(inst, parity[0], initial)
-    layout = VarLayout(replace(cfg, steps=0), parity, [], tuple(terms))
+    layout = VarLayout(cfg, parity, [], tuple(terms))
     layout.matches.extend(_row_matches(inst, parity[0], t) for t in terms)
-    for _ in range(cfg.steps):
+    for _ in range(steps):
         extend_chain(inst, layout)
     return inst, layout
 
@@ -206,7 +206,6 @@ def extend_chain(inst: SatInstance, layout: VarLayout) -> None:
     _step_mode(inst, layout.cfg, step_vars)
     for t, indicators in zip(layout.terms, layout.matches):
         indicators.extend(_row_matches(inst, layout.parity[-1], t))
-    layout.cfg = replace(layout.cfg, steps=len(layout.cnot))
 
 
 def add_goal(inst: SatInstance, layout: VarLayout, final: ParityMatrix) -> int:

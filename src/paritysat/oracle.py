@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .ir import Circuit, CouplingMap, PhasePolyRep, induced_coupling
-from .phasepoly import merged_table
-from .synthesizer import place_rotations
+from .ir import Circuit, CouplingMap, PhasePolyRep
+from .synthesizer import place_rotations, synthesis_problem
 
 
 class OracleCapError(RuntimeError):
@@ -20,19 +19,6 @@ class OracleCapError(RuntimeError):
 
 
 State = tuple[tuple[int, ...], int]
-
-
-def _prepare(rep: PhasePolyRep, cm: CouplingMap):
-    if cm.num_qubits < rep.n:
-        raise ValueError("coupling map has fewer qubits than the representation")
-    if cm.num_qubits > rep.n:
-        cm = induced_coupling(cm, range(rep.n))
-    if not cm.is_connected():
-        raise ValueError("coupling map must be connected on the used qubits")
-    table = merged_table(rep)
-    unique_terms = list(dict.fromkeys(table.terms))
-    decode_rep = PhasePolyRep(rep.initial, rep.final, table)
-    return cm, unique_terms, decode_rep
 
 
 def _initial_mask(rows: Sequence[int], terms: Sequence[int], mask: int = 0) -> int:
@@ -78,7 +64,8 @@ def _all_paths(state: State, start: State,
 
 
 def _search(rep: PhasePolyRep, cm: CouplingMap, moves_of, node_cap: int):
-    cm, terms, decode_rep = _prepare(rep, cm)
+    rep, cm = synthesis_problem(rep, cm)
+    terms = list(dict.fromkeys(rep.table.terms))
     start_rows = rep.initial.rows
     goal_rows = rep.final.rows
     full = (1 << len(terms)) - 1
@@ -87,7 +74,7 @@ def _search(rep: PhasePolyRep, cm: CouplingMap, moves_of, node_cap: int):
     moves = moves_of(cm.directed_edges())
 
     if start == goal:
-        return 0, [[]], decode_rep
+        return 0, [[]], rep
 
     dist: dict[State, int] = {start: 0}
     parents: dict[State, list[tuple[State, tuple]]] = {}
@@ -116,7 +103,7 @@ def _search(rep: PhasePolyRep, cm: CouplingMap, moves_of, node_cap: int):
             if len(dist) > node_cap:
                 raise OracleCapError(f"visited more than {node_cap} states")
         if goal in dist:
-            return depth, list(_all_paths(goal, start, parents)), decode_rep
+            return depth, list(_all_paths(goal, start, parents)), rep
         frontier = nxt
 
 
@@ -126,16 +113,16 @@ def oracle_min_count(rep: PhasePolyRep, cm: CouplingMap,
     def single_moves(edges):
         return [((c, t),) for c, t in edges]
 
-    count, paths, decode_rep = _search(rep, cm, single_moves, node_cap)
-    circuits = [place_rotations([list(step) for step in path], decode_rep) for path in paths]
+    count, paths, rep = _search(rep, cm, single_moves, node_cap)
+    circuits = [place_rotations([list(step) for step in path], rep) for path in paths]
     return count, circuits
 
 
 def oracle_min_depth(rep: PhasePolyRep, cm: CouplingMap,
                      node_cap: int = 2_000_000) -> tuple[int, list[Circuit]]:
     """Minimal CNOT depth and the complete set of depth-optimal circuits."""
-    depth, paths, decode_rep = _search(rep, cm, _disjoint_layers, node_cap)
-    circuits = [place_rotations([list(layer) for layer in path], decode_rep) for path in paths]
+    depth, paths, rep = _search(rep, cm, _disjoint_layers, node_cap)
+    circuits = [place_rotations([list(layer) for layer in path], rep) for path in paths]
     return depth, circuits
 
 

@@ -9,10 +9,11 @@ across qubit-disjoint neighbors.  The common case, a gate whose qubits all
 point at one open block, joins it in constant time; only a gate that
 opens, merges or seals blocks takes the general path.
 
-A block's phase polynomial (``Block.rep``) is extracted at the first
-floor, key or synthesis that reads it, and kept with the block.  A block
-served from a memo of judgments, and a replacement that is only spliced,
-never extract one.
+A block's phase polynomial (``Block.rep``) is extracted and merged
+(``synthesizer.merged_rep``) at the first floor, key or synthesis that
+reads it, and kept with the block: its floors, its key and the rebuild on
+a skeleton all read that one merged rep.  A block served from a memo of
+judgments, and a replacement that is only spliced, never extract one.
 
 A list of blocks is resynthesized by ``resynthesize``; a peephole pass
 runs it once over the maximal blocks, and ``blockwise.iterate_optimize``
@@ -28,13 +29,13 @@ so none can replace it in any mode.  A block below a floor proves the
 floor wrong and raises ``InternalConsistencyError``.
 Angles play no part in synthesis, so each distinct block problem is
 synthesized once per cache: with the store, once per process.  The
-problem key is
-``synthesizer.synthesis_key``: the initial rows, the final rows, the
-merged table's unique terms in order (the encoder numbers its variables
-in term order) and the induced local edge set.  Only the first block of
-each key not yet cached is synthesized; every other block is rebuilt by
-placing its own angles on the CNOT steps found, and judged against its
-own metrics.  Only syntheses proven optimal are cached.  The blocks of a
+problem key is ``synthesizer.synthesis_key`` of the block's merged rep
+and induced local map, the problem ``synthesizer.synthesis_problem``
+prepares: the initial rows, the final rows, the merged table's unique
+terms in order (the encoder numbers its variables in term order) and the
+induced local edge set.  Only the first block of each key not yet cached
+is synthesized; every other block is rebuilt by placing its own angles on
+the CNOT steps found, and judged against its own metrics.  Only syntheses proven optimal are cached.  The blocks of a
 key share the outcome of its first block: when that one hit its timeout
 (``failed_budget``, or a doubly optimal search cut short), so do they.
 
@@ -66,7 +67,6 @@ from .ir import (
     CouplingMap,
     Gate,
     Opaque,
-    ParityTable,
     PhasePolyRep,
     Rz,
     cnot_count,
@@ -75,7 +75,7 @@ from .ir import (
     induced_coupling,
     validate_topology,
 )
-from .phasepoly import extract_rep, merged_table
+from .phasepoly import extract_rep
 from .sat.solver import solver_backend
 from .synthesizer import (
     InternalConsistencyError,
@@ -86,6 +86,7 @@ from .synthesizer import (
     depth_floor,
     hopps,
     lower_bound,
+    merged_rep,
     place_rotations,
     synthesis_key,
 )
@@ -142,8 +143,9 @@ class Block:
 
     @cached_property
     def rep(self) -> PhasePolyRep:
-        """The phase polynomial, extracted locally from identity."""
-        return extract_rep(self.circuit)
+        """The phase polynomial with its merged table, extracted locally
+        from identity and merged once."""
+        return merged_rep(extract_rep(self.circuit))
 
 
 def _scan_blocks(circuit: Circuit, max_qubits: int | None = None,
@@ -339,9 +341,7 @@ def apply_skeleton(block: Block, skeleton: Skeleton, mode: Mode) -> Block:
     if ordered_metrics(mode, *skeleton.metrics) >= \
             ordered_metrics(mode, cnot_count(own), cnot_depth(own)):
         return replace(block, status="kept_original", skeleton=skeleton)
-    rep = block.rep
-    circuit = place_rotations(skeleton.steps,
-                              PhasePolyRep(rep.initial, rep.final, merged_table(rep)))
+    circuit = place_rotations(skeleton.steps, block.rep)
     return Block(block.qubits, circuit.gates, block.span,
                  status="resynthesized", skeleton=skeleton)
 
@@ -367,17 +367,16 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
     return apply_skeleton(block, skeleton, mode)
 
 
-def at_floors(block: Block, table: ParityTable) -> bool:
+def at_floors(block: Block) -> bool:
     """Whether the block's own CNOT count and depth equal its provable
-    floors, with ``table`` its merged table.
+    floors.
 
     Every circuit for the block's rep has at least the floor count and
     depth, so no result of any mode can be strictly smaller.  A block
     below a floor raises ``InternalConsistencyError``: the floor is wrong.
     """
-    rep = block.rep
-    count = lower_bound(PhasePolyRep(rep.initial, rep.final, table), Mode.CNOT)
-    floors = (count, depth_floor(count, rep.n))
+    count = lower_bound(block.rep, Mode.CNOT)
+    floors = (count, depth_floor(count, block.rep.n))
     circuit = block.circuit
     own = (cnot_count(circuit), cnot_depth(circuit))
     if own[0] < floors[0] or own[1] < floors[1]:
@@ -426,11 +425,10 @@ def resynthesize(blocks: Sequence[Block], cm: CouplingMap, mode: Mode,
         if seen is not None:
             out[i] = replace(seen, span=block.span)
             continue
-        table = merged_table(block.rep)
-        if at_floors(block, table):
+        if at_floors(block):
             out[i] = replace(block, status="kept_original")
         else:
-            keys[i] = synthesis_key(block.rep, induced_coupling(cm, block.qubits), table)
+            keys[i] = synthesis_key(block.rep, induced_coupling(cm, block.qubits))
     first: dict[tuple, int] = {}
     for i, key in keys.items():
         if key not in cache:

@@ -59,7 +59,6 @@ from .ir import (
     Circuit,
     Cnot,
     CouplingMap,
-    ParityTable,
     PhasePolyRep,
     Rz,
     cnot_count,
@@ -128,7 +127,8 @@ class SynthesisResult:
 
 
 def lower_bound(rep: PhasePolyRep, mode: Mode) -> int:
-    """Cheap provable floor on the step budget.
+    """Cheap provable floor on the step budget of a merged rep
+    (``merged_rep``): a raw rep still counts a term whose rotations cancel.
 
     Count mode: ``|(terms | final rows) - initial rows|`` plus the number
     of rows ``i`` with ``final_i != initial_i`` and ``final_i`` among the
@@ -242,47 +242,44 @@ def decode_circuit(model: SatModel, layout: VarLayout, rep: PhasePolyRep) -> Cir
     return place_rotations(steps, rep)
 
 
-def _angle_free(rep: PhasePolyRep, table: ParityTable) -> PhasePolyRep:
-    """``rep`` with the unique terms of its merged ``table``, in order, at
-    angle 0: all that the search reads of the phase polynomial."""
-    terms = tuple(dict.fromkeys(table.terms))
-    return PhasePolyRep(rep.initial, rep.final,
-                        ParityTable(rep.n, terms, tuple(0.0 for _ in terms)))
+def merged_rep(rep: PhasePolyRep) -> PhasePolyRep:
+    """``rep`` with its merged table (``merged_table``): duplicate terms
+    summed, cancelled ones dropped."""
+    return PhasePolyRep(rep.initial, rep.final, merged_table(rep))
 
 
-def _used_coupling(coupling: CouplingMap, n: int) -> CouplingMap:
-    return induced_coupling(coupling, range(n)) if coupling.num_qubits > n else coupling
+def synthesis_problem(rep: PhasePolyRep,
+                      coupling: CouplingMap) -> tuple[PhasePolyRep, CouplingMap]:
+    """The problem ``hopps`` solves for ``rep`` on ``coupling``: the merged
+    rep and the map induced on qubits ``0 .. n - 1``.  A map with fewer
+    qubits, or not connected on those, is refused."""
+    n = rep.n
+    if coupling.num_qubits < n:
+        raise ValueError("coupling map has fewer qubits than the representation")
+    if coupling.num_qubits > n:
+        coupling = induced_coupling(coupling, range(n))
+    if not coupling.is_connected():
+        raise ValueError("coupling map must be connected on the used qubits")
+    return merged_rep(rep), coupling
 
 
-def synthesis_key(rep: PhasePolyRep, coupling: CouplingMap,
-                  table: ParityTable | None = None) -> tuple:
-    """What ``hopps`` reads of a request's rep and coupling map.
+def synthesis_key(rep: PhasePolyRep, coupling: CouplingMap) -> tuple:
+    """What ``hopps`` reads of a problem ``synthesis_problem`` prepared.
 
     Requests with equal keys and equal settings get the same CNOT steps;
     only the angles that ``place_rotations`` puts on them differ.  The
-    terms keep their order, because the encoder numbers its variables in
-    term order.  ``table`` is ``merged_table(rep)``, when the caller has
-    already worked it out.
+    unique terms keep their order, because the encoder numbers its
+    variables in term order.
     """
-    bound = _angle_free(rep, merged_table(rep) if table is None else table)
-    return (bound.initial.rows, bound.final.rows, bound.table.terms,
-            _used_coupling(coupling, rep.n).edges)
+    return (rep.initial.rows, rep.final.rows, tuple(dict.fromkeys(rep.table.terms)),
+            coupling.edges)
 
 
 def hopps(req: SynthesisRequest) -> SynthesisResult:
     """Optimal (and optionally doubly optimal) hardware-aware synthesis."""
-    rep = req.rep
+    rep, cm = synthesis_problem(req.rep, req.coupling)
     n = rep.n
-    if req.coupling.num_qubits < n:
-        raise ValueError("coupling map has fewer qubits than the representation")
-    cm = _used_coupling(req.coupling, n)
-    if not cm.is_connected():
-        raise ValueError("coupling map must be connected on the used qubits")
-
-    table = merged_table(rep)
-    decode_rep = PhasePolyRep(rep.initial, rep.final, table)
-    bound_rep = _angle_free(rep, table)
-    unique_terms = list(bound_rep.table.terms)
+    unique_terms = list(dict.fromkeys(rep.table.terms))
 
     edges = cm.directed_edges()
     k_max = req.k_max if req.k_max is not None else default_k_max(n, len(unique_terms))
@@ -328,7 +325,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
     def finish(model: SatModel, layout: VarLayout, optimal: bool) -> SynthesisResult:
         """The result decoded from ``model``; its ``stats`` is the list
         that later calls still append to."""
-        circuit = decode_circuit(model, layout, decode_rep)
+        circuit = decode_circuit(model, layout, rep)
         return SynthesisResult(circuit, cnot_count(circuit), cnot_depth(circuit),
                                optimal, stats, _selected_steps(model, layout))
 
@@ -344,7 +341,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
             encoded_at = time.monotonic()
             if k == lo:
                 inst, layout = encode_chain(rep.initial, unique_terms,
-                                            EncodingConfig(mode, k, n, edges))
+                                            EncodingConfig(mode, n, edges), k)
                 solver = Solver(inst)
             else:
                 extend_chain(inst, layout)
@@ -355,7 +352,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                 return k, model, layout, solver
         return None
 
-    floor = lower_bound(bound_rep, req.mode)
+    floor = lower_bound(rep, req.mode)
     if floor:
         ruled_out(floor - 1)
     found = grow(req.mode, floor, k_max, "primary")
@@ -371,7 +368,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         optimal = True
         count = _count_gates(model, layout)
         # every one of the k layers holds a CNOT
-        count_floor = max(lower_bound(bound_rep, Mode.CNOT), k)
+        count_floor = max(lower_bound(rep, Mode.CNOT), k)
         encoded_at = time.monotonic()
         if count > count_floor:
             # one counter at phase 1's count: a layer holds at most n // 2
@@ -416,6 +413,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
 __all__ = [
     "Mode", "SynthesisRequest", "SynthesisResult",
     "NoSolutionWithinKmax", "SynthesisTimeout", "InternalConsistencyError",
-    "check_timeout", "lower_bound", "depth_floor", "default_k_max", "synthesis_key", "hopps",
+    "check_timeout", "lower_bound", "depth_floor", "default_k_max",
+    "merged_rep", "synthesis_problem", "synthesis_key", "hopps",
     "decode_circuit", "place_rotations",
 ]

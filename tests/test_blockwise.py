@@ -41,8 +41,13 @@ from paritysat.peephole import (
     skeleton_cache,
     splice_blocks,
 )
-from paritysat.phasepoly import equivalent, extract_rep, merged_table
-from paritysat.synthesizer import SynthesisTimeout, synthesis_key
+from paritysat.phasepoly import equivalent, extract_rep
+from paritysat.synthesizer import (
+    SynthesisTimeout,
+    merged_rep,
+    synthesis_key,
+    synthesis_problem,
+)
 
 from testkit import random_cnot_rz_circuit
 
@@ -220,7 +225,7 @@ def test_each_distinct_block_problem_is_synthesized_once(monkeypatch):
     hopps = paritysat.peephole.hopps
 
     def counted(req):
-        keys.append(synthesis_key(req.rep, req.coupling))
+        keys.append(synthesis_key(*synthesis_problem(req.rep, req.coupling)))
         return hopps(req)
 
     monkeypatch.setattr(paritysat.peephole, "hopps", counted)
@@ -262,7 +267,7 @@ def test_failed_synthesis_is_inherited_and_never_cached(monkeypatch, exc, raised
     assert len(trace) == len(seen) == 2
     floored = 0
     for record, (blocks, replaced) in zip(trace, seen):
-        at_floor = [at_floors(b, merged_table(b.rep)) for b in blocks]
+        at_floor = [at_floors(b) for b in blocks]
         floored += sum(at_floor)
         for old, new, kept in zip(blocks, replaced, at_floor):
             assert new.gates == old.gates
@@ -284,7 +289,7 @@ def test_unproven_skeleton_is_shared_within_one_iteration_only(monkeypatch):
     hopps = paritysat.peephole.hopps
 
     def cut_short(req):
-        keys.append(synthesis_key(req.rep, req.coupling))
+        keys.append(synthesis_key(*synthesis_problem(req.rep, req.coupling)))
         return dataclasses.replace(hopps(req), optimal=False)
 
     monkeypatch.setattr(paritysat.peephole, "hopps", cut_short)
@@ -505,9 +510,9 @@ def test_a_block_met_again_in_the_call_is_not_judged_again(monkeypatch):
     judged = []
     floors = paritysat.peephole.at_floors
 
-    def counted(block, table):
+    def counted(block):
         judged.append((block.qubits, block.gates))
-        return floors(block, table)
+        return floors(block)
 
     monkeypatch.setattr(paritysat.peephole, "at_floors", counted)
     c, line = repeated_skeletons(6, 3, seed=2)
@@ -561,7 +566,7 @@ def lazy_field_blocks() -> list[Block]:
 def test_block_fields_worked_out_on_first_read_match_the_gates():
     for block in lazy_field_blocks():
         assert block.circuit == Circuit(len(block.qubits), block.gates)
-        assert block.rep == extract_rep(block.circuit)
+        assert block.rep == merged_rep(extract_rep(block.circuit))
 
 
 def test_blocks_pickle_equal_before_and_after_their_rep_is_read():
@@ -614,7 +619,7 @@ def test_a_second_run_on_the_same_circuit_synthesizes_nothing(monkeypatch):
     hopps = paritysat.peephole.hopps
 
     def counted(req):
-        keys.append(synthesis_key(req.rep, req.coupling))
+        keys.append(synthesis_key(*synthesis_problem(req.rep, req.coupling)))
         return hopps(req)
 
     monkeypatch.setattr(paritysat.peephole, "hopps", counted)

@@ -19,13 +19,13 @@ from paritysat.sat.solver import Solver
 from testkit import random_instance
 
 
-def make_cfg(mode, steps, cm):
-    return EncodingConfig(mode, steps, cm.num_qubits, cm.directed_edges())
+def make_cfg(mode, cm):
+    return EncodingConfig(mode, cm.num_qubits, cm.directed_edges())
 
 
 def encode_for(mode, steps, cm, initial, final, terms):
     """A chain of ``steps`` steps whose goal holds for good."""
-    inst, layout = encode_chain(initial, terms, make_cfg(mode, steps, cm))
+    inst, layout = encode_chain(initial, terms, make_cfg(mode, cm), steps)
     inst.add_clause([add_goal(inst, layout, final)])
     return inst, layout
 
@@ -51,17 +51,18 @@ def test_zero_steps_unreachable_term_unsat():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EncodingConfig(Mode.CNOT, -1, 2, ((0, 1), (1, 0)))
+        encode_chain(ParityMatrix.identity(2), [],
+                     EncodingConfig(Mode.CNOT, 2, ((0, 1), (1, 0))), -1)
     with pytest.raises(ValueError):
-        EncodingConfig(Mode.CNOT, 1, 2, ((0, 1),))  # missing reverse orientation
+        EncodingConfig(Mode.CNOT, 2, ((0, 1),))  # missing reverse orientation
     with pytest.raises(ValueError):
         encode_chain(ParityMatrix.identity(2), [0],
-                     EncodingConfig(Mode.CNOT, 1, 2, ((0, 1), (1, 0))))
+                     EncodingConfig(Mode.CNOT, 2, ((0, 1), (1, 0))), 1)
 
 
 def test_mode_guards():
     inst, layout = encode_chain(ParityMatrix.identity(2), [],
-                                make_cfg(Mode.CNOT, 1, CouplingMap.line(2)))
+                                make_cfg(Mode.CNOT, CouplingMap.line(2)), 1)
     with pytest.raises(ValueError):
         add_cnot_budget(inst, layout, 1)  # count-mode instance
 
@@ -128,12 +129,12 @@ def test_grown_chain_answers_each_budget_as_a_fresh_encoding():
         rep = random_instance(rng, n, cm, rng.randint(1, 4), rng.randint(0, 2))
         terms = sorted(set(rep.table.terms))
         for mode, oracle in ((Mode.CNOT, oracle_min_count), (Mode.DEPTH, oracle_min_depth)):
-            inst, layout = encode_chain(rep.initial, terms, make_cfg(mode, 0, cm))
+            inst, layout = encode_chain(rep.initial, terms, make_cfg(mode, cm), 0)
             solver = Solver(inst)
             for k in range(6):
                 if k:
                     extend_chain(inst, layout)
-                assert layout.cfg.steps == len(layout.cnot) == k
+                assert len(layout.parity) - 1 == len(layout.cnot) == k
                 goal = add_goal(inst, layout, rep.final)
                 model = solver.solve(assumptions=[goal])
                 fresh, _ = encode_for(mode, k, cm, rep.initial, rep.final, terms)
@@ -230,7 +231,7 @@ def test_depth_mode_qubit_disjoint_steps():
 @pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])
 def test_each_step_prefers_its_cnot_variables_true(mode):
     cm = CouplingMap.line(3)
-    inst, layout = encode_chain(ParityMatrix.identity(3), [0b011], make_cfg(mode, 2, cm))
+    inst, layout = encode_chain(ParityMatrix.identity(3), [0b011], make_cfg(mode, cm), 2)
     extend_chain(inst, layout)
     add_goal(inst, layout, ParityMatrix.identity(3))
     cnots = [var for (family, _), var in inst.named.items() if family == "cnot"]
@@ -289,11 +290,11 @@ def test_cnot_budget_admits_exactly_the_layers_within_it(cm, steps):
     eye = ParityMatrix.identity(cm.num_qubits)
     top = steps * (cm.num_qubits // 2)
     for budget in range(steps, top + 1):
-        inst, layout = encode_chain(eye, [], make_cfg(Mode.DEPTH, steps, cm))
+        inst, layout = encode_chain(eye, [], make_cfg(Mode.DEPTH, cm), steps)
         add_cnot_budget(inst, layout, budget)
         assert _count_models(inst, layout) == within(budget)
     for lower in range(steps, top):
-        inst, layout = encode_chain(eye, [], make_cfg(Mode.DEPTH, steps, cm))
+        inst, layout = encode_chain(eye, [], make_cfg(Mode.DEPTH, cm), steps)
         counter = add_cnot_budget(inst, layout, top)
         assert _count_models(inst, layout, counter.at_most(inst, lower - steps)) == within(lower)
     with pytest.raises(ValueError):

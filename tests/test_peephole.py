@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import paritysat.peephole
+import paritysat.phasepoly
+import paritysat.synthesizer
 from paritysat.blockwise import BlockwiseConfig, partition, sample_blocks
 from paritysat.encoder import Mode
 from paritysat.ir import (
@@ -41,6 +43,7 @@ from paritysat.synthesizer import (
     lower_bound,
     place_rotations,
     synthesis_key,
+    synthesis_problem,
 )
 
 from testkit import (
@@ -275,6 +278,52 @@ def test_pass_synthesizes_each_distinct_block_problem_once(monkeypatch):
         assert canonical_equal(canonicalize(new.rep), canonicalize(old.rep))
 
 
+def test_each_block_merges_its_table_once(monkeypatch):
+    merges = []
+    in_skeleton = []
+    hopps_calls = []
+    real_merge = paritysat.phasepoly.merged_table
+    real_apply = paritysat.peephole.apply_skeleton
+    real_hopps = paritysat.peephole.hopps
+
+    def counted_merge(rep):
+        merges.append(bool(in_skeleton))
+        return real_merge(rep)
+
+    def flagged_apply(*args):
+        in_skeleton.append(True)
+        try:
+            return real_apply(*args)
+        finally:
+            in_skeleton.pop()
+
+    def counted_hopps(req):
+        hopps_calls.append(req)
+        return real_hopps(req)
+
+    # counted wherever a module of the engine could call it from
+    for module in (paritysat.phasepoly, paritysat.synthesizer, paritysat.peephole):
+        monkeypatch.setattr(module, "merged_table", counted_merge, raising=False)
+    monkeypatch.setattr(paritysat.peephole, "apply_skeleton", flagged_apply)
+    monkeypatch.setattr(paritysat.peephole, "hopps", counted_hopps)
+
+    def gadget(angle):
+        return (Cnot(0, 1), Rz(angle, 1), Cnot(0, 1), Cnot(0, 1), Cnot(0, 1))
+
+    h = (Opaque("h", (1,)),)
+    line = CouplingMap.line(2)
+    # three blocks of one key, each read for its floors
+    blocks = find_blocks(Circuit(2, gadget(0.3) + h + gadget(0.5) + h + gadget(0.7)))
+    out, hits = resynthesize(
+        blocks, line, Mode.CNOT, {},
+        lambda todo: [resynth_block(b, line, timeout_s=30) for b in todo], {})
+    assert [b.status for b in out] == ["resynthesized"] * 3 and hits == 2
+    assert len(hopps_calls) == 1
+    assert len(merges) == len(blocks) + len(hopps_calls)
+    assert not any(merges)  # never from apply_skeleton
+
+
+
 def test_pass_rejects_an_off_map_circuit():
     c = Circuit(3, (Cnot(0, 2),))
     with pytest.raises(ValueError, match="violates the coupling map"):
@@ -321,7 +370,7 @@ def test_no_synthesis_improves_on_a_block_at_its_floors(mode, doubly):
         cm = TOPOLOGIES[rng.choice(sorted(TOPOLOGIES))](n)
         c = random_cnot_rz_circuit(rng, n, rng.randint(1, 5), rng.randint(0, 3), cm)
         for block in find_blocks(c):
-            if not at_floors(block, merged_table(block.rep)):
+            if not at_floors(block):
                 continue
             own = (cnot_count(block.circuit), cnot_depth(block.circuit))
             local = induced_coupling(cm, block.qubits)
@@ -380,7 +429,7 @@ def count_syntheses(monkeypatch) -> list[tuple]:
     real = paritysat.peephole.hopps
 
     def counted(req):
-        keys.append(synthesis_key(req.rep, req.coupling))
+        keys.append(synthesis_key(*synthesis_problem(req.rep, req.coupling)))
         return real(req)
 
     monkeypatch.setattr(paritysat.peephole, "hopps", counted)

@@ -17,10 +17,11 @@ from paritysat.ir import (
     Rz,
     cnot_count,
     cnot_depth,
+    induced_coupling,
     validate_topology,
 )
 from paritysat.oracle import oracle_min_count, oracle_min_depth
-from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep, merged_table
+from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep
 from paritysat.sat.core import parse_dimacs
 from paritysat.sat.solver import Solver, SolverTimeout
 from paritysat.synthesizer import (
@@ -29,8 +30,10 @@ from paritysat.synthesizer import (
     SynthesisTimeout,
     hopps,
     lower_bound,
+    merged_rep,
     place_rotations,
     synthesis_key,
+    synthesis_problem,
 )
 
 from testkit import TOPOLOGIES, greedy_layers, random_cnot_rz_circuit, random_instance
@@ -502,14 +505,51 @@ def test_synthesis_key_ignores_angles_and_keeps_term_order(triangle_rep, line3):
         return PhasePolyRep(triangle_rep.initial, triangle_rep.final,
                             ParityTable(3, terms, angles))
 
-    key = synthesis_key(triangle_rep, line3)
-    assert synthesis_key(triangle_rep, line3, merged_table(triangle_rep)) == key
-    assert synthesis_key(with_table((5, 3, 6, 5), (0.7, 0.8, 0.9, 0.4)), line3) == key
-    assert synthesis_key(triangle_rep, CouplingMap.line(5)) == key
+    def key_of(rep, cm):
+        return synthesis_key(*synthesis_problem(rep, cm))
+
+    key = key_of(triangle_rep, line3)
+    assert key_of(merged_rep(triangle_rep), line3) == key
+    assert key_of(with_table((5, 3, 6, 5), (0.7, 0.8, 0.9, 0.4)), line3) == key
+    assert key_of(triangle_rep, CouplingMap.line(5)) == key
     # cancelling rotations drop their term; a new order renumbers the encoding
-    assert synthesis_key(with_table((5, 3, 6, 6), (0.1, 0.2, 0.3, -0.3)), line3) != key
-    assert synthesis_key(with_table((3, 5, 6), (0.1, 0.2, 0.3)), line3) != key
-    assert synthesis_key(triangle_rep, CouplingMap.ring(3)) != key
+    assert key_of(with_table((5, 3, 6, 6), (0.1, 0.2, 0.3, -0.3)), line3) != key
+    assert key_of(with_table((3, 5, 6), (0.1, 0.2, 0.3)), line3) != key
+    assert key_of(triangle_rep, CouplingMap.ring(3)) != key
+
+
+
+def hopps_steps(rep, cm):
+    result = hopps(SynthesisRequest(rep, cm, doubly=True))
+    return result.circuit, result.steps
+
+
+@pytest.mark.parametrize("search", [hopps_steps, oracle_min_count, oracle_min_depth])
+def test_every_search_prepares_the_same_problem(search, triangle_rep):
+    with pytest.raises(ValueError,
+                       match=r"^coupling map has fewer qubits than the representation$"):
+        search(triangle_rep, CouplingMap.line(2))
+    # qubits 0..2 are joined only through qubit 3
+    star = CouplingMap(4, frozenset({(0, 3), (1, 3), (2, 3)}))
+    with pytest.raises(ValueError,
+                       match=r"^coupling map must be connected on the used qubits$"):
+        search(triangle_rep, star)
+    # a larger map connected on 0..2 is read as the map it induces there
+    ring = CouplingMap.ring(5)
+    assert search(triangle_rep, ring) == search(triangle_rep, induced_coupling(ring, range(3)))
+
+
+def test_floors_read_the_merged_rep():
+    # two rotations that cancel on one term: the raw table still counts it
+    eye = ParityMatrix.identity(2)
+    rep = PhasePolyRep(eye, eye, ParityTable(2, (3, 3), (0.3, -0.3)))
+    line = CouplingMap.line(2)
+    assert lower_bound(rep, Mode.CNOT) == 1
+    assert lower_bound(merged_rep(rep), Mode.CNOT) == 0
+    assert lower_bound(merged_rep(rep), Mode.DEPTH) == 0
+    assert oracle_min_count(rep, line)[0] == oracle_min_depth(rep, line)[0] == 0
+    assert hopps(SynthesisRequest(rep, line, doubly=True)).circuit.gates == ()
+
 
 
 def test_stats_trail_records_unsat_then_sat():
