@@ -6,7 +6,7 @@ coupling map via incremental SAT solving, and apply the synthesizer as a
 peephole or iterative blockwise optimizer on large circuits.
 """
 from .blockwise import BlockwiseConfig, IterationRecord, iterate_optimize, partition, run_parallel, sample_blocks
-from .encoder import EncodingConfig, Mode
+from .encoder import Mode
 from .ir import (
     Circuit,
     Cnot,

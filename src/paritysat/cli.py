@@ -274,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (QasmError, UnsupportedGateError, ValueError, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         _say(f"error: {exc}")
         return EXIT_PARSE
     except NoSolutionWithinKmax as exc:

@@ -1,5 +1,10 @@
 """Translate a synthesis problem into CNF.
 
+The problem is what ``synthesizer.synthesis_problem`` prepares, a merged
+``PhasePolyRep`` and the ``CouplingMap`` on its qubits.  The encoder reads
+their parity matrices, unique terms in table order and directed edges,
+never the angles; both checked their own inputs when they were built.
+
 Variable families:
 
 * ``cnot[k][e]``   -- a CNOT acts on directed edge ``e`` at step ``k``
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .ir import ParityMatrix
+from .ir import CouplingMap, ParityMatrix, PhasePolyRep
 from .sat.core import SatInstance, SequentialCounter, at_least_k, at_most_k, sequential_at_most
 
 
@@ -47,32 +52,17 @@ class Mode(str, Enum):
     DEPTH = "depth"
 
 
-@dataclass(frozen=True)
-class EncodingConfig:
-    mode: Mode
-    num_qubits: int
-    directed_edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        edge_set = set(self.directed_edges)
-        if len(edge_set) != len(self.directed_edges):
-            raise ValueError("duplicate directed edge")
-        for a, b in self.directed_edges:
-            if a == b:
-                raise ValueError(f"self-loop edge ({a},{b})")
-            if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise ValueError(f"edge ({a},{b}) out of range")
-            if (b, a) not in edge_set:
-                raise ValueError(f"missing reverse orientation of ({a},{b})")
-
-
 @dataclass
 class VarLayout:
-    cfg: EncodingConfig
+    # the problem encoded: its mode, directed edges, final matrix and unique
+    # terms (in table order, which numbers the coverage variables)
+    mode: Mode
+    edges: tuple[tuple[int, int], ...]
+    final: ParityMatrix
+    terms: tuple[int, ...]
     parity: list[list[list[int]]]          # [k][i][j] for k in 0..steps
     cnot: list[list[int]]                  # [k][e] for k in 0..steps-1
     # term coverage: per term, one indicator per (slice, row) encoded so far
-    terms: tuple[int, ...] = ()
     matches: list[list[int]] = field(default_factory=list)
     # depth mode: per step, the literals that a CNOT budget counts
     excess: list[list[int]] = field(default_factory=list)
@@ -80,14 +70,6 @@ class VarLayout:
 
 def _value_lit(var: int, bit: int) -> int:
     return var if bit else -var
-
-
-def _check_terms(terms: Sequence[int], n: int) -> None:
-    for t in terms:
-        if t == 0:
-            raise ValueError("term parity vectors must be nonzero")
-        if t < 0 or t >> n:
-            raise ValueError(f"term {t:#x} out of range for n={n}")
 
 
 def _pin(inst: SatInstance, slice_vars: list[list[int]], matrix: ParityMatrix,
@@ -119,8 +101,8 @@ def _append_step(inst: SatInstance, layout: VarLayout) -> list[int]:
     control row holds a 1, and rows targeted by no selected gate carry over
     unchanged.
     """
-    n = layout.cfg.num_qubits
-    edges = layout.cfg.directed_edges
+    n = layout.final.n
+    edges = layout.edges
     k = len(layout.cnot)
     step_vars = [inst.name_var("cnot", k, a, b) for a, b in edges]
     inst.preferred.extend(step_vars)
@@ -159,40 +141,40 @@ def _append_step(inst: SatInstance, layout: VarLayout) -> list[int]:
     return step_vars
 
 
-def _step_mode(inst: SatInstance, cfg: EncodingConfig, step_vars: list[int]) -> None:
+def _step_mode(inst: SatInstance, layout: VarLayout, step_vars: list[int]) -> None:
     """Count mode: exactly one CNOT.  Depth mode: a nonempty layer of
     qubit-disjoint CNOTs."""
     at_least_k(inst, step_vars, 1)
-    if cfg.mode is Mode.CNOT:
+    if layout.mode is Mode.CNOT:
         at_most_k(inst, step_vars, 1)
         return
-    for q in range(cfg.num_qubits):
-        incident = [step_vars[e] for e, (a, b) in enumerate(cfg.directed_edges) if q in (a, b)]
+    for q in range(layout.final.n):
+        incident = [step_vars[e] for e, (a, b) in enumerate(layout.edges) if q in (a, b)]
         at_most_k(inst, incident, 1)
 
 
-def _check_size(matrix: ParityMatrix, cfg: EncodingConfig) -> None:
-    if matrix.n != cfg.num_qubits:
-        raise ValueError("matrix size does not match the encoding config")
-
-
-def encode_chain(initial: ParityMatrix, terms: Sequence[int], cfg: EncodingConfig,
+def encode_chain(rep: PhasePolyRep, coupling: CouplingMap, mode: Mode,
                  steps: int) -> tuple[SatInstance, VarLayout]:
-    """Parity slice 0 pinned to ``initial``, then ``steps`` steps, each
-    with its transition and mode constraints and the coverage indicators
-    of its slice, but no goal: ``extend_chain`` grows it by one step, and
-    ``add_goal`` states the goal of its current budget.  The chain's
-    budget is ``len(layout.cnot)``."""
+    """Encode ``rep`` on ``coupling`` in ``mode``: the initial and final
+    matrices, the unique terms of the table and the directed edges of the
+    map, which must have the rep's qubit count.  Parity slice 0 is pinned
+    to ``rep.initial``, then come ``steps`` steps, each with its transition
+    and mode constraints and the coverage indicators of its slice, but no
+    goal: ``extend_chain`` grows it by one step, and ``add_goal`` states
+    the goal of its current budget.  The chain's budget is
+    ``len(layout.cnot)``."""
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    n = cfg.num_qubits
-    _check_size(initial, cfg)
-    _check_terms(terms, n)
+    n = rep.n
+    if coupling.num_qubits != n:
+        raise ValueError(f"a coupling map on {coupling.num_qubits} qubits "
+                         f"for a rep on {n}")
     inst = SatInstance()
     parity = [[[inst.name_var("P", 0, i, j) for j in range(n)] for i in range(n)]]
-    _pin(inst, parity[0], initial)
-    layout = VarLayout(cfg, parity, [], tuple(terms))
-    layout.matches.extend(_row_matches(inst, parity[0], t) for t in terms)
+    _pin(inst, parity[0], rep.initial)
+    layout = VarLayout(mode, coupling.directed_edges(), rep.final,
+                       tuple(dict.fromkeys(rep.table.terms)), parity, [])
+    layout.matches.extend(_row_matches(inst, parity[0], t) for t in layout.terms)
     for _ in range(steps):
         extend_chain(inst, layout)
     return inst, layout
@@ -203,20 +185,19 @@ def extend_chain(inst: SatInstance, layout: VarLayout) -> None:
     the next parity slice, the transition and mode constraints of the step
     and the coverage indicators of the slice."""
     step_vars = _append_step(inst, layout)
-    _step_mode(inst, layout.cfg, step_vars)
+    _step_mode(inst, layout, step_vars)
     for t, indicators in zip(layout.terms, layout.matches):
         indicators.extend(_row_matches(inst, layout.parity[-1], t))
 
 
-def add_goal(inst: SatInstance, layout: VarLayout, final: ParityMatrix) -> int:
+def add_goal(inst: SatInstance, layout: VarLayout) -> int:
     """Guard the goal of a chain's current budget with a fresh activation
-    literal, and return it: under it the last slice is ``final`` and every
-    term appears in some slice.  Solve under the literal to try the budget;
-    add its negation as a unit to drop the goal, or the literal itself to
-    keep it for good."""
-    _check_size(final, layout.cfg)
+    literal, and return it: under it the last slice is ``layout.final`` and
+    every term appears in some slice.  Solve under the literal to try the
+    budget; add its negation as a unit to drop the goal, or the literal
+    itself to keep it for good."""
     goal = inst.new_var()
-    _pin(inst, layout.parity[-1], final, guard=goal)
+    _pin(inst, layout.parity[-1], layout.final, guard=goal)
     for indicators in layout.matches:
         inst.add_clause([-goal] + indicators)
     return goal
@@ -243,9 +224,9 @@ def _add_excess(inst: SatInstance, layout: VarLayout) -> None:
     literals: ``excess[k][m - 1]``, for ``m = 1 .. n // 2 - 1``, is forced
     true by each set of ``m + 1`` qubit-disjoint CNOT variables of step
     ``k``, so whenever layer ``k`` holds at least ``m + 1`` CNOTs."""
-    sets = _disjoint_sets(layout.cfg.directed_edges)
+    sets = _disjoint_sets(layout.edges)
     for step_vars in layout.cnot[len(layout.excess):]:
-        excess = inst.new_vars(layout.cfg.num_qubits // 2 - 1)
+        excess = inst.new_vars(layout.final.n // 2 - 1)
         for chosen in sets:
             inst.add_clause([-step_vars[e] for e in chosen] + [excess[len(chosen) - 2]])
         layout.excess.append(excess)
@@ -269,7 +250,7 @@ def add_cnot_budget(inst: SatInstance, layout: VarLayout,
     Caps stated at fewer steps stay sound as the chain grows: the excess of
     the first steps is at most that of all.
     """
-    if layout.cfg.mode is not Mode.DEPTH:
+    if layout.mode is not Mode.DEPTH:
         raise ValueError("CNOT budget applies to depth-mode instances only")
     room = budget - len(layout.cnot)
     if room < 0:
@@ -289,6 +270,6 @@ def add_cnot_budget(inst: SatInstance, layout: VarLayout,
 
 
 __all__ = [
-    "Mode", "EncodingConfig", "VarLayout",
+    "Mode", "VarLayout",
     "encode_chain", "extend_chain", "add_goal", "add_cnot_budget",
 ]

@@ -79,7 +79,6 @@ from .phasepoly import extract_rep
 from .sat.solver import solver_backend
 from .synthesizer import (
     InternalConsistencyError,
-    NoSolutionWithinKmax,
     SynthesisRequest,
     SynthesisTimeout,
     check_timeout,
@@ -351,16 +350,24 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
     """Optimal resynthesis of one block on its induced topology.
 
     Falls back to the original block, flagged ``failed_budget``, when the
-    solve does not finish.  A scanned block of a circuit that respects
-    ``cm`` always induces a connected map (its qubits are joined by its
-    own CNOTs); on any other map ``hopps`` raises ``ValueError``.  The
-    result carries the skeleton found, so that a caller can rebuild other
-    blocks of the same problem with ``apply_skeleton``.
+    solve does not finish in time.  A scanned block of a circuit that
+    respects ``cm`` always induces a connected map (its qubits are joined
+    by its own CNOTs); on any other map ``hopps`` raises ``ValueError``.
+    The block's own circuit is on that map, so the search needs no budget
+    above the block's own primary metric, and ``k_max`` is that metric.
+    If every budget up to it is unsatisfiable, the encoder or the solver
+    is wrong: ``NoSolutionWithinKmax`` propagates, so the CLI ``peephole``
+    exits 3 and a blockwise worker's raise counts in ``blocks_failed``.
+    The result carries the skeleton found, so that a caller can rebuild
+    other blocks of the same problem with ``apply_skeleton``.
     """
+    own = block.circuit
+    k_max = ordered_metrics(mode, cnot_count(own), cnot_depth(own))[0]
     try:
         result = hopps(SynthesisRequest(block.rep, induced_coupling(cm, block.qubits),
-                                        mode=mode, doubly=doubly, timeout_s=timeout_s))
-    except (SynthesisTimeout, NoSolutionWithinKmax):
+                                        mode=mode, doubly=doubly, k_max=k_max,
+                                        timeout_s=timeout_s))
+    except SynthesisTimeout:
         return replace(block, status="failed_budget")
     steps = tuple(tuple(step) for step in result.steps)
     skeleton = Skeleton(steps, (result.cnot_count, result.cnot_depth), result.optimal)

@@ -40,6 +40,11 @@ def _tokenize_expr(text: str, line: int) -> list[tuple[str, str]]:
     return tokens
 
 
+# the deepest nesting of parentheses an angle expression may have: each
+# level costs the recursive-descent parser four stack frames
+MAX_PAREN_DEPTH = 100
+
+
 class _ExprParser:
     """Tiny recursive-descent evaluator for parameter expressions."""
 
@@ -47,6 +52,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.line = line
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -84,13 +90,12 @@ class _ExprParser:
         return value
 
     def unary(self) -> float:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return -self.unary()
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.atom()
+        # a run of signs is read in a loop, so its length costs no stack
+        negate = False
+        while self.peek() in (("op", "-"), ("op", "+")):
+            negate ^= self.take()[1] == "-"
+        value = self.atom()
+        return -value if negate else value
 
     def atom(self) -> float:
         kind, text = self.take()
@@ -101,9 +106,14 @@ class _ExprParser:
                 return math.pi
             raise QasmError(f"unknown identifier {text!r} in expression", self.line)
         if (kind, text) == ("op", "("):
+            self.depth += 1
+            if self.depth > MAX_PAREN_DEPTH:
+                raise QasmError(f"parentheses nested deeper than {MAX_PAREN_DEPTH} "
+                                "in expression", self.line)
             value = self.expr()
             if self.take() != ("op", ")"):
                 raise QasmError("missing ')' in expression", self.line)
+            self.depth -= 1
             return value
         raise QasmError("malformed expression", self.line)
 

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .encoder import (
-    EncodingConfig,
     Mode,
     VarLayout,
     add_cnot_budget,
@@ -174,7 +173,7 @@ def default_k_max(n: int, num_terms: int) -> int:
 
 
 def _selected_steps(model: SatModel, layout: VarLayout) -> list[list[tuple[int, int]]]:
-    edges = layout.cfg.directed_edges
+    edges = layout.edges
     steps = []
     for step_vars in layout.cnot:
         steps.append([edges[e] for e, var in enumerate(step_vars) if model[var]])
@@ -226,7 +225,7 @@ def decode_circuit(model: SatModel, layout: VarLayout, rep: PhasePolyRep) -> Cir
     parity variables; a mismatch means the encoding is wrong, not the input.
     """
     steps = _selected_steps(model, layout)
-    n = layout.cfg.num_qubits
+    n = rep.n
     rows = list(rep.initial.rows)
     for k, step in enumerate(steps):
         for i in range(n):
@@ -269,7 +268,7 @@ def synthesis_key(rep: PhasePolyRep, coupling: CouplingMap) -> tuple:
     Requests with equal keys and equal settings get the same CNOT steps;
     only the angles that ``place_rotations`` puts on them differ.  The
     unique terms keep their order, because the encoder numbers its
-    variables in term order.
+    variables in that order (``VarLayout.terms``).
     """
     return (rep.initial.rows, rep.final.rows, tuple(dict.fromkeys(rep.table.terms)),
             coupling.edges)
@@ -279,10 +278,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
     """Optimal (and optionally doubly optimal) hardware-aware synthesis."""
     rep, cm = synthesis_problem(req.rep, req.coupling)
     n = rep.n
-    unique_terms = list(dict.fromkeys(rep.table.terms))
-
-    edges = cm.directed_edges()
-    k_max = req.k_max if req.k_max is not None else default_k_max(n, len(unique_terms))
+    k_max = req.k_max if req.k_max is not None else default_k_max(n, len(set(rep.table.terms)))
     stats: list[dict] = []
     deadline = time.monotonic() + req.timeout_s
 
@@ -340,14 +336,13 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         for k in range(lo, hi + 1):
             encoded_at = time.monotonic()
             if k == lo:
-                inst, layout = encode_chain(rep.initial, unique_terms,
-                                            EncodingConfig(mode, n, edges), k)
+                inst, layout = encode_chain(rep, cm, mode, k)
                 solver = Solver(inst)
             else:
                 extend_chain(inst, layout)
             if cap is not None:
                 add_cnot_budget(inst, layout, cap)
-            model = attempt(solver, phase, k, encoded_at, add_goal(inst, layout, rep.final))
+            model = attempt(solver, phase, k, encoded_at, add_goal(inst, layout))
             if model is not None:
                 return k, model, layout, solver
         return None

@@ -256,6 +256,28 @@ def test_a_malformed_input_file_exits_two_naming_the_field(target, malform, mess
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("paths, message", [
+    (lambda qasm, tmp: [str(tmp / "absent.qasm")], "No such file"),
+    (lambda qasm, tmp: [str(tmp)], "Is a directory"),
+    (lambda qasm, tmp: [str(qasm), "-o", str(tmp)], "Is a directory"),
+], ids=["missing-input", "directory-input", "directory-output"])
+def test_a_path_that_cannot_be_read_or_written_exits_two(paths, message, triangle_files,
+                                                         tmp_path, capsys):
+    # a directory, not permission bits: the tests may run as root
+    qasm, _, _ = triangle_files
+    code, out, err = run_cli(capsys, "metrics", *paths(qasm, tmp_path))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_a_deeply_nested_angle_exits_two(tmp_path, capsys):
+    src = tmp_path / "deep.qasm"
+    src.write_text("qreg q[1];\nrz(" + "(" * 1500 + "1" + ")" * 1500 + ") q[0];\n")
+    code, out, err = run_cli(capsys, "metrics", str(src))
+    assert code == 2 and out == ""
+    assert "nested deeper than 100" in err and "(line 2)" in err
+
+
 def test_verify_equivalent_and_not(triangle_files, tmp_path, capsys):
     qasm, _, _ = triangle_files
     code, out, _ = run_cli(capsys, "verify", str(qasm), str(qasm))

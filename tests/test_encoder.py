@@ -5,33 +5,33 @@ from collections import Counter
 import pytest
 
 from paritysat.encoder import (
-    EncodingConfig,
     Mode,
     add_cnot_budget,
     add_goal,
     encode_chain,
     extend_chain,
 )
-from paritysat.ir import CouplingMap, ParityMatrix, apply_cnot
+from paritysat.ir import CouplingMap, ParityMatrix, ParityTable, PhasePolyRep, apply_cnot
 from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.sat.solver import Solver
 
 from testkit import random_instance
 
 
-def make_cfg(mode, cm):
-    return EncodingConfig(mode, cm.num_qubits, cm.directed_edges())
+def make_rep(initial, final, terms):
+    """The rep of ``terms`` at zero angles: the encoder reads no angle."""
+    return PhasePolyRep(initial, final, ParityTable(initial.n, terms, (0.0,) * len(terms)))
 
 
 def encode_for(mode, steps, cm, initial, final, terms):
     """A chain of ``steps`` steps whose goal holds for good."""
-    inst, layout = encode_chain(initial, terms, make_cfg(mode, cm), steps)
-    inst.add_clause([add_goal(inst, layout, final)])
+    inst, layout = encode_chain(make_rep(initial, final, terms), cm, mode, steps)
+    inst.add_clause([add_goal(inst, layout)])
     return inst, layout
 
 
 def selected_steps(model, layout):
-    edges = layout.cfg.directed_edges
+    edges = layout.edges
     return [[edges[e] for e, v in enumerate(step) if model[v]] for step in layout.cnot]
 
 
@@ -50,19 +50,30 @@ def test_zero_steps_unreachable_term_unsat():
 
 
 def test_config_validation():
+    eye = ParityMatrix.identity(2)
     with pytest.raises(ValueError):
-        encode_chain(ParityMatrix.identity(2), [],
-                     EncodingConfig(Mode.CNOT, 2, ((0, 1), (1, 0))), -1)
-    with pytest.raises(ValueError):
-        EncodingConfig(Mode.CNOT, 2, ((0, 1),))  # missing reverse orientation
-    with pytest.raises(ValueError):
-        encode_chain(ParityMatrix.identity(2), [0],
-                     EncodingConfig(Mode.CNOT, 2, ((0, 1), (1, 0))), 1)
+        encode_chain(make_rep(eye, eye, []), CouplingMap.line(2), Mode.CNOT, -1)
+    with pytest.raises(ValueError, match="coupling map on 3 qubits"):
+        encode_chain(make_rep(eye, eye, []), CouplingMap.line(3), Mode.CNOT, 1)
+
+
+def test_repeated_terms_get_one_coverage_family_each_in_table_order():
+    eye = ParityMatrix.identity(3)
+    table = ParityTable(3, (0b110, 0b011, 0b110, 0b011), (0.25, "theta", "phi", 0.5))
+    inst, layout = encode_chain(PhasePolyRep(eye, eye, table), CouplingMap.line(3),
+                                Mode.CNOT, 2)
+    assert layout.terms == (0b110, 0b011)
+    # one indicator per row of each of the three slices, per unique term
+    assert [len(family) for family in layout.matches] == [9, 9]
+    inst.add_clause([add_goal(inst, layout)])
+    # the same CNF as the table of the unique terms alone
+    fresh, _ = encode_for(Mode.CNOT, 2, CouplingMap.line(3), eye, eye, [0b110, 0b011])
+    assert (inst.num_vars, inst.num_clauses) == (fresh.num_vars, fresh.num_clauses)
 
 
 def test_mode_guards():
-    inst, layout = encode_chain(ParityMatrix.identity(2), [],
-                                make_cfg(Mode.CNOT, CouplingMap.line(2)), 1)
+    eye = ParityMatrix.identity(2)
+    inst, layout = encode_chain(make_rep(eye, eye, []), CouplingMap.line(2), Mode.CNOT, 1)
     with pytest.raises(ValueError):
         add_cnot_budget(inst, layout, 1)  # count-mode instance
 
@@ -79,7 +90,7 @@ def test_cnot_mode_forces_exactly_k_gates():
 
 
 def _replay_and_check(model, layout, initial, terms):
-    n = layout.cfg.num_qubits
+    n = layout.final.n
     rows = list(initial.rows)
     matched = {t: t in rows for t in terms}
     for k, step in enumerate(selected_steps(model, layout)):
@@ -129,13 +140,13 @@ def test_grown_chain_answers_each_budget_as_a_fresh_encoding():
         rep = random_instance(rng, n, cm, rng.randint(1, 4), rng.randint(0, 2))
         terms = sorted(set(rep.table.terms))
         for mode, oracle in ((Mode.CNOT, oracle_min_count), (Mode.DEPTH, oracle_min_depth)):
-            inst, layout = encode_chain(rep.initial, terms, make_cfg(mode, cm), 0)
+            inst, layout = encode_chain(make_rep(rep.initial, rep.final, terms), cm, mode, 0)
             solver = Solver(inst)
             for k in range(6):
                 if k:
                     extend_chain(inst, layout)
                 assert len(layout.parity) - 1 == len(layout.cnot) == k
-                goal = add_goal(inst, layout, rep.final)
+                goal = add_goal(inst, layout)
                 model = solver.solve(assumptions=[goal])
                 fresh, _ = encode_for(mode, k, cm, rep.initial, rep.final, terms)
                 assert (model is None) == (Solver(fresh).solve() is None)
@@ -231,9 +242,10 @@ def test_depth_mode_qubit_disjoint_steps():
 @pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])
 def test_each_step_prefers_its_cnot_variables_true(mode):
     cm = CouplingMap.line(3)
-    inst, layout = encode_chain(ParityMatrix.identity(3), [0b011], make_cfg(mode, cm), 2)
+    eye = ParityMatrix.identity(3)
+    inst, layout = encode_chain(make_rep(eye, eye, [0b011]), cm, mode, 2)
     extend_chain(inst, layout)
-    add_goal(inst, layout, ParityMatrix.identity(3))
+    add_goal(inst, layout)
     cnots = [var for (family, _), var in inst.named.items() if family == "cnot"]
     assert len(cnots) == 3 * len(cm.directed_edges())
     assert inst.preferred == cnots == [var for step in layout.cnot for var in step]
@@ -290,11 +302,11 @@ def test_cnot_budget_admits_exactly_the_layers_within_it(cm, steps):
     eye = ParityMatrix.identity(cm.num_qubits)
     top = steps * (cm.num_qubits // 2)
     for budget in range(steps, top + 1):
-        inst, layout = encode_chain(eye, [], make_cfg(Mode.DEPTH, cm), steps)
+        inst, layout = encode_chain(make_rep(eye, eye, []), cm, Mode.DEPTH, steps)
         add_cnot_budget(inst, layout, budget)
         assert _count_models(inst, layout) == within(budget)
     for lower in range(steps, top):
-        inst, layout = encode_chain(eye, [], make_cfg(Mode.DEPTH, cm), steps)
+        inst, layout = encode_chain(make_rep(eye, eye, []), cm, Mode.DEPTH, steps)
         counter = add_cnot_budget(inst, layout, top)
         assert _count_models(inst, layout, counter.at_most(inst, lower - steps)) == within(lower)
     with pytest.raises(ValueError):

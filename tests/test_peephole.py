@@ -38,6 +38,7 @@ from paritysat.peephole import (
 from paritysat.phasepoly import canonical_equal, canonicalize, equivalent, merged_table
 from paritysat.synthesizer import (
     InternalConsistencyError,
+    NoSolutionWithinKmax,
     SynthesisRequest,
     hopps,
     lower_bound,
@@ -148,6 +149,34 @@ def test_resynth_on_a_map_that_splits_the_block_raises():
     split = CouplingMap(4, frozenset({(0, 1), (2, 3)}))  # no middle edge
     with pytest.raises(ValueError, match="connected"):
         resynth_block(block, split, Mode.CNOT, doubly=True, timeout_s=30)
+
+
+@pytest.mark.parametrize("mode, k_max", [(Mode.CNOT, 4), (Mode.DEPTH, 3)])
+def test_resynth_searches_up_to_the_blocks_own_primary_metric(monkeypatch, mode, k_max):
+    # the block's own circuit is a witness on its induced map
+    c = Circuit(4, (Cnot(0, 1), Cnot(2, 3), Cnot(1, 2), Cnot(0, 1)))
+    (block,) = find_blocks(c)
+    assert (cnot_count(block.circuit), cnot_depth(block.circuit)) == (4, 3)
+    requests = []
+
+    def recording(req):
+        requests.append(req)
+        return hopps(req)
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", recording)
+    resynth_block(block, CouplingMap.line(4), mode, doubly=True, timeout_s=30)
+    assert [req.k_max for req in requests] == [k_max]
+
+
+def test_a_block_with_no_solution_within_its_own_metric_raises(monkeypatch):
+    # UNSAT at every budget up to a witness is a fault, not a budget failure
+    def infeasible(req):
+        raise NoSolutionWithinKmax(f"no solution with step budget up to {req.k_max}")
+
+    monkeypatch.setattr(paritysat.peephole, "hopps", infeasible)
+    (block,) = find_blocks(Circuit(2, (Cnot(0, 1), Rz(0.2, 1), Cnot(0, 1))))
+    with pytest.raises(NoSolutionWithinKmax, match="up to 2"):
+        resynth_block(block, CouplingMap.line(2), Mode.CNOT, doubly=True, timeout_s=30)
 
 
 CONNECTED_MAPS = (CouplingMap.line(5), CouplingMap.ring(5), CouplingMap.grid(2, 3))

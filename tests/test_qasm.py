@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paritysat.ir import Circuit, Cnot, Opaque, Rz
-from paritysat.qasm import QasmError, parse_param, parse_qasm, write_qasm
+from paritysat.qasm import MAX_PAREN_DEPTH, QasmError, parse_param, parse_qasm, write_qasm
 
 from testkit import random_mixed_circuit
 
@@ -40,6 +40,21 @@ def test_a_non_finite_angle_is_refused(text):
         parse_param(text)
     with pytest.raises(QasmError, match=r"not finite .*\(line 4\)"):
         parse_qasm(HEADER + f"rz({text}) q[0];")
+
+
+def test_a_long_run_of_signs_is_read_without_recursion():
+    assert parse_param("-" * 5000 + "1") == 1.0
+    assert parse_param("-" * 5001 + "1") == -1.0
+    assert parse_param("+-+-" * 1000 + "-pi") == -math.pi
+
+
+def test_parentheses_nest_only_to_a_fixed_depth():
+    assert parse_param("(" * MAX_PAREN_DEPTH + "2" + ")" * MAX_PAREN_DEPTH) == 2.0
+    deep = "(" * 1500 + "1" + ")" * 1500
+    with pytest.raises(QasmError, match=f"nested deeper than {MAX_PAREN_DEPTH}"):
+        parse_param(deep)
+    with pytest.raises(QasmError, match=r"nested deeper than .*\(line 4\)"):
+        parse_qasm(HEADER + f"rz({deep}) q[0];")
 
 
 def test_parse_param_rejects_garbage():
