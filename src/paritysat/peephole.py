@@ -1,13 +1,13 @@
 """Maximal {CNOT, Rz} block extraction and optimal block resynthesis.
 
-Block discovery is a single scan over the gate list.  Each qubit points at
-its open block; a CNOT or Rz joins (and may merge) the open blocks on its
-qubits, while an opaque gate seals every open block it touches -- a sealed
-block accepts no further gates, which guarantees that emitting each block
-contiguously at the position of its last gate only ever commutes gates
-across qubit-disjoint neighbors.  The common case, a gate whose qubits all
-point at one open block, joins it in constant time; only a gate that
-opens, merges or seals blocks takes the general path.
+Block discovery is a single scan over the gate list, with one rule per
+gate kind.  Each qubit points at its open block.  An Rz joins the open
+block on its qubit, or opens one; a CNOT merges the open blocks on its
+control and target, unless the merge would cross a cap, and then seals
+them and opens its own block; any other gate seals every open block it
+touches.  A sealed block accepts no further gates, which guarantees that
+emitting each block contiguously at the position of its last gate only
+ever commutes gates across qubit-disjoint neighbors.
 
 A block's phase polynomial (``Block.rep``) is extracted and merged
 (``synthesizer.merged_rep``) at the first floor, key or synthesis that
@@ -147,126 +147,95 @@ class Block:
         return merged_rep(extract_rep(self.circuit))
 
 
+class _OpenBlock:
+    """A block ``_scan_blocks`` may still grow: its qubits, its gate
+    indices and the CNOT layer each of its qubits has reached."""
+
+    __slots__ = ("qubits", "indices", "layer")
+
+    def __init__(self) -> None:
+        self.qubits: set[int] = set()
+        self.indices: list[int] = []
+        self.layer: dict[int, int] = {}
+
+
 def _scan_blocks(circuit: Circuit, max_qubits: int | None = None,
                  max_depth: int | None = None,
                  flush_at: int | None = None) -> list[list[int]]:
-    """Greedy scan-line grouping; returns the sorted gate indices per block.
+    """Greedy scan-line grouping; returns the sorted gate indices per
+    block, ordered by last index.
 
     ``max_qubits``/``max_depth`` seal an open block instead of letting a
     gate grow it past the cap; ``flush_at`` seals everything open before
     the given position (used for offset-randomized partitioning).  The
     caps must admit one CNOT, so no block is ever over them.
 
-    A gate whose qubits all map to one open block joins it in constant
-    time: the block already holds those qubits, so only a CNOT's new layer
-    can seal it.  Every other gate takes the general path, which opens,
-    merges or seals the open blocks on its qubits.
+    Each qubit points at its open block.  An Rz appends to the open block
+    on its qubit, or opens one.  A CNOT merges the open blocks on its
+    control and target when the merged qubit count and its new layer
+    ``1 + max(layer[c], layer[t])`` are within the caps (every open block
+    is, so no other layer can cross one); otherwise it seals them and
+    opens its own block at layer 1.  Any other gate seals the open
+    blocks on its qubits.
     """
     if (max_qubits is not None and max_qubits < 2) or \
        (max_depth is not None and max_depth < 1):
         raise ValueError("caps must admit one CNOT (max_qubits >= 2, max_depth >= 1)")
-    open_of: dict[int, int] = {}
-    qubits_of: dict[int, set[int]] = {}
-    indices_of: dict[int, list[int]] = {}
-    layer_of: dict[int, dict[int, int]] = {}
-    depth_of: dict[int, int] = {}
-    sealed: list[int] = []
-    next_id = 0
+    open_of: dict[int, _OpenBlock] = {}
+    sealed: list[list[int]] = []
 
-    def seal(block_id: int) -> None:
-        for q in qubits_of[block_id]:
-            if open_of.get(q) == block_id:
-                del open_of[q]
-        sealed.append(block_id)
-
-    def open_new(qs: Sequence[int], index: int, gate: Gate) -> None:
-        nonlocal next_id
-        bid = next_id
-        next_id += 1
-        qubits_of[bid] = set(qs)
-        indices_of[bid] = [index]
-        layer_of[bid] = {}
-        depth_of[bid] = 0
-        _track_depth(bid, gate)
-        for q in qs:
-            open_of[q] = bid
-
-    def _track_depth(bid: int, gate: Gate) -> None:
-        if isinstance(gate, Cnot):
-            lm = layer_of[bid]
-            lv = 1 + max(lm.get(gate.control, 0), lm.get(gate.target, 0))
-            lm[gate.control] = lm[gate.target] = lv
-            if lv > depth_of[bid]:
-                depth_of[bid] = lv
+    def seal(block: _OpenBlock) -> None:
+        for q in block.qubits:
+            del open_of[q]
+        sealed.append(block.indices)
 
     for index, gate in enumerate(circuit.gates):
         if index == flush_at:
-            for bid in list(dict.fromkeys(open_of.values())):
-                seal(bid)
+            sealed.extend(block.indices for block in dict.fromkeys(open_of.values()))
+            open_of.clear()
         if isinstance(gate, Rz):
-            bid = open_of.get(gate.qubit)
-            if bid is not None:
-                indices_of[bid].append(index)
-                continue
+            block = open_of.get(gate.qubit)
+            if block is None:
+                block = open_of[gate.qubit] = _OpenBlock()
+                block.qubits.add(gate.qubit)
+            block.indices.append(index)
         elif isinstance(gate, Cnot):
-            bid = open_of.get(gate.control)
-            if bid is not None and open_of.get(gate.target) == bid:
-                lm = layer_of[bid]
-                lc, lt = lm.get(gate.control, 0), lm.get(gate.target, 0)
-                lv = 1 + (lc if lc > lt else lt)
-                if max_depth is not None and lv > max_depth:
-                    seal(bid)
-                    open_new((gate.control, gate.target), index, gate)
-                    continue
-                indices_of[bid].append(index)
-                lm[gate.control] = lm[gate.target] = lv
-                if lv > depth_of[bid]:
-                    depth_of[bid] = lv
-                continue
-        qs = gate_qubits(gate)
-        if isinstance(gate, Opaque):
-            for bid in list(dict.fromkeys(open_of.get(q) for q in qs)):
-                if bid is not None:
-                    seal(bid)
-            continue
+            c, t = gate.control, gate.target
+            home, other = open_of.get(c), open_of.get(t)
+            lc = home.layer.get(c, 0) if home else 0
+            lt = other.layer.get(t, 0) if other else 0
+            layer = 1 + (lc if lc > lt else lt)
+            if home is None or other is home:
+                home, other = home or other, None
+            if home is not None:
+                size = len(home.qubits) + (len(other.qubits) if other else 0) + \
+                    (c not in open_of) + (t not in open_of)
+                if (max_qubits is not None and size > max_qubits) or \
+                   (max_depth is not None and layer > max_depth):
+                    seal(home)
+                    if other:
+                        seal(other)
+                    home = None
+                elif other:
+                    home.qubits |= other.qubits
+                    home.indices += other.indices
+                    home.layer.update(other.layer)
+                    for q in other.qubits:
+                        open_of[q] = home
+            if home is None:
+                home, layer = _OpenBlock(), 1
+            home.qubits.update((c, t))
+            home.indices.append(index)
+            home.layer[c] = home.layer[t] = layer
+            open_of[c] = open_of[t] = home
+        else:
+            for q in gate_qubits(gate):
+                block = open_of.get(q)
+                if block is not None:
+                    seal(block)
 
-        cands = list(dict.fromkeys(open_of[q] for q in qs if q in open_of))
-        if not cands:
-            open_new(qs, index, gate)
-            continue
-
-        union_qubits = set(qs)
-        for bid in cands:
-            union_qubits |= qubits_of[bid]
-        merged_depth = max(depth_of[bid] for bid in cands)
-        if isinstance(gate, Cnot):
-            lv = 1 + max(max((layer_of[bid].get(q, 0) for bid in cands), default=0)
-                         for q in qs)
-            merged_depth = max(merged_depth, lv)
-        if (max_qubits is not None and len(union_qubits) > max_qubits) or \
-           (max_depth is not None and merged_depth > max_depth):
-            for bid in cands:
-                seal(bid)
-            open_new(qs, index, gate)
-            continue
-
-        home = cands[0]
-        for bid in cands[1:]:
-            qubits_of[home] |= qubits_of[bid]
-            indices_of[home].extend(indices_of[bid])
-            layer_of[home].update(layer_of[bid])
-            depth_of[home] = max(depth_of[home], depth_of[bid])
-            del qubits_of[bid], indices_of[bid], layer_of[bid], depth_of[bid]
-        qubits_of[home] |= set(qs)
-        indices_of[home].append(index)
-        _track_depth(home, gate)
-        for q in qubits_of[home]:
-            open_of[q] = home
-
-    emitted = sealed + list(dict.fromkeys(open_of.values()))
-    out = [sorted(indices_of[bid]) for bid in emitted]
-    out.sort(key=lambda indices: indices[-1])
-    return out
+    sealed.extend(block.indices for block in dict.fromkeys(open_of.values()))
+    return sorted((sorted(indices) for indices in sealed), key=lambda ix: ix[-1])
 
 
 def _make_block(circuit: Circuit, indices: list[int]) -> Block:

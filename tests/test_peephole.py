@@ -120,6 +120,21 @@ def test_scan_groups_as_the_reference_scan(circuit):
                     [indices for _, indices in reference]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_scan_groups_as_the_reference_scan_at_bench_scale(seed):
+    """16-qubit grid circuits keep many blocks open at once, which the
+    small hypothesis draws above never do."""
+    grid = CouplingMap.grid(4, 4)
+    circuits = (random_mixed_circuit(random.Random(seed), 16, 400, grid),
+                random_cnot_rz_circuit(random.Random(seed), 16, 300, 150, grid))
+    for circuit in circuits:
+        for max_qubits, max_depth in ((None, None), (3, 20), (4, 5)):
+            for flush_at in (None, 0, 200):
+                reference = reference_scan_blocks(circuit, max_qubits, max_depth, flush_at)
+                assert _scan_blocks(circuit, max_qubits, max_depth, flush_at) == \
+                    [indices for _, indices in reference]
+
+
 @pytest.mark.parametrize("caps", [{"max_qubits": 1}, {"max_depth": 0}])
 def test_scan_caps_must_admit_one_cnot(caps):
     with pytest.raises(ValueError, match="admit one CNOT"):

@@ -57,6 +57,14 @@ def test_parentheses_nest_only_to_a_fixed_depth():
         parse_qasm(HEADER + f"rz({deep}) q[0];")
 
 
+def test_a_parameter_list_runs_to_its_matching_parenthesis():
+    assert parse_qasm("qreg q[1];\nrz(-(1)) q[0];\n").gates == (Rz(-1.0, 0),)
+    (u3,) = parse_qasm("qreg q[1];\nu3((pi)/2,0,(1)) q[0];\n").gates
+    assert u3 == Opaque("u3", (0,), (math.pi / 2, 0.0, 1.0))
+    with pytest.raises(QasmError, match=r"\(line 2\)"):
+        parse_qasm("qreg q[1];\nrz((1) q[0];\n")
+
+
 def test_parse_param_rejects_garbage():
     with pytest.raises(QasmError):
         parse_param("2*unknown")

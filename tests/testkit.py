@@ -84,9 +84,10 @@ def greedy_layers(circuit: Circuit) -> list[list[tuple[int, int]]]:
 def reference_scan_blocks(circuit: Circuit, max_qubits: int | None = None,
                           max_depth: int | None = None,
                           flush_at: int | None = None) -> list[tuple[list[int], list[int]]]:
-    """``peephole._scan_blocks`` with every gate on the general merge path,
-    the reference its constant-time path for a gate inside one open block
-    is checked against."""
+    """A plain restatement of ``peephole._scan_blocks``, the reference
+    that scan is checked against: every gate gathers the open blocks on
+    its qubits and merges them or seals them, with each block's qubits,
+    indices, layers and depth in separate dicts."""
     open_of: dict[int, int] = {}
     qubits_of: dict[int, set[int]] = {}
     indices_of: dict[int, list[int]] = {}
