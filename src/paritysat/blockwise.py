@@ -215,9 +215,6 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
     trace: list[IterationRecord] = []
     iteration = 0
 
-    def ordered(c: Circuit) -> tuple[int, int]:
-        return ordered_metrics(cfg.mode, cnot_count(c), cnot_depth(c))
-
     with _one_pool():
         for stage, iters in (("full", cfg.iters_full), ("sample", cfg.iters_sample)):
             for _ in range(iters):
@@ -229,11 +226,10 @@ def iterate_optimize(circuit: Circuit, cm: CouplingMap,
                 replaced, hits = resynthesize(
                     blocks, cm, cfg.mode, cache,
                     lambda todo: run_parallel(todo, worker, cfg.jobs), judged)
-                improved = 0
-                for old, new in zip(blocks, replaced):
-                    if new.status == "resynthesized":
-                        if ordered(new.circuit)[0] < ordered(old.circuit)[0]:
-                            improved += 1
+                improved = sum(
+                    1 for old, new in zip(blocks, replaced) if new.status == "resynthesized"
+                    and ordered_metrics(cfg.mode, *new.metrics)[0]
+                    < ordered_metrics(cfg.mode, *old.metrics)[0])
                 candidate = splice_blocks(current, replaced)
                 found = (cnot_count(candidate), cnot_depth(candidate))
                 # splice-order effects can regress global metrics even though no

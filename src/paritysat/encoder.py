@@ -54,8 +54,8 @@ class Mode(str, Enum):
 
 @dataclass
 class VarLayout:
-    # the problem encoded: its mode, directed edges, final matrix and unique
-    # terms (in table order, which numbers the coverage variables)
+    # the problem encoded: its mode, directed edges, final matrix and
+    # ``ParityTable.unique_terms`` (whose order numbers the coverage variables)
     mode: Mode
     edges: tuple[tuple[int, int], ...]
     final: ParityMatrix
@@ -173,7 +173,7 @@ def encode_chain(rep: PhasePolyRep, coupling: CouplingMap, mode: Mode,
     parity = [[[inst.name_var("P", 0, i, j) for j in range(n)] for i in range(n)]]
     _pin(inst, parity[0], rep.initial)
     layout = VarLayout(mode, coupling.directed_edges(), rep.final,
-                       tuple(dict.fromkeys(rep.table.terms)), parity, [])
+                       rep.table.unique_terms, parity, [])
     layout.matches.extend(_row_matches(inst, parity[0], t) for t in layout.terms)
     for _ in range(steps):
         extend_chain(inst, layout)

@@ -111,6 +111,11 @@ class ParityTable:
     def __len__(self) -> int:
         return len(self.terms)
 
+    @property
+    def unique_terms(self) -> tuple[int, ...]:
+        """Each term once, in table order."""
+        return tuple(dict.fromkeys(self.terms))
+
 
 @dataclass(frozen=True)
 class PhasePolyRep:
@@ -277,28 +282,25 @@ class CouplingMap:
             out.append((b, a))
         return tuple(sorted(out))
 
-    def neighbors(self, q: int) -> list[int]:
-        out = [b for a, b in self.edges if a == q] + [a for a, b in self.edges if b == q]
-        return sorted(out)
-
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def is_connected(self, qubits: Sequence[int] | None = None) -> bool:
-        """Connectivity of the subgraph induced by ``qubits`` (default: all)."""
-        nodes = list(range(self.num_qubits)) if qubits is None else list(qubits)
-        if len(nodes) <= 1:
+    def is_connected(self) -> bool:
+        """Whether every qubit is reachable from every other."""
+        if self.num_qubits <= 1:
             return True
-        node_set = set(nodes)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
+        adjacent: list[list[int]] = [[] for _ in range(self.num_qubits)]
+        for a, b in self.edges:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        seen = {0}
+        stack = [0]
         while stack:
-            q = stack.pop()
-            for r in self.neighbors(q):
-                if r in node_set and r not in seen:
+            for r in adjacent[stack.pop()]:
+                if r not in seen:
                     seen.add(r)
                     stack.append(r)
-        return len(seen) == len(nodes)
+        return len(seen) == self.num_qubits
 
     @classmethod
     def line(cls, n: int) -> "CouplingMap":

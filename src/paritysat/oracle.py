@@ -21,8 +21,9 @@ class OracleCapError(RuntimeError):
 State = tuple[tuple[int, ...], int]
 
 
-def _initial_mask(rows: Sequence[int], terms: Sequence[int], mask: int = 0) -> int:
+def _initial_mask(rows: Sequence[int], terms: Sequence[int]) -> int:
     row_set = set(rows)
+    mask = 0
     for b, t in enumerate(terms):
         if t in row_set:
             mask |= 1 << b
@@ -65,7 +66,7 @@ def _all_paths(state: State, start: State,
 
 def _search(rep: PhasePolyRep, cm: CouplingMap, moves_of, node_cap: int):
     rep, cm = synthesis_problem(rep, cm)
-    terms = list(dict.fromkeys(rep.table.terms))
+    terms = rep.table.unique_terms
     start_rows = rep.initial.rows
     goal_rows = rep.final.rows
     full = (1 << len(terms)) - 1
@@ -114,16 +115,14 @@ def oracle_min_count(rep: PhasePolyRep, cm: CouplingMap,
         return [((c, t),) for c, t in edges]
 
     count, paths, rep = _search(rep, cm, single_moves, node_cap)
-    circuits = [place_rotations([list(step) for step in path], rep) for path in paths]
-    return count, circuits
+    return count, [place_rotations(path, rep) for path in paths]
 
 
 def oracle_min_depth(rep: PhasePolyRep, cm: CouplingMap,
                      node_cap: int = 2_000_000) -> tuple[int, list[Circuit]]:
     """Minimal CNOT depth and the complete set of depth-optimal circuits."""
     depth, paths, rep = _search(rep, cm, _disjoint_layers, node_cap)
-    circuits = [place_rotations([list(layer) for layer in path], rep) for path in paths]
-    return depth, circuits
+    return depth, [place_rotations(path, rep) for path in paths]
 
 
 __all__ = ["OracleCapError", "oracle_min_count", "oracle_min_depth"]

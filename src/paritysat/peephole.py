@@ -31,9 +31,9 @@ Angles play no part in synthesis, so each distinct block problem is
 synthesized once per cache: with the store, once per process.  The
 problem key is ``synthesizer.synthesis_key`` of the block's merged rep
 and induced local map, the problem ``synthesizer.synthesis_problem``
-prepares: the initial rows, the final rows, the merged table's unique
-terms in order (the encoder numbers its variables in term order) and the
-induced local edge set.  Only the first block of each key not yet cached
+prepares: the initial rows, the final rows, the merged table's
+``unique_terms`` (in table order, which numbers the encoder's variables)
+and the induced local edge set.  Only the first block of each key not yet cached
 is synthesized; every other block is rebuilt by placing its own angles on
 the CNOT steps found, and judged against its own metrics.  Only syntheses proven optimal are cached.  The blocks of a
 key share the outcome of its first block: when that one hit its timeout
@@ -79,6 +79,7 @@ from .phasepoly import extract_rep
 from .sat.solver import solver_backend
 from .synthesizer import (
     InternalConsistencyError,
+    Steps,
     SynthesisRequest,
     SynthesisTimeout,
     check_timeout,
@@ -101,7 +102,7 @@ class Skeleton:
     also decodes).
     """
 
-    steps: tuple[tuple[tuple[int, int], ...], ...]
+    steps: Steps
     metrics: tuple[int, int]         # (CNOT count, CNOT depth)
     optimal: bool                    # False when phase 2 hit the deadline
 
@@ -123,8 +124,8 @@ def skeleton_cache(mode: Mode, doubly: bool) -> dict[tuple, Skeleton]:
 class Block:
     """A {CNOT, Rz} subcircuit, relabeled onto local qubit indices.
 
-    ``circuit`` and ``rep`` are worked out on first read and kept, so a
-    block whose phase polynomial nothing reads never extracts it.
+    ``circuit``, ``rep`` and ``metrics`` are worked out on first read and
+    kept, so a block whose phase polynomial nothing reads never extracts it.
     """
 
     qubits: tuple[int, ...]          # physical qubits in first-touch order
@@ -145,6 +146,11 @@ class Block:
         """The phase polynomial with its merged table, extracted locally
         from identity and merged once."""
         return merged_rep(extract_rep(self.circuit))
+
+    @cached_property
+    def metrics(self) -> tuple[int, int]:
+        """The block's own (CNOT count, CNOT depth)."""
+        return cnot_count(self.circuit), cnot_depth(self.circuit)
 
 
 class _OpenBlock:
@@ -305,9 +311,7 @@ def apply_skeleton(block: Block, skeleton: Skeleton, mode: Mode) -> Block:
     """The block rebuilt on ``skeleton`` with its own angles, when that
     strictly improves it; otherwise the block itself, flagged ``kept_original``.
     Either way the result carries ``skeleton``."""
-    own = block.circuit
-    if ordered_metrics(mode, *skeleton.metrics) >= \
-            ordered_metrics(mode, cnot_count(own), cnot_depth(own)):
+    if ordered_metrics(mode, *skeleton.metrics) >= ordered_metrics(mode, *block.metrics):
         return replace(block, status="kept_original", skeleton=skeleton)
     circuit = place_rotations(skeleton.steps, block.rep)
     return Block(block.qubits, circuit.gates, block.span,
@@ -330,16 +334,14 @@ def resynth_block(block: Block, cm: CouplingMap, mode: Mode = Mode.CNOT,
     The result carries the skeleton found, so that a caller can rebuild
     other blocks of the same problem with ``apply_skeleton``.
     """
-    own = block.circuit
-    k_max = ordered_metrics(mode, cnot_count(own), cnot_depth(own))[0]
+    k_max = ordered_metrics(mode, *block.metrics)[0]
     try:
         result = hopps(SynthesisRequest(block.rep, induced_coupling(cm, block.qubits),
                                         mode=mode, doubly=doubly, k_max=k_max,
                                         timeout_s=timeout_s))
     except SynthesisTimeout:
         return replace(block, status="failed_budget")
-    steps = tuple(tuple(step) for step in result.steps)
-    skeleton = Skeleton(steps, (result.cnot_count, result.cnot_depth), result.optimal)
+    skeleton = Skeleton(result.steps, (result.cnot_count, result.cnot_depth), result.optimal)
     return apply_skeleton(block, skeleton, mode)
 
 
@@ -353,8 +355,7 @@ def at_floors(block: Block) -> bool:
     """
     count = lower_bound(block.rep, Mode.CNOT)
     floors = (count, depth_floor(count, block.rep.n))
-    circuit = block.circuit
-    own = (cnot_count(circuit), cnot_depth(circuit))
+    own = block.metrics
     if own[0] < floors[0] or own[1] < floors[1]:
         raise InternalConsistencyError(
             f"block of CNOT count and depth {own} is below its floors {floors}")

@@ -113,6 +113,10 @@ def check_timeout(timeout_s: float) -> None:
         raise ValueError(f"timeout must be a nonnegative number of seconds, got {timeout_s}")
 
 
+# CNOT steps: per step, the (control, target) pairs of its CNOTs
+Steps = tuple[tuple[tuple[int, int], ...], ...]
+
+
 @dataclass
 class SynthesisResult:
     circuit: Circuit
@@ -122,7 +126,7 @@ class SynthesisResult:
     stats: list[dict] = field(default_factory=list)
     # the CNOT steps the rotations were placed on: ``place_rotations(steps,
     # rep)`` with the merged table gives ``circuit`` again
-    steps: list[list[tuple[int, int]]] = field(default_factory=list)
+    steps: Steps = ()
 
 
 def lower_bound(rep: PhasePolyRep, mode: Mode) -> int:
@@ -172,16 +176,11 @@ def default_k_max(n: int, num_terms: int) -> int:
     return 2 * n * n + num_terms * n
 
 
-def _selected_steps(model: SatModel, layout: VarLayout) -> list[list[tuple[int, int]]]:
+def _selected_steps(model: SatModel, layout: VarLayout) -> Steps:
+    """Per step of ``layout``, the edges whose CNOT variable ``model`` sets."""
     edges = layout.edges
-    steps = []
-    for step_vars in layout.cnot:
-        steps.append([edges[e] for e, var in enumerate(step_vars) if model[var]])
-    return steps
-
-
-def _count_gates(model: SatModel, layout: VarLayout) -> int:
-    return sum(1 for step_vars in layout.cnot for var in step_vars if model[var])
+    return tuple(tuple(edges[e] for e, var in enumerate(step_vars) if model[var])
+                 for step_vars in layout.cnot)
 
 
 def place_rotations(steps: Sequence[Sequence[tuple[int, int]]],
@@ -218,27 +217,25 @@ def place_rotations(steps: Sequence[Sequence[tuple[int, int]]],
     return Circuit(n, tuple(gates))
 
 
-def decode_circuit(model: SatModel, layout: VarLayout, rep: PhasePolyRep) -> Circuit:
-    """Read the gate sequence off a model, replay it, and place rotations.
+def decode_circuit(model: SatModel, layout: VarLayout,
+                   rep: PhasePolyRep) -> tuple[Steps, Circuit]:
+    """Read the CNOT steps off a model, replay them, and place rotations:
+    the steps and the circuit.
 
-    The replayed parity slices are checked bit-for-bit against the model's
-    parity variables; a mismatch means the encoding is wrong, not the input.
+    Every replayed parity slice, the last included, is checked bit-for-bit
+    against the model's parity variables; a mismatch means the encoding is
+    wrong, not the input.
     """
     steps = _selected_steps(model, layout)
-    n = rep.n
     rows = list(rep.initial.rows)
-    for k, step in enumerate(steps):
-        for i in range(n):
-            for j in range(n):
-                if model[layout.parity[k][i][j]] != bool((rows[i] >> j) & 1):
+    for k, (slice_vars, step) in enumerate(zip(layout.parity, steps + ((),))):
+        for i, bits in enumerate(slice_vars):
+            for j, var in enumerate(bits):
+                if model[var] != bool((rows[i] >> j) & 1):
                     raise InternalConsistencyError(f"parity mismatch at step {k}, row {i}")
         for c, t in step:
             rows[t] ^= rows[c]
-    for i in range(n):
-        for j in range(n):
-            if model[layout.parity[len(steps)][i][j]] != bool((rows[i] >> j) & 1):
-                raise InternalConsistencyError(f"parity mismatch at final step, row {i}")
-    return place_rotations(steps, rep)
+    return steps, place_rotations(steps, rep)
 
 
 def merged_rep(rep: PhasePolyRep) -> PhasePolyRep:
@@ -267,18 +264,17 @@ def synthesis_key(rep: PhasePolyRep, coupling: CouplingMap) -> tuple:
 
     Requests with equal keys and equal settings get the same CNOT steps;
     only the angles that ``place_rotations`` puts on them differ.  The
-    unique terms keep their order, because the encoder numbers its
-    variables in that order (``VarLayout.terms``).
+    terms are ``ParityTable.unique_terms``, in table order, which is the
+    order the encoder numbers its variables in (``VarLayout.terms``).
     """
-    return (rep.initial.rows, rep.final.rows, tuple(dict.fromkeys(rep.table.terms)),
-            coupling.edges)
+    return (rep.initial.rows, rep.final.rows, rep.table.unique_terms, coupling.edges)
 
 
 def hopps(req: SynthesisRequest) -> SynthesisResult:
     """Optimal (and optionally doubly optimal) hardware-aware synthesis."""
     rep, cm = synthesis_problem(req.rep, req.coupling)
     n = rep.n
-    k_max = req.k_max if req.k_max is not None else default_k_max(n, len(set(rep.table.terms)))
+    k_max = req.k_max if req.k_max is not None else default_k_max(n, len(rep.table.unique_terms))
     stats: list[dict] = []
     deadline = time.monotonic() + req.timeout_s
 
@@ -321,9 +317,9 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
     def finish(model: SatModel, layout: VarLayout, optimal: bool) -> SynthesisResult:
         """The result decoded from ``model``; its ``stats`` is the list
         that later calls still append to."""
-        circuit = decode_circuit(model, layout, rep)
+        steps, circuit = decode_circuit(model, layout, rep)
         return SynthesisResult(circuit, cnot_count(circuit), cnot_depth(circuit),
-                               optimal, stats, _selected_steps(model, layout))
+                               optimal, stats, steps)
 
     def grow(mode: Mode, lo: int, hi: int, phase: str,
              cap: int | None = None) -> tuple[int, SatModel, VarLayout, Solver] | None:
@@ -361,7 +357,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
     if req.mode is Mode.DEPTH:
         inst = solver.inst
         optimal = True
-        count = _count_gates(model, layout)
+        count = sum(map(len, _selected_steps(model, layout)))
         # every one of the k layers holds a CNOT
         count_floor = max(lower_bound(rep, Mode.CNOT), k)
         encoded_at = time.monotonic()
@@ -379,7 +375,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
                 break
             if nxt is None:
                 break
-            fewer = _count_gates(nxt, layout)
+            fewer = sum(map(len, _selected_steps(nxt, layout)))
             if fewer >= count:
                 # a cap that does not bind would make the descent loop forever
                 raise InternalConsistencyError(

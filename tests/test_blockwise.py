@@ -567,6 +567,7 @@ def test_block_fields_worked_out_on_first_read_match_the_gates():
     for block in lazy_field_blocks():
         assert block.circuit == Circuit(len(block.qubits), block.gates)
         assert block.rep == merged_rep(extract_rep(block.circuit))
+        assert block.metrics == (cnot_count(block.circuit), cnot_depth(block.circuit))
 
 
 def test_blocks_pickle_equal_before_and_after_their_rep_is_read():

@@ -14,6 +14,7 @@ from paritysat.encoder import (
 from paritysat.ir import CouplingMap, ParityMatrix, ParityTable, PhasePolyRep, apply_cnot
 from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.sat.solver import Solver
+from paritysat.synthesizer import synthesis_key
 
 from testkit import random_instance
 
@@ -60,9 +61,10 @@ def test_config_validation():
 def test_repeated_terms_get_one_coverage_family_each_in_table_order():
     eye = ParityMatrix.identity(3)
     table = ParityTable(3, (0b110, 0b011, 0b110, 0b011), (0.25, "theta", "phi", 0.5))
-    inst, layout = encode_chain(PhasePolyRep(eye, eye, table), CouplingMap.line(3),
-                                Mode.CNOT, 2)
+    rep = PhasePolyRep(eye, eye, table)
+    inst, layout = encode_chain(rep, CouplingMap.line(3), Mode.CNOT, 2)
     assert layout.terms == (0b110, 0b011)
+    assert layout.terms == table.unique_terms == synthesis_key(rep, CouplingMap.line(3))[2]
     # one indicator per row of each of the three slices, per unique term
     assert [len(family) for family in layout.matches] == [9, 9]
     inst.add_clause([add_goal(inst, layout)])

@@ -145,8 +145,8 @@ def test_coupling_validation():
 def test_connectivity():
     assert CouplingMap.line(5).is_connected()
     assert not CouplingMap(4, frozenset({(0, 1), (2, 3)})).is_connected()
-    assert CouplingMap.line(4).is_connected([1, 2])
-    assert not CouplingMap.line(4).is_connected([0, 2])
+    assert induced_coupling(CouplingMap.line(4), [1, 2]).is_connected()
+    assert not induced_coupling(CouplingMap.line(4), [0, 2]).is_connected()
     assert CouplingMap(1, frozenset()).is_connected()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from paritysat import synthesizer
 
-from paritysat.encoder import Mode
+from paritysat.encoder import Mode, add_goal, encode_chain
 from paritysat.ir import (
     Circuit,
     Cnot,
@@ -23,7 +23,7 @@ from paritysat.ir import (
 from paritysat.oracle import oracle_min_count, oracle_min_depth
 from paritysat.phasepoly import canonical_equal, canonicalize, extract_rep
 from paritysat.sat.core import parse_dimacs
-from paritysat.sat.solver import Solver, SolverTimeout
+from paritysat.sat.solver import SatModel, Solver, SolverTimeout
 from paritysat.synthesizer import (
     NoSolutionWithinKmax,
     SynthesisRequest,
@@ -596,6 +596,21 @@ def test_a_descent_cap_that_does_not_bind_raises(monkeypatch):
     rep = extract_rep(random_cnot_rz_circuit(random.Random(9), 4, 6, 3, cm))
     with pytest.raises(synthesizer.InternalConsistencyError, match="under a cap of"):
         hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
+
+
+def test_decode_checks_every_parity_slice_against_the_replay(triangle_rep, line3):
+    rep, cm = synthesis_problem(triangle_rep, line3)
+    inst, layout = encode_chain(rep, cm, Mode.CNOT, 5)
+    model = Solver(inst).solve(assumptions=(add_goal(inst, layout),))
+    result = hopps(SynthesisRequest(triangle_rep, line3))
+    assert synthesizer.decode_circuit(model, layout, rep) == (result.steps, result.circuit)
+    # a parity bit the replay disagrees with: slice 0, a middle slice, the last
+    for k in (0, 2, 5):
+        values = list(model.values)
+        values[layout.parity[k][1][0]] ^= True
+        with pytest.raises(synthesizer.InternalConsistencyError,
+                           match=f"parity mismatch at step {k}, row 1"):
+            synthesizer.decode_circuit(SatModel(tuple(values)), layout, rep)
 
 
 def test_place_rotations_slot_zero():
