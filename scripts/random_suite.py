@@ -7,12 +7,13 @@ optimal synthesis against the breadth-first oracle, reporting per-instance
 metrics and timing.  Each instance's count and depth floors
 (``lower_bound`` of the merged rep) are printed next to the oracle optima;
 a floor above an optimum is a mismatch (verdict ``FLOOR>OPT``), and any
-mismatch makes the exit status nonzero.  The summary line also gives the
-SAT conflicts and decisions summed over the stats of every synthesis, a
-measure of search effort that does not depend on the machine; the
-conflicts are split into phase 1 (the primary metric) and the phase-2
-descent.  An external backend (``HOPPS_SOLVER``) reports no counters, and
-the summary line says so instead.
+mismatch makes the exit status nonzero.  The summary line also gives two
+measures of search effort that do not depend on the machine, summed over
+the stats of every synthesis: the states the exact search stored, and the
+SAT conflicts and decisions, split into phase 1 (the primary metric, which
+includes the call that checks the search's witness) and the phase-2
+descent of a SAT chain.  An external backend (``HOPPS_SOLVER``) reports no
+SAT counters, and the summary line says so instead.
 
     python scripts/random_suite.py --count 30 --seed 7 --max-qubits 4
 """
@@ -72,6 +73,7 @@ def main():
     total_synth = 0.0
     conflicts = {"primary": 0, "descent": 0}
     decisions = 0
+    states = 0
     reported = False
     for index in range(args.count):
         n = rng.randint(2, args.max_qubits)
@@ -93,7 +95,8 @@ def main():
         synth_s = time.monotonic() - t0
         total_synth += synth_s
         for entry in by_count.stats + by_depth.stats:
-            if entry["phase"] in conflicts:  # a floor's cut makes no call
+            states += sum(entry.get("states", ()))
+            if entry["phase"] in conflicts:  # neither a floor's cut nor the search calls SAT
                 reported = reported or "conflicts" in entry
                 conflicts[entry["phase"]] += entry.get("conflicts", 0)
             decisions += entry.get("decisions", 0)
@@ -124,7 +127,7 @@ def main():
               f"descent {conflicts['descent']}), decisions {decisions}" if reported
               else "no SAT counters (the solver backend reported none)")
     print(f"\n{args.count - mismatches}/{args.count} matched the oracle; "
-          f"synthesis time {total_synth:.1f} s; {effort}")
+          f"synthesis time {total_synth:.1f} s; exact search states {states}; {effort}")
     return 1 if mismatches else 0
 
 

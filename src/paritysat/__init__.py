@@ -2,8 +2,10 @@
 
 The pipeline: extract a phase-polynomial representation from a circuit,
 synthesize count-, depth-, or doubly optimal replacements under a qubit
-coupling map via incremental SAT solving, and apply the synthesizer as a
-peephole or iterative blockwise optimizer on large circuits.
+coupling map, by an exact bidirectional search whose witness one SAT call
+checks (and by incremental SAT solving past the search's state cap), and
+apply the synthesizer as a peephole or iterative blockwise optimizer on
+large circuits.
 """
 from .blockwise import BlockwiseConfig, IterationRecord, iterate_optimize, partition, run_parallel, sample_blocks
 from .encoder import Mode
@@ -33,6 +35,7 @@ from .synthesizer import (
     SynthesisTimeout,
     hopps,
     lower_bound,
+    sat_chain,
 )
 
 __version__ = "0.1.0"

@@ -74,7 +74,7 @@ def _load_rep(path: str):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="paritysat",
-                     description="SAT-based synthesis and optimization of "
+                     description="optimal synthesis and optimization of "
                                  "{CNOT, Rz} circuits under hardware topology")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -42,8 +42,9 @@ key share the outcome of its first block: when that one hit its timeout
 ``hopps`` is deterministic for a given key, mode, ``doubly`` and
 backend, so a stored skeleton is exactly what a fresh synthesis would
 return, and no circuit depends on what the process did earlier; only the
-hit counts do.  The backend is part of the store's key because an
-external solver may pick another optimal skeleton among ties.  Timeouts
+hit counts do.  The backend is part of the store's key because, past
+the exact search's cap, an external solver may pick another optimal
+skeleton among ties.  Timeouts
 are not: a deadline never changes an optimal skeleton.  So a later call
 with a shorter timeout may be served a skeleton it could not have found
 itself: a timeout bounds the search, and a stored optimum needs no
@@ -98,8 +99,8 @@ class Skeleton:
 
     ``steps`` are the ``SynthesisResult.steps`` that ``hopps`` placed its
     rotations on: one CNOT per step from a count-mode model, one layer
-    per step from a depth-mode model (which a count-mode doubly descent
-    also decodes).
+    per step from a depth-mode model (which the witness check of every
+    other mode, and a count-mode doubly descent, also decode).
     """
 
     steps: Steps

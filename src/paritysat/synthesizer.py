@@ -1,6 +1,19 @@
-"""Incremental SAT search for optimal and doubly optimal circuits.
+"""Optimal and doubly optimal circuits: an exact search, checked by SAT.
 
-Every search grows a chain, in the style of incremental bounded model
+``hopps`` runs two engines.  The exact bidirectional search of ``exact``
+answers every request it can finish under its state cap, and one SAT call
+checks its witness: a chain of as many steps as the witness (count mode
+for a plain count request, depth mode otherwise) is solved under its goal
+literal and every CNOT literal, true on the witness's edges and false on
+all others.  The circuit is decoded from that model, as from any other.
+A witness the encoding refuses is an encoder or search fault, and raises
+``InternalConsistencyError``.  Past the cap, the SAT chain below runs from
+the larger of ``lower_bound`` and the floor the search proved.  The search
+counts against the request's one deadline and never goes above ``k_max``;
+it leaves one stats record, of phase ``exact``.  ``sat_chain`` runs the
+SAT chain alone, from ``lower_bound``.
+
+The SAT chain grows, in the style of incremental bounded model
 checking (Een & Sorensson, 2003): ``encode_chain`` encodes the steps up to
 the first budget, ``add_goal`` states the goal of the current budget
 (final parities, term coverage) under a fresh activation literal, and the
@@ -9,8 +22,8 @@ and ``extend_chain`` appends one step in place; on SAT the literal
 becomes a unit.  One ``Solver`` serves the whole chain, so every later
 call resumes from what earlier budgets learned.
 
-Phase 1 grows a chain from the provable floor ``lower_bound``; its first
-satisfiable budget is the optimal primary metric (count in count mode,
+Phase 1 grows a chain from a provable floor (``lower_bound``, or the
+search's, when higher); its first satisfiable budget is the optimal primary metric (count in count mode,
 depth in depth mode).
 
 Phase 2, when requested, fixes the primary optimum and optimizes the
@@ -32,8 +45,8 @@ secondary metric:
   there is none, phase 1's circuit has it.  On 2 and 3 qubits the floor
   equals the count, so no call is made.
 
-Every SAT call goes through one helper: it assumes one goal literal and
-appends its stats entry before it solves, with status ``timeout`` until
+Every SAT call goes through one helper: it assumes one goal literal (the
+witness check also assumes the CNOT literals) and appends its stats entry before it solves, with status ``timeout`` until
 the call returns ``sat`` or ``unsat``, so a timed-out call keeps its
 record.  A budget below a floor is never handed to the solver: its
 answer is known to be UNSAT.  Each such cut in phase 1 and in the
@@ -54,6 +67,7 @@ from .encoder import (
     encode_chain,
     extend_chain,
 )
+from .exact import exact_search
 from .ir import (
     Circuit,
     Cnot,
@@ -270,58 +284,86 @@ def synthesis_key(rep: PhasePolyRep, coupling: CouplingMap) -> tuple:
     return (rep.initial.rows, rep.final.rows, rep.table.unique_terms, coupling.edges)
 
 
-def hopps(req: SynthesisRequest) -> SynthesisResult:
-    """Optimal (and optionally doubly optimal) hardware-aware synthesis."""
-    rep, cm = synthesis_problem(req.rep, req.coupling)
-    n = rep.n
-    k_max = req.k_max if req.k_max is not None else default_k_max(n, len(rep.table.unique_terms))
-    stats: list[dict] = []
-    deadline = time.monotonic() + req.timeout_s
+class _Synthesis:
+    """One request under way: its problem, its ceiling, its one deadline
+    and the stats records its engines append."""
 
-    def attempt(solver: Solver, phase: str, k: int, encoded_at: float,
-                goal: int) -> SatModel | None:
-        """One SAT call under the activation literal ``goal``.  Its stats
-        entry, appended before the call, also records the CNF handed over
-        and the seconds spent encoding since ``encoded_at``.  The goal of a
-        satisfiable call is kept as a unit, that of an unsatisfiable one
-        dropped by its negation.  A timed-out call raises
-        ``SynthesisTimeout`` that carries the records, and its entry keeps
-        status ``timeout``."""
+    def __init__(self, req: SynthesisRequest) -> None:
+        self.req = req
+        self.rep, self.cm = synthesis_problem(req.rep, req.coupling)
+        self.k_max = (req.k_max if req.k_max is not None
+                      else default_k_max(self.rep.n, len(self.rep.table.unique_terms)))
+        self.stats: list[dict] = []
+        self.deadline = time.monotonic() + req.timeout_s
+
+    def attempt(self, solver: Solver, phase: str, k: int, encoded_at: float,
+                goal: int, fixed: Sequence[int] = ()) -> SatModel | None:
+        """One SAT call under the activation literal ``goal``, and the
+        literals ``fixed`` with it.  Its stats entry, appended before the
+        call, also records the CNF handed over and the seconds spent
+        encoding since ``encoded_at``.  The goal of a satisfiable call is
+        kept as a unit, that of an unsatisfiable one dropped by its
+        negation.  A timed-out call raises ``SynthesisTimeout`` that
+        carries the records, and its entry keeps status ``timeout``."""
         inst = solver.inst
         entry: dict = {"phase": phase, "k": k, "vars": inst.num_vars,
                        "clauses": inst.num_clauses,
                        "encode_s": time.monotonic() - encoded_at, "status": "timeout"}
-        stats.append(entry)
-        remaining = max(deadline - time.monotonic(), 0.0)
+        self.stats.append(entry)
+        remaining = max(self.deadline - time.monotonic(), 0.0)
         try:
             model = solve_instance(inst, remaining, stats_out=entry, solver=solver,
-                                   assumptions=(goal,))
+                                   assumptions=(goal, *fixed))
         except SolverTimeout as exc:
-            raise SynthesisTimeout(
-                f"no {phase} model within {req.timeout_s} s at budget {k}", stats) from exc
+            raise SynthesisTimeout(f"no {phase} model within {self.req.timeout_s} s "
+                                   f"at budget {k}", self.stats) from exc
         entry["status"] = "sat" if model is not None else "unsat"
         inst.add_clause([goal if model is not None else -goal])
-        if model is not None and req.dimacs_path:
+        if model is not None and self.req.dimacs_path:
             # the last satisfiable call is the one whose model is returned
-            with open(req.dimacs_path, "w") as fh:
+            with open(self.req.dimacs_path, "w") as fh:
                 fh.write(export_dimacs(inst))
         return model
 
-    def ruled_out(k: int) -> None:
+    def ruled_out(self, k: int) -> None:
         """Record that every budget up to ``k`` is UNSAT by a floor."""
-        stats.append({"phase": "bound", "k": k, "vars": 0, "clauses": 0,
-                      "encode_s": 0.0, "status": "unsat", "seconds": 0.0,
-                      "decisions": 0, "conflicts": 0, "propagations": 0,
-                      "learned": 0, "restarts": 0})
+        self.stats.append({"phase": "bound", "k": k, "vars": 0, "clauses": 0,
+                           "encode_s": 0.0, "status": "unsat", "seconds": 0.0,
+                           "decisions": 0, "conflicts": 0, "propagations": 0,
+                           "learned": 0, "restarts": 0})
 
-    def finish(model: SatModel, layout: VarLayout, optimal: bool) -> SynthesisResult:
+    def finish(self, model: SatModel, layout: VarLayout, optimal: bool) -> SynthesisResult:
         """The result decoded from ``model``; its ``stats`` is the list
         that later calls still append to."""
-        steps, circuit = decode_circuit(model, layout, rep)
+        steps, circuit = decode_circuit(model, layout, self.rep)
         return SynthesisResult(circuit, cnot_count(circuit), cnot_depth(circuit),
-                               optimal, stats, steps)
+                               optimal, self.stats, steps)
 
-    def grow(mode: Mode, lo: int, hi: int, phase: str,
+    def check(self, steps: Steps) -> SynthesisResult:
+        """The result on the search's witness ``steps``, decoded from one
+        SAT call: a chain of as many steps, in count mode for a plain count
+        request and in depth mode otherwise, solved under its goal and every
+        CNOT literal, true on the witness's edges and false elsewhere.  A
+        refusal is an encoder or search fault, and a model off the witness
+        a solver fault."""
+        req = self.req
+        mode = Mode.CNOT if req.mode is Mode.CNOT and not req.doubly else Mode.DEPTH
+        encoded_at = time.monotonic()
+        inst, layout = encode_chain(self.rep, self.cm, mode, len(steps))
+        fixed = [var if edge in step else -var
+                 for step, step_vars in zip(map(set, steps), layout.cnot)
+                 for edge, var in zip(layout.edges, step_vars)]
+        model = self.attempt(Solver(inst), "primary", len(steps), encoded_at,
+                             add_goal(inst, layout), fixed)
+        if model is None:
+            raise InternalConsistencyError(
+                f"the encoding refuses the search's {len(steps)}-step witness")
+        result = self.finish(model, layout, True)
+        if result.steps != steps:
+            raise InternalConsistencyError("a model of the witness check leaves the witness")
+        return result
+
+    def grow(self, mode: Mode, lo: int, hi: int, phase: str,
              cap: int | None = None) -> tuple[int, SatModel, VarLayout, Solver] | None:
         """Grow one chain in ``mode`` from budget ``lo`` on one ``Solver``,
         and solve each budget under its goal literal: the first satisfiable
@@ -332,79 +374,107 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         for k in range(lo, hi + 1):
             encoded_at = time.monotonic()
             if k == lo:
-                inst, layout = encode_chain(rep, cm, mode, k)
+                inst, layout = encode_chain(self.rep, self.cm, mode, k)
                 solver = Solver(inst)
             else:
                 extend_chain(inst, layout)
             if cap is not None:
                 add_cnot_budget(inst, layout, cap)
-            model = attempt(solver, phase, k, encoded_at, add_goal(inst, layout))
+            model = self.attempt(solver, phase, k, encoded_at, add_goal(inst, layout))
             if model is not None:
                 return k, model, layout, solver
         return None
 
-    floor = lower_bound(rep, req.mode)
-    if floor:
-        ruled_out(floor - 1)
-    found = grow(req.mode, floor, k_max, "primary")
-    if found is None:
-        raise NoSolutionWithinKmax(f"no solution with step budget up to {k_max}")
-    k, model, layout, solver = found
-    if not req.doubly or k == 0:
-        return finish(model, layout, True)
+    def chain(self, floor: int) -> SynthesisResult:
+        """The SAT chain from budget ``floor``, a proven floor on the
+        primary metric: phase 1, then phase 2 when asked for."""
+        req, rep, n = self.req, self.rep, self.rep.n
+        if floor:
+            self.ruled_out(floor - 1)
+        found = self.grow(req.mode, floor, self.k_max, "primary")
+        if found is None:
+            raise NoSolutionWithinKmax(f"no solution with step budget up to {self.k_max}")
+        k, model, layout, solver = found
+        if not req.doubly or k == 0:
+            return self.finish(model, layout, True)
 
-    # phase 2: optimize the secondary metric at the optimal primary one
-    if req.mode is Mode.DEPTH:
-        inst = solver.inst
-        optimal = True
-        count = sum(map(len, _selected_steps(model, layout)))
-        # every one of the k layers holds a CNOT
-        count_floor = max(lower_bound(rep, Mode.CNOT), k)
-        encoded_at = time.monotonic()
-        if count > count_floor:
-            # one counter at phase 1's count: a layer holds at most n // 2
-            # CNOTs, so 1 <= count - k <= k * (n // 2 - 1), the number of
-            # excess literals, and the cap is always a counter
-            counter = add_cnot_budget(inst, layout, count)
-        while count > count_floor:
-            try:
-                nxt = attempt(solver, "descent", count - 1, encoded_at,
-                              counter.at_most(inst, count - 1 - k))
-            except SynthesisTimeout:
-                optimal = False
-                break
-            if nxt is None:
-                break
-            fewer = sum(map(len, _selected_steps(nxt, layout)))
-            if fewer >= count:
-                # a cap that does not bind would make the descent loop forever
-                raise InternalConsistencyError(
-                    f"a model of {fewer} CNOTs under a cap of {count - 1}")
-            model, count = nxt, fewer
+        # phase 2: optimize the secondary metric at the optimal primary one
+        if req.mode is Mode.DEPTH:
+            inst = solver.inst
+            optimal = True
+            count = sum(map(len, _selected_steps(model, layout)))
+            # every one of the k layers holds a CNOT
+            count_floor = max(lower_bound(rep, Mode.CNOT), k)
             encoded_at = time.monotonic()
-        else:  # the model meets the count floor: every lower budget is UNSAT
-            ruled_out(count_floor - 1)
-        return finish(model, layout, optimal)
+            if count > count_floor:
+                # one counter at phase 1's count: a layer holds at most n // 2
+                # CNOTs, so 1 <= count - k <= k * (n // 2 - 1), the number of
+                # excess literals, and the cap is always a counter
+                counter = add_cnot_budget(inst, layout, count)
+            while count > count_floor:
+                try:
+                    nxt = self.attempt(solver, "descent", count - 1, encoded_at,
+                                       counter.at_most(inst, count - 1 - k))
+                except SynthesisTimeout:
+                    optimal = False
+                    break
+                if nxt is None:
+                    break
+                fewer = sum(map(len, _selected_steps(nxt, layout)))
+                if fewer >= count:
+                    # a cap that does not bind would make the descent loop forever
+                    raise InternalConsistencyError(
+                        f"a model of {fewer} CNOTs under a cap of {count - 1}")
+                model, count = nxt, fewer
+                encoded_at = time.monotonic()
+            else:  # the model meets the count floor: every lower budget is UNSAT
+                self.ruled_out(count_floor - 1)
+            return self.finish(model, layout, optimal)
 
-    # count mode: the least depth of a depth-mode chain capped at k CNOTs,
-    # from the floor up to just below phase 1's circuit; a layer holds at
-    # most n // 2 CNOTs
-    first = finish(model, layout, True)
-    try:
-        found = grow(Mode.DEPTH, depth_floor(k, n), first.cnot_depth - 1, "descent", cap=k)
-    except SynthesisTimeout:
-        first.optimal = False
-        return first
-    if found is None:
-        return first
-    _, model, layout, _ = found
-    return finish(model, layout, True)
+        # count mode: the least depth of a depth-mode chain capped at k CNOTs,
+        # from the floor up to just below phase 1's circuit; a layer holds at
+        # most n // 2 CNOTs
+        first = self.finish(model, layout, True)
+        try:
+            found = self.grow(Mode.DEPTH, depth_floor(k, n), first.cnot_depth - 1,
+                              "descent", cap=k)
+        except SynthesisTimeout:
+            first.optimal = False
+            return first
+        if found is None:
+            return first
+        _, model, layout, _ = found
+        return self.finish(model, layout, True)
+
+
+def hopps(req: SynthesisRequest) -> SynthesisResult:
+    """Optimal (and optionally doubly optimal) hardware-aware synthesis.
+
+    The exact search answers, and one SAT call checks its witness; past
+    the search's state cap, the SAT chain runs from the floor it proved."""
+    run = _Synthesis(req)
+    found = exact_search(run.rep, run.cm, req.mode, req.doubly, run.k_max, run.deadline)
+    run.stats.append(found.record())
+    if found.status == "timeout":
+        raise SynthesisTimeout(f"no circuit found within {req.timeout_s} s", run.stats)
+    if found.status == "unsat":
+        raise NoSolutionWithinKmax(f"no solution with step budget up to {run.k_max}")
+    if found.status == "capped":
+        return run.chain(max(lower_bound(run.rep, req.mode), found.floor))
+    return run.check(found.steps)
+
+
+def sat_chain(req: SynthesisRequest) -> SynthesisResult:
+    """The SAT engine alone: the chain from ``lower_bound`` up, as
+    ``hopps`` runs it past the search's cap."""
+    run = _Synthesis(req)
+    return run.chain(lower_bound(run.rep, req.mode))
 
 
 __all__ = [
     "Mode", "SynthesisRequest", "SynthesisResult",
     "NoSolutionWithinKmax", "SynthesisTimeout", "InternalConsistencyError",
     "check_timeout", "lower_bound", "depth_floor", "default_k_max",
-    "merged_rep", "synthesis_problem", "synthesis_key", "hopps",
+    "merged_rep", "synthesis_problem", "synthesis_key", "hopps", "sat_chain",
     "decode_circuit", "place_rotations",
 ]

@@ -35,7 +35,7 @@ from paritysat.phasepoly import canonical_equal, canonicalize, equivalent, extra
 from paritysat.qasm import write_qasm
 from paritysat.sat.core import SatInstance, at_least_k, at_most_k, export_dimacs, parse_dimacs
 from paritysat.sat.solver import Solver
-from paritysat.synthesizer import SynthesisRequest, hopps
+from paritysat.synthesizer import SynthesisRequest, hopps, sat_chain
 
 from brute import brute_is_sat, brute_projections
 from testkit import TOPOLOGIES, greedy_layers, random_instance, random_mixed_circuit
@@ -44,6 +44,8 @@ GOLDEN = Path(__file__).parent / "golden" / "triangle_line3.json"
 REF_SOLVER = Path(__file__).resolve().parent.parent / "scripts" / "ref_solver.py"
 
 mark = pytest.mark.acceptance
+
+ALL_MODES = [(Mode.CNOT, False), (Mode.DEPTH, False), (Mode.CNOT, True), (Mode.DEPTH, True)]
 
 
 def report(criterion: int, text: str) -> None:
@@ -70,17 +72,16 @@ def optimality_suite():
         rep = random_instance(rng, n, cm, n_cnots, n_terms)
         best_count, count_circs = oracle_min_count(rep, cm)
         best_depth, depth_circs = oracle_min_depth(rep, cm)
-        runs = {
-            (Mode.CNOT, False): hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT)),
-            (Mode.DEPTH, False): hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH)),
-            (Mode.CNOT, True): hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True)),
-            (Mode.DEPTH, True): hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True)),
-        }
+        # both engines: the exact search (checked by one SAT call) and the
+        # SAT chain alone
+        runs, sat_runs = ({(mode, doubly): engine(SynthesisRequest(rep, cm, mode=mode,
+                                                                   doubly=doubly))
+                           for mode, doubly in ALL_MODES} for engine in (hopps, sat_chain))
         cases.append({
             "rep": rep, "cm": cm, "topo": topo,
             "best_count": best_count, "best_depth": best_depth,
             "count_circuits": count_circs, "depth_circuits": depth_circs,
-            "runs": runs,
+            "runs": runs, "sat_runs": sat_runs,
         })
     return cases, time.monotonic() - start
 
@@ -89,8 +90,9 @@ def optimality_suite():
 def test_criterion_1_oracle_optimality(optimality_suite):
     cases, elapsed = optimality_suite
     for case in cases:
-        assert case["runs"][(Mode.CNOT, False)].cnot_count == case["best_count"]
-        assert case["runs"][(Mode.DEPTH, False)].cnot_depth == case["best_depth"]
+        for runs in (case["runs"], case["sat_runs"]):
+            assert runs[(Mode.CNOT, False)].cnot_count == case["best_count"]
+            assert runs[(Mode.DEPTH, False)].cnot_depth == case["best_depth"]
     assert elapsed < 600.0, f"suite took {elapsed:.1f} s"
     report(1, f"60/60 instances count- and depth-optimal vs oracle "
               f"({elapsed:.1f} s total)")
@@ -100,12 +102,13 @@ def test_criterion_1_oracle_optimality(optimality_suite):
 def test_criterion_2_doubly_optimal_dominance(optimality_suite):
     cases, _ = optimality_suite
     for case in cases:
-        cnot_run = case["runs"][(Mode.CNOT, True)]
-        depth_run = case["runs"][(Mode.DEPTH, True)]
-        assert cnot_run.cnot_count == case["best_count"]
-        assert cnot_run.cnot_depth == min(cnot_depth(c) for c in case["count_circuits"])
-        assert depth_run.cnot_depth == case["best_depth"]
-        assert depth_run.cnot_count == min(cnot_count(c) for c in case["depth_circuits"])
+        for runs in (case["runs"], case["sat_runs"]):
+            cnot_run = runs[(Mode.CNOT, True)]
+            depth_run = runs[(Mode.DEPTH, True)]
+            assert cnot_run.cnot_count == case["best_count"]
+            assert cnot_run.cnot_depth == min(cnot_depth(c) for c in case["count_circuits"])
+            assert depth_run.cnot_depth == case["best_depth"]
+            assert depth_run.cnot_count == min(cnot_count(c) for c in case["depth_circuits"])
     report(2, "60/60 instances doubly optimal on both orderings")
 
 
@@ -115,17 +118,21 @@ def test_criterion_3_triangle_instance_pins():
     rep = triangle_instance()
     line3 = CouplingMap.line(3)
     start = time.monotonic()
-    count_run = hopps(SynthesisRequest(rep, line3, mode=Mode.CNOT, doubly=True))
-    depth_run = hopps(SynthesisRequest(rep, line3, mode=Mode.DEPTH, doubly=True))
+    for engine in (hopps, sat_chain):
+        runs = {(mode, doubly): engine(SynthesisRequest(rep, line3, mode=mode, doubly=doubly))
+                for mode, doubly in ALL_MODES}
+        for run in runs.values():
+            assert validate_topology(run.circuit, line3)
+            assert canonical_equal(canonicalize(extract_rep(run.circuit)),
+                                   canonicalize(rep))
+        assert runs[(Mode.CNOT, False)].cnot_count == golden["min_count"]
+        assert runs[(Mode.DEPTH, False)].cnot_depth == golden["min_depth"]
+        count_run, depth_run = runs[(Mode.CNOT, True)], runs[(Mode.DEPTH, True)]
+        assert count_run.cnot_count == golden["min_count"]
+        assert count_run.cnot_depth == golden["min_depth_among_count_optimal"]
+        assert depth_run.cnot_depth == golden["min_depth"]
+        assert depth_run.cnot_count == golden["min_count_among_depth_optimal"]
     elapsed = time.monotonic() - start
-    for run in (count_run, depth_run):
-        assert validate_topology(run.circuit, line3)
-        assert canonical_equal(canonicalize(extract_rep(run.circuit)),
-                               canonicalize(rep))
-    assert count_run.cnot_count == golden["min_count"]
-    assert count_run.cnot_depth == golden["min_depth_among_count_optimal"]
-    assert depth_run.cnot_depth == golden["min_depth"]
-    assert depth_run.cnot_count == golden["min_count_among_depth_optimal"]
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
     report(3, f"pinned instance matches committed oracle goldens ({elapsed:.2f} s)")
 

@@ -527,8 +527,8 @@ def test_a_block_met_again_in_the_call_is_not_judged_again(monkeypatch):
 @pytest.mark.parametrize("mode", [Mode.CNOT, Mode.DEPTH])
 @pytest.mark.parametrize("doubly", [False, True])
 def test_repeated_skeletons_give_the_pinned_run(mode, doubly):
-    # pinned from the code before blocks met again were served from the
-    # call's memo; the four settings give the same run here
+    # pinned from the exact search's skeletons, which chose other optima
+    # than the SAT chain did on ties; the four settings give the same run here
     golden = json.loads(GOLDEN.read_text())
     c, line = repeated_skeletons(6, 3, seed=2)
 

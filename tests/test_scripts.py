@@ -24,7 +24,8 @@ def test_random_suite_runs():
     assert proc.returncode == 0, proc.stderr
     assert "3/3 matched" in proc.stdout
     summary = proc.stdout.strip().splitlines()[-1]
-    found = re.search(r"SAT conflicts (\d+) \(phase 1 (\d+), descent (\d+)\), "
+    found = re.search(r"; exact search states [1-9]\d*; "
+                      r"SAT conflicts (\d+) \(phase 1 (\d+), descent (\d+)\), "
                       r"decisions [1-9]\d*$", summary)
     assert found, summary
     total, primary, descent = map(int, found.groups())

@@ -32,6 +32,7 @@ from paritysat.synthesizer import (
     lower_bound,
     merged_rep,
     place_rotations,
+    sat_chain,
     synthesis_key,
     synthesis_problem,
 )
@@ -223,23 +224,26 @@ def test_doubly_optima_on_six_qubits_match_the_oracle():
         rep = extract_rep(circuit)
         best_count, count_circs = oracle_min_count(rep, cm)
         best_depth, depth_circs = oracle_min_depth(rep, cm)
-        by_count = hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
-        by_depth = hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
-        assert (by_count.cnot_count, by_count.cnot_depth) == \
-            (best_count, min(cnot_depth(c) for c in count_circs))
-        assert (by_depth.cnot_depth, by_depth.cnot_count) == \
-            (best_depth, min(cnot_count(c) for c in depth_circs))
-        for result in (by_count, by_depth):
-            assert result.optimal and validate_topology(result.circuit, cm)
-            assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
-            descents += sum(entry["phase"] == "descent" for entry in result.stats)
+        for engine in (hopps, sat_chain):
+            by_count = engine(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
+            by_depth = engine(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
+            assert (by_count.cnot_count, by_count.cnot_depth) == \
+                (best_count, min(cnot_depth(c) for c in count_circs))
+            assert (by_depth.cnot_depth, by_depth.cnot_count) == \
+                (best_depth, min(cnot_count(c) for c in depth_circs))
+            for result in (by_count, by_depth):
+                assert result.optimal and validate_topology(result.circuit, cm)
+                assert canonical_equal(canonicalize(extract_rep(result.circuit)),
+                                       canonicalize(rep))
+                if engine is sat_chain:
+                    descents += sum(entry["phase"] == "descent" for entry in result.stats)
     assert descents > 0
 
 
 def record_solvers(monkeypatch):
     """Lists that fill with every ``Solver`` built and every (phase,
-    solver) SAT call that ``hopps`` makes.  Every call is made under exactly
-    one goal literal."""
+    solver) SAT call that ``sat_chain`` makes.  Every call is made under
+    exactly one goal literal."""
     built = []
     calls = []
 
@@ -279,7 +283,7 @@ def test_each_synthesis_builds_one_solver_that_every_call_resumes(mode, doubly, 
     for cm, rep in cases:
         built.clear()
         calls.clear()
-        result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
+        result = sat_chain(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
         # one solver grows across every budget tried and every descent
         assert len(built) == 1 and all(solver is built[0] for _, solver in calls)
         primary = [phase for phase, _ in calls if phase == "primary"]
@@ -313,7 +317,7 @@ def test_count_doubly_grows_one_depth_chain_up_from_the_floor(monkeypatch):
         n = cm.num_qubits
         built.clear()
         calls.clear()
-        result = hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
+        result = sat_chain(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
         phases = [phase for phase, _ in calls]
         primary = phases.count("primary")
         assert phases == ["primary"] * primary + ["descent"] * (len(phases) - primary)
@@ -358,7 +362,7 @@ def test_phase2_timeout_keeps_the_phase1_circuit(mode, monkeypatch):
     monkeypatch.setattr(synthesizer, "solve_instance", descent_times_out)
     cm = CouplingMap.line(4)
     rep = extract_rep(random_cnot_rz_circuit(random.Random(11), 4, 6, 3, cm))
-    result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=True))
+    result = sat_chain(SynthesisRequest(rep, cm, mode=mode, doubly=True))
     assert len(timed_out) == 1 and not result.optimal
     # the timed-out call keeps its record
     assert [(entry["k"], entry["status"]) for entry in result.stats
@@ -372,7 +376,7 @@ def test_phase2_timeout_keeps_the_phase1_circuit(mode, monkeypatch):
 
 
 def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
-    runs = {mode: hopps(SynthesisRequest(triangle_rep, line3, mode=mode, doubly=True))
+    runs = {mode: sat_chain(SynthesisRequest(triangle_rep, line3, mode=mode, doubly=True))
             for mode in (Mode.CNOT, Mode.DEPTH)}
     for result in runs.values():
         for entry in result.stats:
@@ -388,7 +392,7 @@ def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
     # above the floor of one CNOT per layer
     cm = CouplingMap.line(4)
     descending = extract_rep(random_cnot_rz_circuit(random.Random(9), 4, 6, 3, cm))
-    stats = hopps(SynthesisRequest(descending, cm, mode=Mode.DEPTH, doubly=True)).stats
+    stats = sat_chain(SynthesisRequest(descending, cm, mode=Mode.DEPTH, doubly=True)).stats
     phases = [entry["phase"] for entry in stats]
     first = phases.index("descent") - 1
     assert phases[0] == "bound" and set(phases[1:first]) <= {"primary"} and first > 1
@@ -399,7 +403,7 @@ def test_stats_record_the_cnf_and_encode_time(triangle_rep, line3):
     # This instance makes more than two such calls in every mode.
     rep = extract_rep(random_cnot_rz_circuit(random.Random(11), 4, 6, 3, cm))
     for mode, doubly in ALL_MODES:
-        result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly)).stats
+        result = sat_chain(SynthesisRequest(rep, cm, mode=mode, doubly=doubly)).stats
         sizes = [(entry["vars"], entry["clauses"]) for entry in result
                  if entry["phase"] == "primary" or entry["phase"] == "descent"
                  and mode is Mode.DEPTH]
@@ -464,7 +468,7 @@ def test_timeout_bounds_the_whole_synthesis(triangle_rep, line3, monkeypatch):
     monkeypatch.setattr(synthesizer, "solve_instance", slow_unsat)
     start = time.monotonic()
     with pytest.raises(SynthesisTimeout):
-        hopps(SynthesisRequest(triangle_rep, line3, timeout_s=0.25))
+        sat_chain(SynthesisRequest(triangle_rep, line3, timeout_s=0.25))
     assert time.monotonic() - start < 0.4
 
 
@@ -480,7 +484,7 @@ def test_phase_1_timeout_carries_its_records(monkeypatch):
 
     monkeypatch.setattr(synthesizer, "solve_instance", times_out_from_3_steps)
     with pytest.raises(SynthesisTimeout) as caught:
-        hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT))
+        sat_chain(SynthesisRequest(rep, cm, mode=Mode.CNOT))
     last = caught.value.stats[-1]
     assert (last["phase"], last["k"], last["status"]) == ("primary", 4, "timeout")
     assert [entry["phase"] for entry in caught.value.stats] == ["bound", "primary"]
@@ -555,7 +559,7 @@ def test_floors_read_the_merged_rep():
 def test_stats_trail_records_unsat_then_sat():
     # SWAP on line(2): the floor rules out budgets 0 and 1, budget 2 is
     # UNSAT and the optimum is 3
-    result = hopps(SynthesisRequest(permutation_rep((2, 1)), CouplingMap.line(2)))
+    result = sat_chain(SynthesisRequest(permutation_rep((2, 1)), CouplingMap.line(2)))
     assert [(s["phase"], s["k"], s["status"]) for s in result.stats] == \
         [("bound", 1, "unsat"), ("primary", 2, "unsat"), ("primary", 3, "sat")]
     # a cut carries every counter of a SAT call, at zero
@@ -566,7 +570,7 @@ def test_stats_trail_records_unsat_then_sat():
 
 def test_depth_doubly_descent_stops_at_the_count_floor(triangle_rep, line3, monkeypatch):
     _, calls = record_solvers(monkeypatch)
-    result = hopps(SynthesisRequest(triangle_rep, line3, mode=Mode.DEPTH, doubly=True))
+    result = sat_chain(SynthesisRequest(triangle_rep, line3, mode=Mode.DEPTH, doubly=True))
     assert result.cnot_count == lower_bound(triangle_rep, Mode.CNOT) == 5
     # the model meets the floor, so no descent is handed to the solver
     assert [phase for phase, _ in calls] == ["primary"]
@@ -577,7 +581,7 @@ def test_depth_doubly_descent_stops_at_the_count_floor(triangle_rep, line3, monk
     # CNOT per layer
     calls.clear()
     cycle = permutation_rep((2, 4, 1))
-    result = hopps(SynthesisRequest(cycle, line3, mode=Mode.DEPTH, doubly=True))
+    result = sat_chain(SynthesisRequest(cycle, line3, mode=Mode.DEPTH, doubly=True))
     assert lower_bound(cycle, Mode.CNOT) == 3
     assert (result.cnot_count, result.cnot_depth) == (6, 6)
     assert "descent" not in [phase for phase, _ in calls]
@@ -595,7 +599,7 @@ def test_a_descent_cap_that_does_not_bind_raises(monkeypatch):
     cm = CouplingMap.line(4)
     rep = extract_rep(random_cnot_rz_circuit(random.Random(9), 4, 6, 3, cm))
     with pytest.raises(synthesizer.InternalConsistencyError, match="under a cap of"):
-        hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
+        sat_chain(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
 
 
 def test_decode_checks_every_parity_slice_against_the_replay(triangle_rep, line3):
@@ -661,7 +665,7 @@ def test_non_identity_initial_parity():
 def test_k4_count_doubly_search_work_stays_bounded():
     cm = CouplingMap.complete(4)
     rep = extract_rep(random_cnot_rz_circuit(random.Random(5), 4, 9, 4, cm))
-    result = hopps(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
+    result = sat_chain(SynthesisRequest(rep, cm, mode=Mode.CNOT, doubly=True))
     assert (result.cnot_count, result.cnot_depth) == (6, 5) and result.optimal
     assert result.cnot_count == oracle_min_count(rep, cm)[0]
     assert canonical_equal(canonicalize(extract_rep(result.circuit)), canonicalize(rep))
@@ -696,9 +700,9 @@ def test_external_backend_selected_by_env(triangle_rep, line3, monkeypatch):
               for mode, doubly in ALL_MODES]
     for rep, cm, mode, doubly in cases:
         monkeypatch.delenv("HOPPS_SOLVER", raising=False)
-        internal = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
+        internal = sat_chain(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
         monkeypatch.setenv("HOPPS_SOLVER", str(REF_SOLVER))
-        external = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
+        external = sat_chain(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
         # only the internal engine reports search counters; a floor's cut is no call
         assert all("conflicts" not in entry for entry in external.stats
                    if entry["phase"] != "bound")
@@ -722,7 +726,7 @@ def test_tail_block_of_the_peephole_workload_stays_cheap():
     rep = PhasePolyRep(ParityMatrix.identity(4), ParityMatrix((4, 3, 2, 8)),
                        ParityTable(4, (4, 6, 2, 10), (0.1, 0.2, 0.3, 0.4)))
     cm = CouplingMap(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
-    result = hopps(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
+    result = sat_chain(SynthesisRequest(rep, cm, mode=Mode.DEPTH, doubly=True))
     assert (result.cnot_count, result.cnot_depth) == (7, 6) and result.optimal
     best_depth, depth_circs = oracle_min_depth(rep, cm)
     assert (result.cnot_count, result.cnot_depth) == \
