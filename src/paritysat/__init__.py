@@ -35,7 +35,6 @@ from .synthesizer import (
     SynthesisTimeout,
     hopps,
     lower_bound,
-    sat_chain,
 )
 
 __version__ = "0.1.0"

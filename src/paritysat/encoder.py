@@ -203,12 +203,13 @@ def add_goal(inst: SatInstance, layout: VarLayout) -> int:
     return goal
 
 
-def _disjoint_sets(edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Index tuples of two or more pairwise qubit-disjoint edges."""
+def disjoint_sets(edges: Sequence[tuple[int, int]], smallest: int = 2) -> list[tuple[int, ...]]:
+    """Index tuples of ``smallest`` or more pairwise qubit-disjoint edges,
+    each ascending, in lexicographic order."""
     found: list[tuple[int, ...]] = []
 
     def grow(start: int, used: frozenset, chosen: tuple[int, ...]) -> None:
-        if len(chosen) >= 2:
+        if len(chosen) >= smallest:
             found.append(chosen)
         for e in range(start, len(edges)):
             a, b = edges[e]
@@ -224,7 +225,7 @@ def _add_excess(inst: SatInstance, layout: VarLayout) -> None:
     literals: ``excess[k][m - 1]``, for ``m = 1 .. n // 2 - 1``, is forced
     true by each set of ``m + 1`` qubit-disjoint CNOT variables of step
     ``k``, so whenever layer ``k`` holds at least ``m + 1`` CNOTs."""
-    sets = _disjoint_sets(layout.edges)
+    sets = disjoint_sets(layout.edges)
     for step_vars in layout.cnot[len(layout.excess):]:
         excess = inst.new_vars(layout.final.n // 2 - 1)
         for chosen in sets:
@@ -271,5 +272,5 @@ def add_cnot_budget(inst: SatInstance, layout: VarLayout,
 
 __all__ = [
     "Mode", "VarLayout",
-    "encode_chain", "extend_chain", "add_goal", "add_cnot_budget",
+    "encode_chain", "extend_chain", "add_goal", "add_cnot_budget", "disjoint_sets",
 ]

@@ -40,12 +40,13 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .encoder import Mode
+from .encoder import Mode, disjoint_sets
 from .ir import CouplingMap, PhasePolyRep
 
 # the most states one search stores, on both sides together: on a 64-bit
-# CPython a state takes about 160 bytes by ``tracemalloc``
-# (``test_bytes_per_state``) and about 200 of peak RSS, so about 400 MB
+# CPython a state takes 130-180 bytes by ``tracemalloc``
+# (``test_bytes_per_state``), whatever the number of terms, and peak RSS
+# at the cap is about 370 MB
 STATE_CAP = 2_000_000
 
 SECONDARY_BITS = 20
@@ -87,15 +88,6 @@ class ExactOutcome:
                 "seconds": self.seconds, "capped": self.status == "capped"}
 
 
-def _layers(edges: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, int], ...]]:
-    """Every nonempty set of pairwise qubit-disjoint edges, each in edge order."""
-    layers: list[tuple[tuple[int, int], ...]] = [()]
-    for c, t in edges:
-        layers += [layer + ((c, t),) for layer in layers
-                   if all(c not in edge and t not in edge for edge in layer)]
-    return layers[1:]
-
-
 class _Moves:
     """The moves of one problem, as shifts on its packed states.
 
@@ -112,16 +104,15 @@ class _Moves:
         self.n, self.tbits = n, len(terms)
         self.full = (1 << len(terms)) - 1
         self.low = (1 << n) - 1
-        # the mask bit of each row value that is a term, else 0
-        self.term_bit = [0] * (1 << n)
-        for b, term in enumerate(terms):
-            self.term_bit[term] = 1 << b
+        # the mask bit of each row value that is a term
+        self.term_bit = {term: 1 << b for b, term in enumerate(terms)}
         edges = coupling.directed_edges()
         if mode is Mode.CNOT and not doubly:
             self.layers = [((c, t),) for c, t in edges]
             self.costs = [PRIMARY] * len(edges)
         else:
-            self.layers = _layers(edges)
+            self.layers = [tuple(edges[e] for e in chosen)
+                           for chosen in disjoint_sets(edges, smallest=1)]
             self.costs = [len(layer) * PRIMARY + 1 if mode is Mode.CNOT
                           else PRIMARY + (len(layer) if doubly else 0)
                           for layer in self.layers]
@@ -135,7 +126,7 @@ class _Moves:
         """The state of a matrix whose rows are all the slices seen."""
         state = 0
         for i, row in enumerate(rows):
-            state |= row << (self.tbits + self.n * i) | self.term_bit[row]
+            state |= row << (self.tbits + self.n * i) | self.term_bit.get(row, 0)
         return state
 
     def path(self, side: "_Side", state: int) -> list[int]:
@@ -158,7 +149,7 @@ class _Moves:
                 parent ^= ((parent >> sc) & self.low) << st
             added = 0
             for st in self.targets[m]:
-                added |= self.term_bit[(state >> st) & self.low]
+                added |= self.term_bit.get((state >> st) & self.low, 0)
             want = (value >> self.bits) - self.costs[m]
             base, subset = parent & ~added, added
             while True:
@@ -177,7 +168,9 @@ class _Side:
 
     ``seen`` maps each state stored to its cost above the index of the
     move that reached it; ``rows`` maps the rows of every state stored to
-    the set of its masks, as a bit set, for the join; ``buckets`` holds the
+    the states stored on them, for the join: the one state, or a list of
+    two or more (most rows hold one state, and an int costs no more
+    storage, being the key of ``seen`` already); ``buckets`` holds the
     states queued at each cost, and ``costs`` those costs as a heap.  A
     queued state that was reached again more cheaply stays in its old
     bucket, and is skipped there.
@@ -187,7 +180,7 @@ class _Side:
 
     def __init__(self, start: int, moves: _Moves) -> None:
         self.seen = {start: moves.start}
-        self.rows = {start >> moves.tbits: 1 << (start & moves.full)}
+        self.rows: dict[int, int | list[int]] = {start >> moves.tbits: start}
         self.buckets = {0: [start]}
         self.costs = [0]
         self.queued = 1
@@ -207,8 +200,8 @@ def exact_search(rep: PhasePolyRep, coupling: CouplingMap, mode: Mode, doubly: b
     """
     started = time.monotonic()
     moves = _Moves(rep, coupling, mode, doubly)
-    tbits, full, low, term_bit, bits = (moves.tbits, moves.full, moves.low, moves.term_bit,
-                                        moves.bits)
+    tbits, full, low, bits = moves.tbits, moves.full, moves.low, moves.bits
+    term_bit = moves.term_bit.get
     fwd = _Side(moves.pack(rep.initial.rows), moves)
     bwd = _Side(moves.pack(rep.final.rows), moves)
     limit = (k_max + 1) * PRIMARY  # a cost at or above it is out of reach
@@ -257,29 +250,32 @@ def exact_search(rep: PhasePolyRep, coupling: CouplingMap, mode: Mode, doubly: b
             if not expanded % DEADLINE_EVERY and time.monotonic() >= deadline:
                 return outcome("timeout", min(best, cost + other.top()))
             rows = state >> tbits
-            masks = other_rows.get(rows)
-            if masks is not None:
-                need = full ^ (state & full)
-                base = rows << tbits
-                while masks:
-                    lowest = masks & -masks
-                    masks ^= lowest
-                    mask = lowest.bit_length() - 1
-                    if mask & need == need:
-                        join = cost + (other_seen[base | mask] >> bits)
-                        if join < best:
-                            best = join
-                            meet = (state, base | mask) if side is fwd else (base | mask, state)
+            same = other_rows.get(rows, ())
+            if same.__class__ is int:
+                same = (same,)
+            need = full ^ (state & full)
+            for match in same:
+                if match & need == need:
+                    join = cost + (other_seen[match] >> bits)
+                    if join < best:
+                        best = join
+                        meet = (state, match) if side is fwd else (match, state)
             for flips, targets, to, value, queue in reach:
                 nxt = state
                 for sc, st in flips:
                     nxt ^= ((nxt >> sc) & low) << st
                 for st in targets:
-                    nxt |= term_bit[(nxt >> st) & low]
+                    nxt |= term_bit((nxt >> st) & low, 0)
                 known = seen.get(nxt)
                 if known is None:
                     key = nxt >> tbits
-                    by_rows[key] = by_rows.get(key, 0) | 1 << (nxt & full)
+                    same = by_rows.get(key)
+                    if same is None:
+                        by_rows[key] = nxt
+                    elif same.__class__ is list:
+                        same.append(nxt)
+                    else:
+                        by_rows[key] = [same, nxt]
                 elif known >> bits <= to:
                     continue
                 seen[nxt] = value

@@ -339,13 +339,15 @@ class _Synthesis:
         return SynthesisResult(circuit, cnot_count(circuit), cnot_depth(circuit),
                                optimal, self.stats, steps)
 
-    def check(self, steps: Steps) -> SynthesisResult:
-        """The result on the search's witness ``steps``, decoded from one
-        SAT call: a chain of as many steps, in count mode for a plain count
-        request and in depth mode otherwise, solved under its goal and every
-        CNOT literal, true on the witness's edges and false elsewhere.  A
-        refusal is an encoder or search fault, and a model off the witness
-        a solver fault."""
+    def check(self, steps: Steps, primary: int) -> SynthesisResult:
+        """The result on the search's witness ``steps``, of primary metric
+        ``primary``, decoded from one SAT call: a chain of as many steps, in
+        count mode for a plain count request and in depth mode otherwise,
+        solved under its goal and every CNOT literal, true on the witness's
+        edges and false elsewhere.  Its record, of phase ``primary``, has
+        ``k`` the primary metric, as phase 1's records do.  A refusal is an
+        encoder or search fault, and a model off the witness a solver
+        fault."""
         req = self.req
         mode = Mode.CNOT if req.mode is Mode.CNOT and not req.doubly else Mode.DEPTH
         encoded_at = time.monotonic()
@@ -353,7 +355,7 @@ class _Synthesis:
         fixed = [var if edge in step else -var
                  for step, step_vars in zip(map(set, steps), layout.cnot)
                  for edge, var in zip(layout.edges, step_vars)]
-        model = self.attempt(Solver(inst), "primary", len(steps), encoded_at,
+        model = self.attempt(Solver(inst), "primary", primary, encoded_at,
                              add_goal(inst, layout), fixed)
         if model is None:
             raise InternalConsistencyError(
@@ -461,7 +463,7 @@ def hopps(req: SynthesisRequest) -> SynthesisResult:
         raise NoSolutionWithinKmax(f"no solution with step budget up to {run.k_max}")
     if found.status == "capped":
         return run.chain(max(lower_bound(run.rep, req.mode), found.floor))
-    return run.check(found.steps)
+    return run.check(found.steps, found.floor)
 
 
 def sat_chain(req: SynthesisRequest) -> SynthesisResult:

@@ -140,7 +140,7 @@ def test_hopps_checks_the_witness_in_one_sat_call(monkeypatch):
         result = hopps(SynthesisRequest(rep, cm, mode=mode, doubly=doubly))
         record, check = result.stats
         assert (record["phase"], record["status"], record["capped"]) == ("exact", "sat", False)
-        assert (check["phase"], check["status"], check["k"]) == ("primary", "sat", len(result.steps))
+        assert (check["phase"], check["status"], check["k"]) == ("primary", "sat", record["k"])
         # the goal, and every CNOT literal of every step
         assert len(calls) == 1 and len(calls[0]) == 1 + edges * len(result.steps)
         metrics = (result.cnot_count, result.cnot_depth)
@@ -275,6 +275,40 @@ def test_bytes_per_state():
         tracemalloc.stop()
     assert found.status == "sat" and found.cost == (7, 0)
     assert peak / sum(found.states) < 200
+
+
+def test_many_terms_keep_the_search_within_its_cap_and_deadline(monkeypatch):
+    # K5 Random(2) of 60 CNOTs and 60 Rz: 24 distinct terms, so a mask can
+    # be as large as 2**24 - 1, and millions of states to the optimum
+    cm = CouplingMap.complete(5)
+    rep = extract_rep(random_cnot_rz_circuit(random.Random(2), 5, 60, 60, cm))
+    problem = synthesis_problem(rep, cm)
+    assert len(problem[0].table.unique_terms) == 24
+    monkeypatch.setattr(exact, "STATE_CAP", 20_000)
+    tracemalloc.start()
+    try:
+        found = exact_search(*problem, Mode.CNOT, False, 100, time.monotonic() + 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # K5 has 20 directed edges, one move each
+    assert found.status == "capped" and 20_000 < sum(found.states) <= 20_020
+    assert peak / sum(found.states) < 200
+    # past the cap the SAT chain runs, and ends at the deadline
+    start = time.monotonic()
+    with pytest.raises(SynthesisTimeout) as caught:
+        hopps(SynthesisRequest(rep, cm, timeout_s=0.5))
+    assert time.monotonic() - start < 1.5
+    assert caught.value.stats[0]["status"] == "capped"
+    assert caught.value.stats[-1]["status"] == "timeout"
+    # at the real cap, the search itself ends at the deadline
+    monkeypatch.undo()
+    start = time.monotonic()
+    with pytest.raises(SynthesisTimeout) as caught:
+        hopps(SynthesisRequest(rep, cm, timeout_s=0.3))
+    assert time.monotonic() - start < 1.0
+    (record,) = caught.value.stats
+    assert (record["phase"], record["status"]) == ("exact", "timeout")
 
 
 @pytest.mark.skipif(not REF_SOLVER.exists(), reason="reference solver not found")
